@@ -2,8 +2,10 @@
 
 Submodules:
 
-* :mod:`qindirect.qalg` -- Pauli conventions, tensor and bracket helpers.
-* :mod:`qindirect.lieclosure` -- numeric Lie-algebra closures and spans.
+* :mod:`qindirect.qalg` -- Pauli conventions and coordinates, tensor and
+  bracket helpers.
+* :mod:`qindirect.lieclosure` -- numeric Lie-algebra closures and spans in
+  Pauli coordinates.
 * :mod:`qindirect.model` -- the (omega_S, K, C, control) model and JSON I/O.
 * :mod:`qindirect.classify` -- dimension table, single-axis CC test,
   identity suites.

@@ -26,9 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qalg
-from .qalg import ID2, TOL_RANK, commutator, frob, pauli, sigma_from_vec, tensor
+from .qalg import (ID2, TOL_RANK, _rotation_about, _rotation_between,
+                   commutator, frob, pauli, sigma_from_vec, tensor)
 from .lieclosure import closure
-from .model import FullSU2, SingleAxis, TwoQubitModel, df_split, generator_set
+from .model import (FullSU2, SingleAxis, TwoQubitModel, df_split,
+                    generator_set, hamiltonians)
 
 CASE_DIMS = {"1a": 15, "1b": 10, "1c": 7, "2a": 6, "2b": 10, "2c": 15}
 
@@ -160,32 +162,6 @@ def strong_uic(m: TwoQubitModel) -> bool:
 # normal form for single-axis control
 
 
-def _rotation_about(axis, angle: float) -> np.ndarray:
-    k = np.asarray(axis, dtype=float)
-    k = k / np.linalg.norm(k)
-    kx = np.array([[0.0, -k[2], k[1]],
-                   [k[2], 0.0, -k[0]],
-                   [-k[1], k[0], 0.0]])
-    return np.eye(3) + np.sin(angle) * kx + (1.0 - np.cos(angle)) * (kx @ kx)
-
-
-def _rotation_between(u, v) -> np.ndarray:
-    """Rotation mapping unit vector u onto unit vector v."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    c = float(np.dot(u, v))
-    w = np.cross(u, v)
-    s = np.linalg.norm(w)
-    if s < 1e-15:
-        if c > 0:
-            return np.eye(3)
-        # antiparallel: rotate by pi about any axis perpendicular to u
-        ref = np.array([1.0, 0.0, 0.0]) if abs(u[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-        perp = np.cross(u, ref)
-        return _rotation_about(perp, np.pi)
-    return _rotation_about(w / s, np.arctan2(s, c))
-
-
 @dataclass(frozen=True)
 class NormalForm:
     """Single-axis model rotated so n = e_z, C_perp = omega_A e_y, b = beta e_y.
@@ -272,7 +248,6 @@ def drift_perp_components(m: TwoQubitModel) -> tuple:
     """
     if not isinstance(m.control, SingleAxis):
         raise ValueError("perpendicular components require single-axis control")
-    from .model import hamiltonians
     h = hamiltonians(m)
     h_c = -1j * h.controls[0]
     ihi = 1j * h.h_i

@@ -23,7 +23,7 @@ from . import indirect as _indirect
 from . import sampler as _sampler
 from .lieclosure import closure
 from .model import (FullSU2, ModelFormatError, SingleAxis, TwoQubitModel,
-                    model_from_dict)
+                    generator_set, model_from_dict)
 from .qalg import (TOL_EQ, TOL_RANK, bloch_inverse, dagger, frob,
                    mat_exp, partial_trace, tensor, z_rotation)
 
@@ -145,7 +145,6 @@ def _cmd_closure(args) -> dict:
     cfg = _load_config(args.config)
     model, rest = _split_model(cfg)
     tols = _tolerances(rest, args)
-    from .model import generator_set
     basis = closure(generator_set(model), tol=tols["tol_rank"])
     payload = {"dim": len(basis), "tolerances": tols}
     if rest.get("basis"):
@@ -161,7 +160,6 @@ def _cmd_negat(args) -> dict:
         raise ModelFormatError("negat needs rho_S and rho_A Bloch vectors")
     rho_s = bloch_inverse(rest["rho_S"])
     rho_a = bloch_inverse(rest["rho_A"])
-    from .model import generator_set
     L = closure(generator_set(model), tol=tols["tol_rank"])
     verdict = _indirect.gennegat_test(L, rho_s, rho_a, tol=tols["tol_rank"])
     return {"lie_dim": len(L), "v_dim": verdict.v_dim,

@@ -81,8 +81,8 @@ def euler_su2(X: np.ndarray) -> tuple:
     X = _check_su2(X)
     a, b = X[0, 0], X[0, 1]
     t = 2.0 * np.arctan2(abs(b), abs(a))
-    phi_sum = np.angle(a) if abs(a) > 1e-12 else 0.0
-    phi_diff = np.angle(b) - np.pi / 2 if abs(b) > 1e-12 else 0.0
+    phi_sum = np.angle(a) if a != 0 else 0.0
+    phi_diff = np.angle(b) - np.pi / 2 if b != 0 else 0.0
     return (phi_sum + phi_diff, t, phi_sum - phi_diff)
 
 

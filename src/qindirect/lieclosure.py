@@ -1,9 +1,16 @@
-"""Real Lie algebra machinery over skew-Hermitian matrices.
+"""Real Lie algebra machinery in Pauli coordinates.
 
-A subspace is represented by a ``LieBasis``: a stack of matrices that are
-orthonormal under the real inner product <A, B> = Re Tr(A^dag B).  For fast
-projections every matrix is also kept as a real vector
-(Re entries, Im entries) since the inner product is then a plain dot product.
+Elements of u(d), d = 2 or 4, are real coordinates in the orthonormal basis
+E_ab = (i/sqrt d) P_a (x) P_b of :mod:`qindirect.qalg`, so Re Tr(A^dag B) is
+a dot product and tolerances keep their matrix meaning.  Brackets come from
+the structure tensor F[j, k, l] = <E_l, [E_j, E_k]>, computed at import.
+
+One routine finds the smallest subspace that contains some seeds and is
+invariant under ad_x for x in a set of operators, with one SVD rank decision
+per sweep over the newly found vectors.  ``closure(G)`` uses G as both seeds
+and operators: by the Jacobi identity the right-nested brackets of the
+generators span the algebra they generate.  Matrices are converted to
+coordinates once, at the boundary.
 """
 
 from __future__ import annotations
@@ -14,130 +21,128 @@ from . import qalg
 from .qalg import TOL_RANK
 
 
-def _vec(mats: np.ndarray) -> np.ndarray:
-    # (..., d, d) complex -> (..., 2 d^2) real; dot of vecs == Re Tr(A^dag B)
-    d = mats.shape[-1]
-    flat = mats.reshape(mats.shape[:-2] + (d * d,))
-    return np.concatenate([flat.real, flat.imag], axis=-1)
+def _structure(E: np.ndarray) -> np.ndarray:
+    prod = E[:, None] @ E[None, :]  # E_j E_k
+    return qalg.pauli_coords(prod - prod.transpose(1, 0, 2, 3)).real
 
 
-def _unvec(v: np.ndarray, dim: int) -> np.ndarray:
-    half = dim * dim
-    return (v[:half] + 1j * v[half:]).reshape(dim, dim)
+STRUCTURE = {d: _structure(E) for d, E in qalg.PAULI_BASIS.items()}
 
 
 class LieBasis:
-    """Orthonormal list of matrices spanning a real subspace."""
+    """Orthonormal real subspace, stored as (n, dim^2) Pauli coordinates."""
 
-    def __init__(self, dim: int, mats: np.ndarray | None = None):
+    def __init__(self, dim: int, coords: np.ndarray | None = None):
         self.dim = dim
-        if mats is None:
-            mats = np.zeros((0, dim, dim), dtype=complex)
-        self.mats = np.asarray(mats, dtype=complex)
-        self.vecs = _vec(self.mats)
+        self.coords = np.zeros((0, dim * dim)) if coords is None else coords
 
     def __len__(self) -> int:
-        return self.mats.shape[0]
+        return self.coords.shape[0]
+
+    @property
+    def mats(self) -> np.ndarray:
+        return qalg.from_pauli_coords(self.coords, self.dim)
 
     def __iter__(self):
         return iter(self.mats)
 
-    def _residual(self, w: np.ndarray) -> np.ndarray:
-        # project twice for numerical stability
-        for _ in range(2):
-            if len(self):
-                w = w - self.vecs.T @ (self.vecs @ w)
-        return w
 
-    def _append(self, w: np.ndarray, tol: float) -> bool:
-        w = self._residual(w)
-        n = np.linalg.norm(w)
-        if n <= tol:
-            return False
-        w = w / n
-        self.vecs = np.vstack([self.vecs, w]) if len(self) else w[None, :]
-        self.mats = np.concatenate([self.mats, _unvec(w, self.dim)[None]])
-        return True
+def _coords(mats, require_traceless: bool, tol: float) -> np.ndarray:
+    """Real coordinates of skew-Hermitian matrices, checked like the matrices.
+
+    Skew-Hermitian: ||M + M^dag|| = 2 ||Im c||; trace: |Tr M| = sqrt(d) |c_0|;
+    both are bounded by tol * max(1, ||M||).
+    """
+    c = qalg.pauli_coords(mats)
+    im2 = (c.imag * c.imag).sum(axis=1)
+    scale = tol * np.sqrt(np.maximum(1.0, (c.real * c.real).sum(axis=1) + im2))
+    if (2.0 * np.sqrt(im2) > scale).any():
+        raise ValueError("input matrix is not skew-Hermitian")
+    if require_traceless and (np.sqrt(c.shape[1]) * np.abs(c[:, 0]) > scale).any():
+        raise ValueError("input matrix is not traceless")
+    return c.real
 
 
-def _validate(mats, require_traceless: bool, tol: float):
-    for m in mats:
-        m = np.asarray(m, dtype=complex)
-        scale = max(1.0, qalg.frob(m))
-        if qalg.frob(m + qalg.dagger(m)) > tol * scale:
-            raise ValueError("input matrix is not skew-Hermitian")
-        if require_traceless and abs(np.trace(m)) > tol * scale:
-            raise ValueError("input matrix is not traceless")
+def _residual(basis: np.ndarray, W: np.ndarray) -> np.ndarray:
+    for _ in range(2):  # project twice for numerical stability
+        W = W - (W @ basis.T) @ basis
+    return W
+
+
+def _unit_coords(mats, require_traceless: bool, tol: float,
+                 dim: int | None = None) -> tuple:
+    """(d, checked coordinates of the nonzero matrices scaled to unit norm)."""
+    mats = list(mats)
+    if not mats:
+        d = dim or 2
+        return d, np.zeros((0, d * d))
+    c = _coords(mats, require_traceless, tol)
+    n = np.sqrt((c * c).sum(axis=1))
+    return np.shape(mats[0])[-1], c[n > 0] / n[n > 0, None]
+
+
+def _split(W: np.ndarray, frame: np.ndarray, tol: float, room: int) -> tuple:
+    """Split span(frame) into the directions of W with singular value > tol
+    (at most ``room``) and the rest.  ``frame`` is an orthonormal basis of the
+    complement of the span found so far, so W @ frame.T projects that out.
+    """
+    Wc = W @ frame.T
+    if room <= 0 or np.linalg.norm(Wc) <= tol:  # bounds every singular value
+        return frame[:0], frame
+    # vt must be square to span the rest of the frame; U is never needed
+    _, s, vt = np.linalg.svd(Wc, full_matrices=Wc.shape[0] < Wc.shape[1])
+    rotated = vt @ frame
+    r = min(np.count_nonzero(s > tol), room)
+    return rotated[:r], rotated[r:]
+
+
+def _ad_invariant(seeds: np.ndarray, ops: np.ndarray, dim: int, tol: float,
+                  cap: int) -> LieBasis:
+    """Smallest subspace containing the unit rows ``seeds``, invariant under ad(ops)."""
+    n = dim * dim
+    ad = (ops @ STRUCTURE[dim].reshape(n, n * n)).reshape(-1, n, n)  # v @ ad[x] = [x, v]
+    new, frame = _split(seeds, np.eye(n), tol, cap)
+    found = [new]
+    while len(new) and n - len(frame) < cap:  # n - len(frame) = dim found so far
+        new, frame = _split((new @ ad).reshape(-1, n), frame, tol, cap - n + len(frame))
+        found.append(new)
+    return LieBasis(dim, np.concatenate(found))
 
 
 def orthonormalize(mats, tol: float | None = None,
                    require_traceless: bool = True, dim: int | None = None) -> LieBasis:
-    """Gram-Schmidt an iterable of matrices; near-dependent inputs are dropped.
+    """Orthonormal basis of span(mats); near-dependent inputs are dropped.
 
-    ``dim`` is only needed when the list is empty.
+    Inputs are scaled to unit norm first.  ``dim`` is only needed when the
+    list is empty.
     """
     tol = TOL_RANK if tol is None else tol
-    mats = [np.asarray(m, dtype=complex) for m in mats]
-    _validate(mats, require_traceless, tol)
-    dim = mats[0].shape[0] if mats else (dim or 2)
-    basis = LieBasis(dim)
-    for m in mats:
-        n = qalg.frob(m)
-        if n == 0.0:
-            continue
-        basis._append(_vec(m / n), tol)
-    return basis
+    d, c = _unit_coords(mats, require_traceless, tol, dim)
+    return LieBasis(d, _split(c, np.eye(d * d), tol, d * d)[0])
 
 
 def contains(basis: LieBasis, M, tol: float | None = None) -> bool:
     """True iff M lies in span(basis) with relative residual below tol."""
     tol = TOL_RANK if tol is None else tol
-    M = np.asarray(M, dtype=complex)
-    n = qalg.frob(M)
+    c = qalg.pauli_coords(M)
+    n = np.linalg.norm(c)
     if n == 0.0:
         return True
-    return np.linalg.norm(basis._residual(_vec(M))) <= tol * n
-
-
-def _bracket_sweep(basis: LieBasis, new_mats: np.ndarray, other: np.ndarray,
-                   tol: float, cap: int) -> np.ndarray:
-    """Bracket new_mats against other, append independent residuals to basis.
-
-    Returns the stack of matrices that were actually added.
-    """
-    if new_mats.shape[0] == 0 or other.shape[0] == 0:
-        return np.zeros((0, basis.dim, basis.dim), dtype=complex)
-    # batched [N_i, B_j] for all pairs; inputs are unit norm so the residual
-    # threshold is already normalized by the input norms
-    prod = np.einsum("iab,jbc->ijac", new_mats, other)
-    prod_t = np.einsum("jab,ibc->ijac", other, new_mats)
-    brackets = (prod - prod_t).reshape(-1, basis.dim, basis.dim)
-    W = _vec(brackets)
-    W = W - (W @ basis.vecs.T) @ basis.vecs
-    norms = np.linalg.norm(W, axis=1)
-    added = []
-    for idx in np.nonzero(norms > tol)[0]:
-        if len(basis) >= cap:
-            break
-        if basis._append(W[idx], tol):
-            added.append(basis.mats[-1])
-    return np.array(added) if added else np.zeros((0, basis.dim, basis.dim), dtype=complex)
+    # the imaginary (Hermitian) part of c is never in a real skew span
+    res = np.hypot(np.linalg.norm(_residual(basis.coords, c.real)),
+                   np.linalg.norm(c.imag))
+    return res <= tol * n
 
 
 def closure(generators, tol: float | None = None) -> LieBasis:
     """Smallest bracket-closed real subspace containing the generators.
 
-    Worklist sweep: bracket every new element against the whole current
-    basis, keep independent residuals, stop when a sweep adds nothing or
-    the dimension reaches dim^2 - 1 (the whole of su(d)).
+    Stops when a sweep adds nothing or the dimension reaches dim^2 - 1
+    (the whole of su(d)).
     """
     tol = TOL_RANK if tol is None else tol
-    basis = orthonormalize(generators, tol=tol)
-    cap = basis.dim * basis.dim - 1
-    new = basis.mats
-    while new.shape[0] and len(basis) < cap:
-        new = _bracket_sweep(basis, new, basis.mats, tol, cap)
-    return basis
+    d, G = _unit_coords(generators, require_traceless=True, tol=tol)
+    return _ad_invariant(G, G, d, tol, d * d - 1)
 
 
 def invariant_space(L: LieBasis, seed, tol: float | None = None) -> LieBasis:
@@ -147,33 +152,27 @@ def invariant_space(L: LieBasis, seed, tol: float | None = None) -> LieBasis:
     so only skew-Hermiticity is required of it.
     """
     tol = TOL_RANK if tol is None else tol
-    seed = np.asarray(seed, dtype=complex)
-    _validate([seed], require_traceless=False, tol=tol)
-    V = LieBasis(L.dim)
-    V._append(_vec(seed / qalg.frob(seed)), tol)
-    cap = L.dim * L.dim
-    new = V.mats
-    while new.shape[0] and len(V) < cap:
-        new = _bracket_sweep(V, new, L.mats, tol, cap)
-    return V
+    _, c = _unit_coords([seed], require_traceless=False, tol=tol)
+    return _ad_invariant(c, L.coords, L.dim, tol, L.dim ** 2)
 
 
 def trace_A_image(V: LieBasis, tol: float | None = None) -> LieBasis:
-    """Orthonormal basis of the image of V under the partial trace over A."""
+    """Orthonormal basis of the image of V under the partial trace over A.
+
+    Tr_A E_a0 = sqrt(2) E_a of one qubit and Tr_A E_ab = 0 for b != 0, so
+    the image is a selection of coordinates.
+    """
     tol = TOL_RANK if tol is None else tol
     if V.dim != 4:
         raise ValueError("trace_A_image expects a basis of 4x4 matrices")
-    images = [qalg.partial_trace(m, keep="S") for m in V.mats]
-    out = LieBasis(2)
-    for m in images:
-        n = qalg.frob(m)
-        if n > tol:
-            out._append(_vec(m / n), tol)
-    return out
+    img = np.sqrt(2.0) * V.coords[:, 0::4]
+    return LieBasis(2, _split(img, np.eye(4), tol, 4)[0])
 
 
 def span_equals(a: LieBasis, b: LieBasis, tol: float | None = None) -> bool:
     """Mutual containment of two bases."""
-    return (len(a) == len(b)
-            and all(contains(b, m, tol) for m in a.mats)
-            and all(contains(a, m, tol) for m in b.mats))
+    tol = TOL_RANK if tol is None else tol
+    if a.dim != b.dim or len(a) != len(b):
+        return False
+    res = [_residual(y.coords, x.coords) for x, y in ((a, b), (b, a))]
+    return all(np.linalg.norm(r, axis=1).max(initial=0.0) <= tol for r in res)

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qalg
-from .qalg import ID2, TOL_RANK, sigma_from_vec, tensor
+from .qalg import (ID2, TOL_RANK, _rotation_about, _rotation_between,
+                   sigma_from_vec, tensor)
 
 
 class ModelFormatError(ValueError):
@@ -105,11 +106,38 @@ def hamiltonians(m: TwoQubitModel) -> ModelHamiltonians:
                              controls=control_directions(m.control))
 
 
+# In Pauli coordinates (see :mod:`qindirect.qalg`), with E_ab = (i/2) P_a (x) P_b:
+# sigma_z (x) 1 = E_z1, i sigma_s (x) sigma_j = -E_sj / 2 and 1 (x) sigma_j = E_1j.
+# Row r of _DRIFT_MAP is the flattened matrix multiplying parameter r of
+# (omega_S, K[j, s] row-major, C_j); its last three rows are the controls.
+_E = qalg.PAULI_BASIS[4].reshape(4, 4, 16)
+_DRIFT_MAP = np.concatenate([_E[3, :1],
+                             -0.5 * _E[1:, 1:].transpose(1, 0, 2).reshape(9, 16),
+                             _E[0, 1:]])
+_DRIFT_MAP.setflags(write=False)
+_AXIS_MAP = _DRIFT_MAP[10:]
+_FULL_CONTROLS = tuple(_AXIS_MAP.reshape(3, 4, 4))  # read-only views
+
+
 def generator_set(m: TwoQubitModel) -> list:
-    """Drift i(H_S + H_I + H_A) followed by the control directions."""
-    h = hamiltonians(m)
-    drift = 1j * (h.h_s + h.h_i + h.h_a)
-    return [drift] + h.controls
+    """Drift i(H_S + H_I + H_A) followed by the control directions.
+
+    Built straight from the model's numbers in Pauli coordinates, without
+    tensor products: the drift holds omega_S on E_z1, -K[j, s]/2 on E_sj and
+    C_j on E_1j, and a control direction n holds n_j on E_1j.  The three
+    full-control directions are shared read-only arrays, like a model's K
+    and C.
+    """
+    p = np.empty(13)
+    p[0] = m.omega_S
+    p[1:10] = m.K.ravel()
+    p[10:] = m.C
+    drift = (p @ _DRIFT_MAP).reshape(4, 4)
+    if isinstance(m.control, FullSU2):
+        return [drift, *_FULL_CONTROLS]
+    if isinstance(m.control, SingleAxis):
+        return [drift, (m.control.n @ _AXIS_MAP).reshape(4, 4)]
+    raise ModelFormatError(f"unknown control type {m.control!r}")
 
 
 @dataclass(frozen=True)
@@ -261,8 +289,6 @@ def random_single_axis_model(rng: np.random.Generator,
     where the control axis is e_z, then hides the structure behind random
     rotations of both qubits.
     """
-    from .classify import _rotation_between, _rotation_about  # local helpers
-
     if violate is None:
         return TwoQubitModel(omega_S=0.0, K=_nonzero(rng, (3, 3)),
                              C=rng.uniform(-1, 1, 3),

@@ -11,6 +11,11 @@ Conventions used throughout the package:
 * Two-qubit operators order the factors as target (x) accessor,
   i.e. S first, A second.
 * Bloch coordinates refer to rho = (1/2)(1 + x*tilde_x + y*tilde_y + z*tilde_z).
+* Pauli coordinates of a d x d matrix (d = 2 or 4) refer to the basis
+  E_ab = (i/sqrt d) P_a (x) P_b with P in (1, tilde_x, tilde_y, tilde_z),
+  index 4a + b (one factor for d = 2).  The basis is orthonormal under
+  Re Tr(A^dag B); skew-Hermitian matrices have real coordinates and the
+  identity component is coordinate 0.
 """
 
 from __future__ import annotations
@@ -34,6 +39,38 @@ SIGMA_Z = 0.5j * PAULI_Z_TILDE
 
 _TILDE = {"x": PAULI_X_TILDE, "y": PAULI_Y_TILDE, "z": PAULI_Z_TILDE}
 _SIGMA = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
+
+
+_STRINGS_1 = np.array([ID2, PAULI_X_TILDE, PAULI_Y_TILDE, PAULI_Z_TILDE])
+# d -> (d^2, d, d) stack of the orthonormal basis E_j
+PAULI_BASIS = {
+    2: (1j / np.sqrt(2.0)) * _STRINGS_1,
+    4: 0.5j * np.einsum("aij,bkl->abikjl", _STRINGS_1, _STRINGS_1).reshape(16, 4, 4),
+}
+_FLAT_BASIS = {d: E.reshape(d * d, d * d) for d, E in PAULI_BASIS.items()}
+_DUAL_BASIS = {d: E.conj().T for d, E in _FLAT_BASIS.items()}
+
+
+def _check_pauli_dim(d: int) -> None:
+    if d not in PAULI_BASIS:
+        raise ValueError(f"Pauli coordinates need 2x2 or 4x4 matrices, got d={d}")
+
+
+def pauli_coords(mats) -> np.ndarray:
+    """Complex coordinates Tr(E_j^dag M) of (..., d, d) matrices, shape (..., d^2)."""
+    mats = np.asarray(mats, dtype=complex)
+    if mats.ndim < 2 or mats.shape[-2] != mats.shape[-1]:
+        raise ValueError(f"expected square matrices, got shape {mats.shape}")
+    d = mats.shape[-1]
+    _check_pauli_dim(d)
+    return mats.reshape(mats.shape[:-2] + (d * d,)) @ _DUAL_BASIS[d]
+
+
+def from_pauli_coords(coords, d: int) -> np.ndarray:
+    """Inverse of ``pauli_coords``: (..., d^2) coordinates to (..., d, d) matrices."""
+    coords = np.asarray(coords)
+    _check_pauli_dim(d)
+    return (coords @ _FLAT_BASIS[d]).reshape(coords.shape[:-1] + (d, d))
 
 
 def pauli(axis: str, tilde: bool = False) -> np.ndarray:
@@ -145,6 +182,33 @@ def mat_exp(A, skew_hermitian: bool = False) -> np.ndarray:
 def z_rotation(angle: float) -> np.ndarray:
     """exp(angle * sigma_z) = diag(e^{i angle/2}, e^{-i angle/2})."""
     return np.diag([np.exp(0.5j * angle), np.exp(-0.5j * angle)])
+
+
+def _rotation_about(axis, angle: float) -> np.ndarray:
+    """Real 3x3 rotation by ``angle`` about ``axis`` (Rodrigues formula)."""
+    k = np.asarray(axis, dtype=float)
+    k = k / np.linalg.norm(k)
+    kx = np.array([[0.0, -k[2], k[1]],
+                   [k[2], 0.0, -k[0]],
+                   [-k[1], k[0], 0.0]])
+    return np.eye(3) + np.sin(angle) * kx + (1.0 - np.cos(angle)) * (kx @ kx)
+
+
+def _rotation_between(u, v) -> np.ndarray:
+    """Rotation mapping unit vector u onto unit vector v."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    c = float(np.dot(u, v))
+    w = np.cross(u, v)
+    s = np.linalg.norm(w)
+    if s < 1e-15:
+        if c > 0:
+            return np.eye(3)
+        # antiparallel: rotate by pi about any axis perpendicular to u
+        ref = np.array([1.0, 0.0, 0.0]) if abs(u[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+        perp = np.cross(u, ref)
+        return _rotation_about(perp, np.pi)
+    return _rotation_about(w / s, np.arctan2(s, c))
 
 
 def check_density(rho, tol: float | None = None) -> np.ndarray:

@@ -7,7 +7,7 @@ gimbal points of the Euler factorization and at degenerate spectra.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from qindirect.classify import case_1b_basis
@@ -75,6 +75,8 @@ def test_gennegat_rejects_maximally_mixed_target(rng):
 
 
 @given(st_su2)
+@example(z_rotation(4.0) @ mat_exp(1e-12 * SIGMA_X, skew_hermitian=True)
+         @ z_rotation(0.0))
 def test_euler_su2_reconstructs(x):
     t2, t, t1 = euler_su2(x)
     rebuilt = (z_rotation(t2) @ mat_exp(t * SIGMA_X, skew_hermitian=True)

@@ -2,18 +2,24 @@
 
 Dimension facts used as oracles are classical: su(2) acting on one factor
 closes at 3, the standard coupled generator set closes at 15 = dim su(4),
-and closure dimensions are invariant under a unitary change of frame.
+and closure dimensions are invariant under a unitary change of frame.  The
+Pauli-coordinate layer is checked against matrix commutators, and the
+coordinate closure against a brute-force closure in matrix form.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qindirect.lieclosure import (LieBasis, closure, contains,
-                                  invariant_space, orthonormalize,
+from qindirect.lieclosure import (STRUCTURE, LieBasis, _coords, closure,
+                                  contains, invariant_space, orthonormalize,
                                   span_equals, trace_A_image)
-from qindirect.qalg import (ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, bloch_inverse,
-                            dagger, frob, mat_exp, tensor)
+from qindirect.model import (FullSU2, SingleAxis, TwoQubitModel,
+                             generator_set, random_model,
+                             random_single_axis_model)
+from qindirect.qalg import (ID2, PAULI_BASIS, SIGMA_X, SIGMA_Y, SIGMA_Z,
+                            bloch_inverse, commutator, dagger, frob, mat_exp,
+                            tensor)
 
 SX1 = tensor(SIGMA_X, ID2)
 SY1 = tensor(SIGMA_Y, ID2)
@@ -139,3 +145,109 @@ def test_span_equals():
 def test_closure_generators_must_share_dim():
     with pytest.raises(ValueError):
         closure([SX1, SIGMA_X])
+
+
+# ---------------------------------------------------------------------------
+# Pauli coordinates
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_structure_tensor_matches_commutators(d):
+    E = PAULI_BASIS[d]
+    for j in range(d * d):
+        for k in range(d * d):
+            bracket = np.einsum("l,lab->ab", STRUCTURE[d][j, k], E)
+            assert frob(bracket - commutator(E[j], E[k])) <= 1e-15
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_coords_round_trip(d, rng):
+    z = rng.normal(size=(5, d, d)) + 1j * rng.normal(size=(5, d, d))
+    skew = z - z.conj().transpose(0, 2, 1)
+    skew -= np.trace(skew, axis1=1, axis2=2)[:, None, None] * np.eye(d) / d
+    mats = LieBasis(d, _coords(skew, require_traceless=True, tol=1e-9)).mats
+    assert np.abs(mats - skew).max() < 1e-14
+    assert len(orthonormalize(skew)) == min(5, d * d - 1)
+
+
+def _vec(mats):
+    flat = np.asarray(mats).reshape(len(mats), -1)
+    return np.hstack([flat.real, flat.imag])
+
+
+def _oracle_dim(gens):
+    """Brute-force closure in matrix form: bracket every kept pair."""
+    kept, todo = [], [g / frob(g) for g in gens]
+    while todo:
+        x = todo.pop()
+        if np.linalg.matrix_rank(_vec(kept + [x]), tol=1e-8) > len(kept):
+            brackets = [commutator(x, b) for b in kept]
+            todo += [c / frob(c) for c in brackets if frob(c) > 1e-8]
+            kept.append(x)
+    return len(kept)
+
+
+GEN_SETS = [[SX1, SY1, 1j * tensor(SIGMA_Z, SIGMA_Z)],
+            [SX1, ONE_A[0], 1j * tensor(SIGMA_Y, SIGMA_Y)],
+            [SZ1, ONE_A[2], 1j * tensor(SIGMA_X, SIGMA_X)],
+            [SX1, SZ1, ONE_A[1]]]
+
+
+@settings(max_examples=25)
+@given(st_angles, st.sampled_from(GEN_SETS))
+def test_closure_matches_matrix_oracle_rotated(angles, gens):
+    u = _random_su4(angles)
+    rotated = [u @ g @ dagger(u) for g in gens]
+    assert len(closure(rotated)) == _oracle_dim(rotated)
+
+
+@settings(max_examples=25)
+@given(st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["1a", "1b", "1c", "2a", "2b", "2c", None, "c1", "c2"]))
+def test_closure_matches_matrix_oracle_models(seed, kind):
+    rng = np.random.default_rng(seed)
+    if kind in (None, "c1", "c2"):
+        m = random_single_axis_model(rng, violate=kind)
+    else:
+        m = random_model(kind, rng)
+    gens = generator_set(m)
+    assert len(closure(gens)) == _oracle_dim(gens)
+
+
+# Models on which a per-vector Gram-Schmidt closure at tol 1e-9 returned 15
+# instead of 10: three full-control draws (cases 1b, 2b, 2b) and one
+# single-axis draw violating C1.  Values as (omega_S, K, C, axis or None).
+DEFECT_MODELS = [
+    (-0.88136705762337608,
+     [[0.64716389551959641, -0.39939106952592218, 0.0],
+      [0.18001759293292063, -0.31795425775116959, 0.0],
+      [0.33971048047370256, -0.60000747558237744, 0.0]],
+     [-0.75306234492740765, -0.071685034764832345, 0.99843712634730375],
+     None),
+    (0.0,
+     [[0.00033830532826822641, 0.00034946201948881387, 0.00058488727798938441],
+      [-0.19311568197014781, -0.1100003433996484, -0.20161607947430291],
+      [-0.12513799380559701, -0.22774262328519218, -0.36189728604387694]],
+     [0.29666421239635721, -0.8906047292547814, 0.80745030813281216],
+     None),
+    (0.0,
+     [[0.018744520373244471, 0.94372399892525372, 0.1990177706672947],
+      [-0.15344071410326571, 0.057386845533652996, -0.51203022489717975],
+      [-0.25728774120319342, 0.21211836183896393, -0.84193165540333259]],
+     [0.80907028673863224, -0.78303986090225097, 0.30096726666490586],
+     [-0.9394128446685821, -0.12098930898129502, 0.32072588667569568]),
+    (0.0,
+     [[-0.17793068231193301, 0.24274163128366255, -0.75040408680730697],
+      [-0.00037329876866853485, 0.00020518499951817482, -0.00063575400637332969],
+      [0.14413037555910138, -0.077382206627327435, 0.23978614106920518]],
+     [-0.021936262261634587, -0.5008747606467161, -0.57799454061464428],
+     None),
+]
+
+
+@pytest.mark.parametrize("omega, K, C, n", DEFECT_MODELS)
+def test_closure_near_dependent_brackets(omega, K, C, n):
+    control = FullSU2() if n is None else SingleAxis(n=np.array(n))
+    m = TwoQubitModel(omega_S=omega, K=np.array(K), C=np.array(C),
+                      control=control)
+    assert len(closure(generator_set(m))) == 10

@@ -110,6 +110,24 @@ def test_generator_set_layout():
     assert is_skew_hermitian(gens[0])
 
 
+st_vec = hnp.arrays(np.float64, 3, elements=st.floats(-1.0, 1.0))
+
+
+@given(st_k, st_vec, st.floats(-1.0, 1.0), st.one_of(st.none(), st_vec))
+def test_generator_set_matches_hamiltonians(K, C, omega, axis):
+    # the coordinate-built generators against the kron-built Hamiltonians
+    assume(np.abs(K).max() > 1e-6)
+    assume(axis is None or np.linalg.norm(axis) > 1e-3)
+    control = FullSU2() if axis is None else SingleAxis(n=axis)
+    m = TwoQubitModel(omega_S=omega, K=K, C=C, control=control)
+    h = hamiltonians(m)
+    expect = [1j * (h.h_s + h.h_i + h.h_a)] + h.controls
+    gens = generator_set(m)
+    assert len(gens) == len(expect)
+    for g, e in zip(gens, expect):
+        assert np.abs(g - e).max() <= 1e-14
+
+
 def test_control_directions_rejects_unknown():
     with pytest.raises(ModelFormatError):
         control_directions("all")

@@ -12,11 +12,12 @@ from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
-from qindirect.qalg import (ID2, ID4, PAULI_X_TILDE, PAULI_Y_TILDE,
-                            PAULI_Z_TILDE, SIGMA_X, SIGMA_Y, SIGMA_Z,
-                            anticommutator, bloch, bloch_inverse,
+from qindirect.qalg import (ID2, ID4, PAULI_BASIS, PAULI_X_TILDE,
+                            PAULI_Y_TILDE, PAULI_Z_TILDE, SIGMA_X, SIGMA_Y,
+                            SIGMA_Z, anticommutator, bloch, bloch_inverse,
                             check_density, commutator, dagger, frob,
-                            is_skew_hermitian, mat_exp, partial_trace, pauli,
+                            from_pauli_coords, is_skew_hermitian, mat_exp,
+                            partial_trace, pauli, pauli_coords,
                             sigma_from_vec, tensor, z_rotation)
 
 st_angle = st.floats(-10.0, 10.0)
@@ -176,3 +177,30 @@ def test_frob_and_dagger():
     m = np.array([[1.0, 2.0j], [0.0, -1.0]])
     assert frob(m) == pytest.approx(np.sqrt(6.0))
     assert_allclose(dagger(m), m.conj().T)
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_pauli_basis_orthonormal_skew(d):
+    E = PAULI_BASIS[d]
+    gram = np.einsum("jab,kab->jk", E.conj(), E)
+    assert_allclose(gram, np.eye(d * d), atol=1e-15)
+    assert all(is_skew_hermitian(e) for e in E)
+    assert_allclose(pauli_coords(E), np.eye(d * d), atol=1e-15)
+    assert_allclose(from_pauli_coords(np.eye(d * d), d), E, atol=1e-15)
+
+
+def test_pauli_basis_partial_trace_is_a_selection():
+    # Tr_A E_a0 = sqrt(2) E_a of one qubit, Tr_A E_ab = 0 for b != 0
+    for a in range(4):
+        for b in range(4):
+            expect = np.sqrt(2.0) * PAULI_BASIS[2][a] if b == 0 else 0.0 * ID2
+            assert_allclose(partial_trace(PAULI_BASIS[4][4 * a + b], keep="S"),
+                            expect, atol=1e-15)
+
+
+def test_pauli_coords_rejects_bad_shapes():
+    for bad in (np.eye(3), np.ones(4), np.ones((2, 4))):
+        with pytest.raises(ValueError):
+            pauli_coords(bad)
+    with pytest.raises(ValueError):
+        from_pauli_coords(np.ones(9), 3)
