@@ -1,12 +1,16 @@
 """Command-line front end.
 
-One subcommand per analysis, each driven by a JSON config file plus a small
-set of overriding flags (--seed, --draws, --output, --tol-rank, --tol-eq).
-Model-driven commands (classify, closure, negat) read the model schema at
-the top level of the config, with the extra non-model keys listed in
-_CONFIG_KEYS stripped first.  Verdicts are emitted as sorted-key JSON with
-a "tolerances" block; sample emits CSV.  Exit codes: 0 success (negative
-verdicts included), 1 malformed config, 2 precondition violations.
+One subcommand per analysis, each driven by a JSON config file plus a few
+overriding flags.  ``COMMANDS`` declares every subcommand once: the
+function that runs it, whether its config is required (and, for classify,
+closure and negat, carries the model fields at the top level), the flags it
+takes besides --output, and the config keys it reads.  A config key outside
+that set is an error; for the model commands such keys are passed to
+``model_from_dict``, which rejects any that are not model fields.  Verdicts
+are emitted as sorted-key JSON, with a "tolerances" block from the commands
+that make rank decisions; sample emits CSV.  Exit codes: 0 success
+(negative verdicts included), 1 malformed config, 2 precondition
+violations.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import argparse
 import io
 import json
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -22,14 +27,9 @@ from . import classify as _classify
 from . import indirect as _indirect
 from . import sampler as _sampler
 from .lieclosure import closure
-from .model import (FullSU2, ModelFormatError, SingleAxis, TwoQubitModel,
-                    generator_set, model_from_dict)
-from .qalg import (TOL_EQ, TOL_RANK, bloch_inverse, dagger, frob,
-                   mat_exp, partial_trace, tensor, z_rotation)
-
-_CONFIG_KEYS = {"rho_S", "rho_A", "psi_A", "target", "x_angles", "seed",
-                "draws", "output", "tolerances", "basis",
-                "s_x", "s_z", "a_z", "n", "mode", "angle_ranges"}
+from .model import FullSU2, ModelFormatError, generator_set, model_from_dict
+from .qalg import (SIGMA_X, TOL_RANK, bloch_inverse, dagger, frob, mat_exp,
+                   partial_trace, tensor, z_rotation)
 
 
 def _load_config(path) -> dict:
@@ -42,31 +42,39 @@ def _load_config(path) -> dict:
     return cfg
 
 
-def _split_model(cfg: dict) -> tuple:
-    model_part = {k: v for k, v in cfg.items() if k not in _CONFIG_KEYS}
-    rest = {k: v for k, v in cfg.items() if k in _CONFIG_KEYS}
-    return model_from_dict(model_part), rest
+def _convert(kind, value, key: str):
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ModelFormatError(f"{key}: {exc}") from exc
+
+
+def _option(cfg: dict, args, key: str, default, kind=int):
+    """The flag value if given, else cfg[key] or the default, as ``kind``."""
+    val = getattr(args, key, None)
+    if val is None:
+        val = cfg.get(key, default)
+    return _convert(kind, val, key)
+
+
+def _floats(value, key: str, shape: tuple) -> np.ndarray:
+    arr = _convert(lambda v: np.asarray(v, dtype=float), value, key)
+    if arr.shape != shape:
+        raise ModelFormatError(f"{key} must be numbers of shape {shape}")
+    return arr
+
+
+def _density(cfg: dict, key: str, default=None) -> np.ndarray:
+    """Density matrix of the Bloch vector cfg[key] (a norm above 1 exits 2)."""
+    return bloch_inverse(_floats(cfg.get(key, default), key, (3,)))
 
 
 def _tolerances(cfg: dict, args) -> dict:
-    tols = dict(cfg.get("tolerances", {}))
-    unknown = set(tols) - {"tol_rank", "tol_eq"}
-    if unknown:
-        raise ModelFormatError(f"unknown tolerance keys: {sorted(unknown)}")
-    if args.tol_rank is not None:
-        tols["tol_rank"] = args.tol_rank
-    if args.tol_eq is not None:
-        tols["tol_eq"] = args.tol_eq
-    tols.setdefault("tol_rank", TOL_RANK)
-    tols.setdefault("tol_eq", TOL_EQ)
-    return {"tol_rank": float(tols["tol_rank"]), "tol_eq": float(tols["tol_eq"])}
-
-
-def _int_option(cfg: dict, args, name: str, default: int) -> int:
-    val = getattr(args, name, None)
-    if val is None:
-        val = cfg.get(name, default)
-    return int(val)
+    tols = cfg.get("tolerances", {})
+    if not isinstance(tols, dict) or set(tols) - {"tol_rank"}:
+        raise ModelFormatError("tolerances must be an object whose only key "
+                               f"is tol_rank, got {tols!r}")
+    return {"tol_rank": _option(tols, args, "tol_rank", TOL_RANK, float)}
 
 
 def _serialize_matrix(m: np.ndarray) -> dict:
@@ -113,19 +121,16 @@ def _random_pure(rng) -> np.ndarray:
 
 
 def _su2_from_angles(angles) -> np.ndarray:
-    t2, t, t1 = (float(a) for a in angles)
-    return z_rotation(t2) @ mat_exp(t * (0.5j) * np.array([[0, 1], [1, 0]])) \
-        @ z_rotation(t1)
+    t2, t, t1 = angles
+    return z_rotation(t2) @ mat_exp(t * SIGMA_X) @ z_rotation(t1)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _cmd_classify(args) -> dict:
-    cfg = _load_config(args.config)
-    model, rest = _split_model(cfg)
-    tols = _tolerances(rest, args)
+def _cmd_classify(model, cfg: dict, args) -> dict:
+    tols = _tolerances(cfg, args)
     if isinstance(model.control, FullSU2):
         cv = _classify.cross_validate(model, tol=tols["tol_rank"])
         payload = {"case": cv.predicted.tag,
@@ -141,25 +146,21 @@ def _cmd_classify(args) -> dict:
     return payload
 
 
-def _cmd_closure(args) -> dict:
-    cfg = _load_config(args.config)
-    model, rest = _split_model(cfg)
-    tols = _tolerances(rest, args)
+def _cmd_closure(model, cfg: dict, args) -> dict:
+    tols = _tolerances(cfg, args)
     basis = closure(generator_set(model), tol=tols["tol_rank"])
     payload = {"dim": len(basis), "tolerances": tols}
-    if rest.get("basis"):
+    if cfg.get("basis"):
         payload["basis"] = [_serialize_matrix(m) for m in basis.mats]
     return payload
 
 
-def _cmd_negat(args) -> dict:
-    cfg = _load_config(args.config)
-    model, rest = _split_model(cfg)
-    tols = _tolerances(rest, args)
-    if "rho_S" not in rest or "rho_A" not in rest:
+def _cmd_negat(model, cfg: dict, args) -> dict:
+    tols = _tolerances(cfg, args)
+    if "rho_S" not in cfg or "rho_A" not in cfg:
         raise ModelFormatError("negat needs rho_S and rho_A Bloch vectors")
-    rho_s = bloch_inverse(rest["rho_S"])
-    rho_a = bloch_inverse(rest["rho_A"])
+    rho_s = _density(cfg, "rho_S")
+    rho_a = _density(cfg, "rho_A")
     L = closure(generator_set(model), tol=tols["tol_rank"])
     verdict = _indirect.gennegat_test(L, rho_s, rho_a, tol=tols["tol_rank"])
     return {"lie_dim": len(L), "v_dim": verdict.v_dim,
@@ -167,18 +168,15 @@ def _cmd_negat(args) -> dict:
             "uic_excluded": verdict.uic_excluded, "tolerances": tols}
 
 
-def _cmd_steer(args) -> dict:
-    cfg = _load_config(args.config)
-    tols = _tolerances(cfg, args)
+def _cmd_steer(cfg: dict, args) -> dict:
     if "x_angles" in cfg:
-        rho_s = bloch_inverse(cfg.get("rho_S", [0.0, 0.0, 0.5]))
-        x = _su2_from_angles(cfg["x_angles"])
+        rho_s = _density(cfg, "rho_S", [0.0, 0.0, 0.5])
+        x = _su2_from_angles(_floats(cfg["x_angles"], "x_angles", (3,)))
         t = _indirect.pure_uic_steer(rho_s, x)
         out = partial_trace(t @ tensor(rho_s, _indirect.E1) @ dagger(t), "S")
-        return {"residual": frob(out - x @ rho_s @ dagger(x)),
-                "tolerances": tols}
-    draws = _int_option(cfg, args, "draws", 500)
-    seed = _int_option(cfg, args, "seed", 0)
+        return {"residual": frob(out - x @ rho_s @ dagger(x))}
+    draws = _option(cfg, args, "draws", 500)
+    seed = _option(cfg, args, "seed", 0)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(draws):
@@ -187,22 +185,19 @@ def _cmd_steer(args) -> dict:
         t = _indirect.pure_uic_steer(rho_s, x)
         out = partial_trace(t @ tensor(rho_s, _indirect.E1) @ dagger(t), "S")
         worst = max(worst, frob(out - x @ rho_s @ dagger(x)))
-    return {"draws": draws, "seed": seed, "max_residual": worst,
-            "tolerances": tols}
+    return {"draws": draws, "seed": seed, "max_residual": worst}
 
 
-def _cmd_fic(args) -> dict:
-    cfg = _load_config(args.config)
-    tols = _tolerances(cfg, args)
+def _cmd_fic(cfg: dict, args) -> dict:
     if "target" in cfg:
-        rho_s = bloch_inverse(cfg.get("rho_S", [0.0, 0.0, 0.5]))
-        psi_a = bloch_inverse(cfg.get("psi_A", [0.0, 0.0, 1.0]))
-        target = bloch_inverse(cfg["target"])
+        rho_s = _density(cfg, "rho_S", [0.0, 0.0, 0.5])
+        psi_a = _density(cfg, "psi_A", [0.0, 0.0, 1.0])
+        target = _density(cfg, "target")
         u = _indirect.fic_reach(rho_s, psi_a, target)
         out = partial_trace(u @ tensor(rho_s, psi_a) @ dagger(u), "S")
-        return {"residual": frob(out - target), "tolerances": tols}
-    draws = _int_option(cfg, args, "draws", 100)
-    seed = _int_option(cfg, args, "seed", 0)
+        return {"residual": frob(out - target)}
+    draws = _option(cfg, args, "draws", 100)
+    seed = _option(cfg, args, "seed", 0)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(draws):
@@ -212,28 +207,26 @@ def _cmd_fic(args) -> dict:
         u = _indirect.fic_reach(rho_s, psi_a, target)
         out = partial_trace(u @ tensor(rho_s, psi_a) @ dagger(u), "S")
         worst = max(worst, frob(out - target))
-    return {"draws": draws, "seed": seed, "max_residual": worst,
-            "tolerances": tols}
+    return {"draws": draws, "seed": seed, "max_residual": worst}
 
 
-def _cmd_sample(args) -> str:
-    cfg = _load_config(args.config)
-    seed = _int_option(cfg, args, "seed", 0)
+def _cmd_sample(cfg: dict, args) -> str:
     ranges = cfg.get("angle_ranges")
     if isinstance(ranges, dict):
         full = dict.fromkeys(_sampler.ANGLE_NAMES, _sampler.DEFAULT_RANGE)
         unknown = set(ranges) - set(full)
         if unknown:
             raise ModelFormatError(f"unknown angle names: {sorted(unknown)}")
-        full.update({k: tuple(v) for k, v in ranges.items()})
-        ranges = tuple(full[name] for name in _sampler.ANGLE_NAMES)
+        full.update({k: _floats(v, f"angle_ranges.{k}", (2,))
+                     for k, v in ranges.items()})
+        ranges = tuple(tuple(full[name]) for name in _sampler.ANGLE_NAMES)
     elif ranges is not None:
-        ranges = tuple(tuple(r) for r in ranges)
-    kwargs = {"s_x": float(cfg.get("s_x", 0.0)),
-              "s_z": float(cfg.get("s_z", 0.0)),
-              "a_z": float(cfg.get("a_z", 0.0)),
-              "n": int(cfg.get("n", 729)),
-              "seed": seed,
+        ranges = tuple(map(tuple, _floats(ranges, "angle_ranges", (9, 2))))
+    kwargs = {"s_x": _option(cfg, args, "s_x", 0.0, float),
+              "s_z": _option(cfg, args, "s_z", 0.0, float),
+              "a_z": _option(cfg, args, "a_z", 0.0, float),
+              "n": _option(cfg, args, "n", 729),
+              "seed": _option(cfg, args, "seed", 0),
               "mode": cfg.get("mode", "random")}
     if ranges is not None:
         kwargs["angle_ranges"] = ranges
@@ -244,11 +237,9 @@ def _cmd_sample(args) -> str:
     return buf.getvalue()
 
 
-def _cmd_verify(args) -> dict:
-    cfg = _load_config(args.config)
-    tols = _tolerances(cfg, args)
-    draws = _int_option(cfg, args, "draws", 1000)
-    seed = _int_option(cfg, args, "seed", 0)
+def _cmd_verify(cfg: dict, args) -> dict:
+    draws = _option(cfg, args, "draws", 1000)
+    seed = _option(cfg, args, "seed", 0)
     rng = np.random.default_rng(seed)
     gamma_worst: dict = {}
     appendix_worst: dict = {}
@@ -271,10 +262,46 @@ def _cmd_verify(args) -> dict:
     overall = max(max(gamma_worst.values()), max(appendix_worst.values()))
     return {"draws": draws, "seed": seed,
             "gamma_suite": gamma_worst, "appendix_suite": appendix_worst,
-            "max_residual": overall, "tolerances": tols}
+            "max_residual": overall}
 
 
 # ---------------------------------------------------------------------------
+
+
+class Command(NamedTuple):
+    run: Callable
+    help: str
+    config: str  # "optional", "required" or "model" (required, with model fields)
+    flags: tuple  # besides --output, which every subcommand takes
+    keys: frozenset  # config keys read besides the model fields
+
+
+_DRAWS = ("seed", "draws")
+COMMANDS = {
+    "classify": Command(_cmd_classify, "dimension table / single-axis CC verdict",
+                        "model", ("tol_rank",), frozenset({"tolerances"})),
+    "closure": Command(_cmd_closure, "numeric Lie-algebra closure dimension",
+                       "model", ("tol_rank",),
+                       frozenset({"tolerances", "basis"})),
+    "negat": Command(_cmd_negat, "invariant-space steering obstruction",
+                     "model", ("tol_rank",),
+                     frozenset({"tolerances", "rho_S", "rho_A"})),
+    "steer": Command(_cmd_steer, "pure-accessor steering contract residual",
+                     "optional", _DRAWS,
+                     frozenset({"x_angles", "rho_S", *_DRAWS})),
+    "fic": Command(_cmd_fic, "state-transfer contract residual",
+                   "optional", _DRAWS,
+                   frozenset({"target", "rho_S", "psi_A", *_DRAWS})),
+    "sample": Command(_cmd_sample, "reachable-set CSV for the Ising example",
+                      "required", ("seed",),
+                      frozenset({"s_x", "s_z", "a_z", "n", "seed", "mode",
+                                 "angle_ranges"})),
+    "verify": Command(_cmd_verify, "identity-suite residuals over random draws",
+                      "optional", _DRAWS, frozenset(_DRAWS)),
+}
+
+_FLAGS = {"seed": ("--seed", int), "draws": ("--draws", int),
+          "tol_rank": ("--tol-rank", float)}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -282,39 +309,28 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="qindirect",
         description="Indirect-controllability analyses for two qubits")
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "classify": ("dimension table / single-axis CC verdict", True),
-        "closure": ("numeric Lie-algebra closure dimension", True),
-        "negat": ("invariant-space steering obstruction", True),
-        "steer": ("pure-accessor steering contract residual", False),
-        "fic": ("state-transfer contract residual", False),
-        "sample": ("reachable-set CSV for the Ising example", True),
-        "verify": ("identity-suite residuals over random draws", False),
-    }
-    for name, (help_text, config_required) in specs.items():
-        p = sub.add_parser(name, help=help_text)
-        if config_required:
-            p.add_argument("config", help="JSON config file")
-        else:
+    for name, cmd in COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
+        if cmd.config == "optional":
             p.add_argument("config", nargs="?", default=None,
                            help="optional JSON config file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--draws", type=int, default=None)
+        else:
+            p.add_argument("config", help="JSON config file")
+        for key in cmd.flags:
+            flag, kind = _FLAGS[key]
+            p.add_argument(flag, dest=key, type=kind, default=None)
         p.add_argument("--output", default=None)
-        p.add_argument("--tol-rank", dest="tol_rank", type=float, default=None)
-        p.add_argument("--tol-eq", dest="tol_eq", type=float, default=None)
     return parser
 
 
-_COMMANDS = {
-    "classify": _cmd_classify,
-    "closure": _cmd_closure,
-    "negat": _cmd_negat,
-    "steer": _cmd_steer,
-    "fic": _cmd_fic,
-    "sample": _cmd_sample,
-    "verify": _cmd_verify,
-}
+def _run(cmd: Command, args):
+    cfg = _load_config(args.config)
+    rest = {k: v for k, v in cfg.items() if k not in cmd.keys}
+    if cmd.config == "model":
+        return cmd.run(model_from_dict(rest), cfg, args)
+    if rest:
+        raise ModelFormatError(f"unknown config keys: {sorted(rest)}")
+    return cmd.run(cfg, args)
 
 
 def _emit(text: str, output_path) -> None:
@@ -328,7 +344,7 @@ def _emit(text: str, output_path) -> None:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        result = _COMMANDS[args.command](args)
+        result = _run(COMMANDS[args.command], args)
     except ModelFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .qalg import (ID2, SIGMA_X, SIGMA_Z, check_density, dagger, frob,
                    mat_exp, partial_trace, tensor, z_rotation)
@@ -103,8 +102,7 @@ def pure_uic_steer(rho_S: np.ndarray, X: np.ndarray) -> np.ndarray:
     """
     check_density(np.asarray(rho_S, dtype=complex))
     t2, theta, t1 = euler_su2(X)
-    mid = mat_exp(-2.0 * theta * 1j * tensor(SIGMA_X, SIGMA_Z),
-                  skew_hermitian=True)
+    mid = mat_exp(-2.0 * theta * 1j * tensor(SIGMA_X, SIGMA_Z))
     return (tensor(z_rotation(t2), ID2) @ mid @ tensor(z_rotation(t1), ID2))
 
 
@@ -158,9 +156,10 @@ def fic_mix(rho_S: np.ndarray, psi_A: np.ndarray) -> np.ndarray:
 
 
 def _unitary_phases(U: np.ndarray) -> tuple:
-    # unitary matrices are normal, so the complex Schur form is diagonal
-    T, Q = scipy.linalg.schur(U, output="complex")
-    return np.angle(np.diag(T)), Q
+    # A unitary matrix is normal: eigenvectors of distinct eigenvalues are
+    # orthogonal, and QR orthonormalizes within each repeated eigenvalue.
+    w, v = np.linalg.eig(U)
+    return np.angle(w), np.linalg.qr(v)[0]
 
 
 def fic_reach(rho_S: np.ndarray, psi_A: np.ndarray,

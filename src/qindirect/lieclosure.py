@@ -69,13 +69,11 @@ def _residual(basis: np.ndarray, W: np.ndarray) -> np.ndarray:
     return W
 
 
-def _unit_coords(mats, require_traceless: bool, tol: float,
-                 dim: int | None = None) -> tuple:
+def _unit_coords(mats, require_traceless: bool, tol: float) -> tuple:
     """(d, checked coordinates of the nonzero matrices scaled to unit norm)."""
     mats = list(mats)
     if not mats:
-        d = dim or 2
-        return d, np.zeros((0, d * d))
+        return 2, np.zeros((0, 4))
     c = _coords(mats, require_traceless, tol)
     n = np.sqrt((c * c).sum(axis=1))
     return np.shape(mats[0])[-1], c[n > 0] / n[n > 0, None]
@@ -110,14 +108,14 @@ def _ad_invariant(seeds: np.ndarray, ops: np.ndarray, dim: int, tol: float,
 
 
 def orthonormalize(mats, tol: float | None = None,
-                   require_traceless: bool = True, dim: int | None = None) -> LieBasis:
+                   require_traceless: bool = True) -> LieBasis:
     """Orthonormal basis of span(mats); near-dependent inputs are dropped.
 
-    Inputs are scaled to unit norm first.  ``dim`` is only needed when the
-    list is empty.
+    Inputs are scaled to unit norm first; no inputs give the empty basis of
+    2x2 matrices.
     """
     tol = TOL_RANK if tol is None else tol
-    d, c = _unit_coords(mats, require_traceless, tol, dim)
+    d, c = _unit_coords(mats, require_traceless, tol)
     return LieBasis(d, _split(c, np.eye(d * d), tol, d * d)[0])
 
 

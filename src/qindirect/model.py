@@ -181,17 +181,17 @@ def model_from_dict(d: dict) -> TwoQubitModel:
     ctl = d["control"]
     if not isinstance(ctl, dict) or "type" not in ctl:
         raise ModelFormatError("control must be an object with a 'type' field")
-    if ctl["type"] == "full":
-        if set(ctl) != {"type"}:
-            raise ModelFormatError("full control takes no extra fields")
-        control = FullSU2()
-    elif ctl["type"] == "axis":
-        if set(ctl) != {"type", "n"}:
-            raise ModelFormatError("axis control takes exactly the field 'n'")
-        control = SingleAxis(n=np.asarray(ctl["n"], dtype=float))
-    else:
-        raise ModelFormatError(f"unknown control type {ctl['type']!r}")
     try:
+        if ctl["type"] == "full":
+            if set(ctl) != {"type"}:
+                raise ModelFormatError("full control takes no extra fields")
+            control = FullSU2()
+        elif ctl["type"] == "axis":
+            if set(ctl) != {"type", "n"}:
+                raise ModelFormatError("axis control takes exactly the field 'n'")
+            control = SingleAxis(n=np.asarray(ctl["n"], dtype=float))
+        else:
+            raise ModelFormatError(f"unknown control type {ctl['type']!r}")
         return TwoQubitModel(omega_S=float(d["omega_S"]),
                              K=np.asarray(d["K"], dtype=float),
                              C=np.asarray(d["C"], dtype=float),

@@ -16,15 +16,17 @@ Conventions used throughout the package:
   index 4a + b (one factor for d = 2).  The basis is orthonormal under
   Re Tr(A^dag B); skew-Hermitian matrices have real coordinates and the
   identity component is coordinate 0.
+* Everything the package exponentiates is skew-Hermitian (a generator of a
+  unitary), so ``mat_exp`` accepts only such matrices and uses a Hermitian
+  eigendecomposition.  TOL_RANK is the one global default tolerance.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# Global default tolerances: TOL_EQ for equality of matrices / identities,
-# TOL_RANK for rank and nonzero decisions.  Functions take overrides.
-TOL_EQ = 1e-12
+# Global default tolerance for rank and nonzero decisions.  Functions take
+# overrides.
 TOL_RANK = 1e-9
 
 PAULI_X_TILDE = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -144,35 +146,16 @@ def is_skew_hermitian(A, tol: float | None = None) -> bool:
     return frob(A + dagger(A)) <= tol * max(1.0, frob(A))
 
 
-def _exp_series(A: np.ndarray) -> np.ndarray:
-    # Scaling and squaring with a 30-term Taylor series; after scaling the
-    # norm is <= 0.5 so the truncation error is far below double precision.
-    nrm = np.linalg.norm(A, 2)
-    squarings = max(0, int(np.ceil(np.log2(max(nrm, 1e-300) / 0.5))))
-    B = A / (2.0 ** squarings)
-    term = np.eye(A.shape[0], dtype=complex)
-    out = term.copy()
-    for k in range(1, 31):
-        term = term @ B / k
-        out += term
-    for _ in range(squarings):
-        out = out @ out
-    return out
+def mat_exp(A) -> np.ndarray:
+    """Exponential of a skew-Hermitian matrix.
 
-
-def mat_exp(A, skew_hermitian: bool = False) -> np.ndarray:
-    """Matrix exponential.
-
-    With ``skew_hermitian`` set the input is checked and the exponential is
-    computed from the eigendecomposition of the Hermitian matrix iA, which
-    yields an exactly unitary result up to eigensolver accuracy.  Otherwise
-    a scaling-and-squaring power series is used.
+    The input is checked and the exponential is computed from the
+    eigendecomposition of the Hermitian matrix iA, which yields an exactly
+    unitary result up to eigensolver accuracy.
     """
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("mat_exp expects a square matrix")
-    if not skew_hermitian:
-        return _exp_series(A)
     if not is_skew_hermitian(A):
         raise ValueError("matrix is not skew-Hermitian to tolerance")
     w, u = np.linalg.eigh(1j * A)  # A = -i H with H Hermitian

@@ -85,7 +85,7 @@ def y_product(alphas) -> np.ndarray:
             c2 * 1j * tensor(SIGMA_X, SIGMA_Z)]
     out = np.eye(4, dtype=complex)
     for g in gens:
-        out = out @ mat_exp(g, skew_hermitian=True)
+        out = out @ mat_exp(g)
     return out
 
 

@@ -39,7 +39,7 @@ def _random_bloch(rng, lo=0.0, hi=0.9):
 
 def _random_su2(rng):
     a, b, c = rng.uniform(0, 2 * np.pi, 3)
-    return (z_rotation(a) @ mat_exp(b * SIGMA_X, skew_hermitian=True)
+    return (z_rotation(a) @ mat_exp(b * SIGMA_X)
             @ z_rotation(c))
 
 

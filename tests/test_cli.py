@@ -6,12 +6,18 @@ from stdout and compared against the library calls they wrap. Exit codes:
 mathematical preconditions.
 """
 
+import argparse
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qindirect
 from qindirect import cli
 from qindirect.model import ising_model, model_to_dict
 from qindirect.sampler import SampleConfig, parse_csv, sample
@@ -21,6 +27,16 @@ AXIS_CC = {"omega_S": 0.0, "K": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
            "C": [0.0, 1.0, 0.0], "control": {"type": "axis", "n": [0, 0, 1]}}
 CASE_1C = {"omega_S": 1.0, "K": [[0, 0, 0.4], [0, 0, -0.3], [0, 0, 0.8]],
            "C": [0.1, 0.2, 0.3], "control": {"type": "full"}}
+NEGAT = {**CASE_1C, "rho_S": [0.0, 0.0, 0.5], "rho_A": [0.0, 0.0, 0.3]}
+SAMPLE = {"s_x": 0.0, "s_z": 0.5, "a_z": 1.0, "n": 4, "seed": 9}
+# the flags each subcommand takes besides --output
+FLAGS = {"classify": {"--tol-rank"}, "closure": {"--tol-rank"},
+         "negat": {"--tol-rank"}, "steer": {"--seed", "--draws"},
+         "fic": {"--seed", "--draws"}, "verify": {"--seed", "--draws"},
+         "sample": {"--seed"}}
+REMOVED_FLAGS = [(cmd, flag) for cmd, kept in FLAGS.items()
+                 for flag in ("--seed", "--draws", "--tol-rank", "--tol-eq")
+                 if flag not in kept]
 
 
 def _write(tmp_path, name, payload):
@@ -220,3 +236,84 @@ def test_no_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit):
         cli.main([])
     capsys.readouterr()
+
+
+def test_cli_import_leaves_scipy_out():
+    code = "import sys, qindirect.cli; print('scipy' in sys.modules)"
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(qindirect.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
+def test_parser_takes_seventeen_flags():
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    taken = {(name, opt) for name, p in sub.choices.items()
+             for action in p._actions for opt in action.option_strings
+             if opt not in ("-h", "--help")}
+    expect = {(cmd, flag) for cmd, kept in FLAGS.items()
+              for flag in kept | {"--output"}}
+    assert taken == expect
+    assert len(taken) == 17
+
+
+@pytest.mark.parametrize("command, flag", REMOVED_FLAGS)
+def test_removed_flag_is_usage_error(tmp_path, capsys, command, flag):
+    cfg = _write(tmp_path, "cfg.json", ISING)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, cfg, flag, "1"])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, payload, key", [
+    ("classify", {**ISING, "draws": 3}, "draws"),
+    ("classify", {**ISING, "tolerances": {"tol_eq": 1e-12}}, "tol_eq"),
+    ("closure", {**ISING, "output": "out.json"}, "output"),
+    ("negat", {**NEGAT, "seed": 1}, "seed"),
+    ("steer", {"tolerances": {"tol_rank": 1e-9}}, "tolerances"),
+    ("fic", {"draws": 2, "tol_eq": 1e-12}, "tol_eq"),
+    ("sample", {"s_zz": 0.3}, "s_zz"),
+    ("verify", {"draws": 2, "output": "out.json"}, "output"),
+])
+def test_unknown_config_key_is_exit_1(tmp_path, capsys, command, payload,
+                                      key):
+    cfg = _write(tmp_path, "cfg.json", payload)
+    code, out, err = _run(capsys, command, cfg)
+    assert code == 1
+    assert out == ""
+    assert key in err
+
+
+@pytest.mark.parametrize("command, payload, key", [
+    ("sample", {**SAMPLE, "s_x": "abc"}, "s_x"),
+    ("sample", {**SAMPLE, "s_z": [0.5]}, "s_z"),
+    ("sample", {**SAMPLE, "a_z": {"z": 1}}, "a_z"),
+    ("sample", {**SAMPLE, "n": "many"}, "n"),
+    ("sample", {**SAMPLE, "seed": "x"}, "seed"),
+    ("sample", {**SAMPLE, "angle_ranges": {"t1": ["a", 1.0]}}, "t1"),
+    ("steer", {"draws": "ten"}, "draws"),
+    ("steer", {"x_angles": [0.1, "b", 0.2]}, "x_angles"),
+    ("classify", {**ISING, "tolerances": {"tol_rank": "tight"}}, "tol_rank"),
+    ("classify", {**ISING, "tolerances": [1e-9]}, "tolerances"),
+    ("negat", {**NEGAT, "rho_S": ["a", 0.0, 0.0]}, "rho_S"),
+    ("negat", {**NEGAT, "rho_A": [0.0, 0.3]}, "rho_A"),
+    ("fic", {"target": "up"}, "target"),
+    ("classify", {**AXIS_CC, "control": {"type": "axis", "n": ["x", 0, 1]}},
+     "'x'"),
+])
+def test_malformed_value_is_exit_1(tmp_path, capsys, command, payload, key):
+    cfg = _write(tmp_path, "cfg.json", payload)
+    code, out, err = _run(capsys, command, cfg)
+    assert code == 1
+    assert out == ""
+    assert key in err
+
+
+def test_bloch_vector_outside_ball_is_exit_2(tmp_path, capsys):
+    cfg = _write(tmp_path, "fic.json", {"target": [0.0, 0.0, 1.5]})
+    code, _, err = _run(capsys, "fic", cfg)
+    assert code == 2
+    assert "precondition" in err

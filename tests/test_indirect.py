@@ -3,17 +3,20 @@
 Each construction is checked against its defining contract (what the
 partial trace of the steered state must equal), plus edge cases at the
 gimbal points of the Euler factorization and at degenerate spectra.
+The eigendecomposition behind state transfer is checked against
+scipy.linalg.schur as an independent oracle.
 """
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from qindirect.classify import case_1b_basis
-from qindirect.indirect import (E1, GennegatVerdict, euler_su2, fic_mix,
-                                fic_reach, gennegat_test, pure_uic_steer,
-                                swap_op)
+from qindirect.indirect import (E1, GennegatVerdict, _unitary_phases,
+                                euler_su2, fic_mix, fic_reach, gennegat_test,
+                                pure_uic_steer, swap_op)
 from qindirect.lieclosure import closure, contains, orthonormalize
 from qindirect.model import generator_set, random_model
 from qindirect.qalg import (ID2, ID4, SIGMA_X, SIGMA_Z, bloch_inverse,
@@ -24,7 +27,7 @@ st_angle = st.floats(-6.0, 6.0)
 st_bloch = st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)).filter(
     lambda p: np.linalg.norm(p) <= 0.99)
 st_su2 = st.tuples(st_angle, st_angle, st_angle).map(
-    lambda a: z_rotation(a[0]) @ mat_exp(a[1] * SIGMA_X, skew_hermitian=True)
+    lambda a: z_rotation(a[0]) @ mat_exp(a[1] * SIGMA_X)
     @ z_rotation(a[2]))
 st_pure = st.tuples(st.floats(0, np.pi), st.floats(0, 2 * np.pi)).map(
     lambda a: np.array([np.cos(a[0] / 2),
@@ -75,11 +78,11 @@ def test_gennegat_rejects_maximally_mixed_target(rng):
 
 
 @given(st_su2)
-@example(z_rotation(4.0) @ mat_exp(1e-12 * SIGMA_X, skew_hermitian=True)
+@example(z_rotation(4.0) @ mat_exp(1e-12 * SIGMA_X)
          @ z_rotation(0.0))
 def test_euler_su2_reconstructs(x):
     t2, t, t1 = euler_su2(x)
-    rebuilt = (z_rotation(t2) @ mat_exp(t * SIGMA_X, skew_hermitian=True)
+    rebuilt = (z_rotation(t2) @ mat_exp(t * SIGMA_X)
                @ z_rotation(t1))
     assert frob(rebuilt - x) < 1e-12
     assert 0.0 <= t <= np.pi + 1e-12
@@ -87,7 +90,7 @@ def test_euler_su2_reconstructs(x):
 
 def test_euler_su2_gimbal_points():
     assert euler_su2(np.eye(2, dtype=complex)) == (0.0, 0.0, 0.0)
-    t2, t, t1 = euler_su2(mat_exp(1.2 * SIGMA_X, skew_hermitian=True))
+    t2, t, t1 = euler_su2(mat_exp(1.2 * SIGMA_X))
     assert (t2, t, t1) == pytest.approx((0.0, 1.2, 0.0), abs=1e-12)
     t2, t, t1 = euler_su2(z_rotation(0.8))
     assert t == pytest.approx(0.0, abs=1e-12)
@@ -171,6 +174,30 @@ def test_fic_mix_edge_spectra():
 def test_fic_mix_requires_pure_accessor():
     with pytest.raises(ValueError):
         fic_mix(ID2 / 2, bloch_inverse([0.0, 0.0, 0.5]))
+
+
+def _phase_cases():
+    rng = np.random.default_rng(8)
+    yield ID4
+    yield swap_op()
+    yield np.diag([1, 1, 1j, 1j])  # two repeated eigenvalues
+    for _ in range(200):
+        p = rng.normal(size=3)
+        rho_s = bloch_inverse(rng.uniform(0, 0.99) * p / np.linalg.norm(p))
+        v = rng.normal(size=2) + 1j * rng.normal(size=2)
+        u = fic_mix(rho_s, _density(v / np.linalg.norm(v)))
+        yield u @ dagger(swap_op())
+
+
+def test_unitary_phases_matches_schur():
+    for u in _phase_cases():
+        phases, q = _unitary_phases(u)
+        assert frob(q @ dagger(q) - ID4) <= 1e-14
+        assert frob((q * np.exp(1j * phases)) @ dagger(q) - u) <= 1e-14
+        t, _ = scipy.linalg.schur(u, output="complex")
+        gap = np.abs(np.exp(1j * phases)[:, None] - np.diag(t)[None, :])
+        assert gap.min(axis=0).max() <= 1e-14
+        assert gap.min(axis=1).max() <= 1e-14
 
 
 @settings(max_examples=25)

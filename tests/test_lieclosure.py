@@ -34,7 +34,7 @@ def _random_su4(angles):
             1j * tensor(SIGMA_Y, SIGMA_Y), 1j * tensor(SIGMA_X, SIGMA_Z)]
     u = np.eye(4, dtype=complex)
     for t, g in zip(angles, gens):
-        u = u @ mat_exp(t * g, skew_hermitian=True)
+        u = u @ mat_exp(t * g)
     return u
 
 
@@ -43,6 +43,12 @@ def test_orthonormalize_collapses_dependent_elements():
     assert len(basis) == 2
     assert contains(basis, SX1 - 3.0 * SY1)
     assert not contains(basis, SZ1)
+
+
+def test_orthonormalize_empty_input():
+    basis = orthonormalize([])
+    assert basis.dim == 2
+    assert basis.coords.shape == (0, 4)
 
 
 def test_orthonormalize_requires_traceless():
