@@ -111,12 +111,20 @@ def test_partial_trace_errors():
         partial_trace(np.eye(4), keep="B")
 
 
+@given(st.one_of(st_c22, st_c44))
+def test_mat_exp_matches_scipy(h):
+    # mat_exp accepts only skew-Hermitian input, so the oracle sees the
+    # skew-Hermitian part of a general complex matrix, on one and two qubits
+    a = 0.5 * (h - dagger(h))
+    assert_allclose(mat_exp(a), scipy.linalg.expm(a), atol=1e-12)
+
+
 @given(st_c44)
 def test_mat_exp_skew_path(h):
     a = 0.5 * (h - dagger(h))  # skew-Hermitian part
     u = mat_exp(a)
-    assert_allclose(u, scipy.linalg.expm(a), atol=1e-12)
     assert frob(u @ dagger(u) - ID4) < 1e-12
+    assert frob(mat_exp(-a) @ u - ID4) < 1e-12
 
 
 def test_mat_exp_skew_rejects_non_skew():
