@@ -49,7 +49,14 @@ def _convert(kind, value, key: str):
         raise ModelFormatError(f"{key}: {exc}") from exc
 
 
-def _option(cfg: dict, args, key: str, default, kind=int):
+def _integer(value) -> int:
+    """int(value) for an integral value; 2.7 is rejected, not truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
+def _option(cfg: dict, args, key: str, default, kind=_integer):
     """The flag value if given, else cfg[key] or the default, as ``kind``."""
     val = getattr(args, key, None)
     if val is None:
@@ -222,12 +229,21 @@ def _cmd_sample(cfg: dict, args) -> str:
         ranges = tuple(tuple(full[name]) for name in _sampler.ANGLE_NAMES)
     elif ranges is not None:
         ranges = tuple(map(tuple, _floats(ranges, "angle_ranges", (9, 2))))
+    if ranges is not None:
+        empty = [name for name, (lo, hi) in zip(_sampler.ANGLE_NAMES, ranges)
+                 if hi < lo]
+        if empty:
+            raise ModelFormatError(f"angle_ranges: hi < lo for {empty}")
+    mode = cfg.get("mode", "random")
+    if mode not in _sampler.MODES:
+        raise ModelFormatError(f"mode must be one of {_sampler.MODES}, "
+                               f"got {mode!r}")
     kwargs = {"s_x": _option(cfg, args, "s_x", 0.0, float),
               "s_z": _option(cfg, args, "s_z", 0.0, float),
               "a_z": _option(cfg, args, "a_z", 0.0, float),
               "n": _option(cfg, args, "n", 729),
               "seed": _option(cfg, args, "seed", 0),
-              "mode": cfg.get("mode", "random")}
+              "mode": mode}
     if ranges is not None:
         kwargs["angle_ranges"] = ranges
     sc = _sampler.SampleConfig(**kwargs)

@@ -91,8 +91,17 @@ def sigma_from_vec(a) -> np.ndarray:
 
 
 def tensor(A, B) -> np.ndarray:
-    """Kronecker product with the S factor first."""
-    return np.kron(np.asarray(A, dtype=complex), np.asarray(B, dtype=complex))
+    """Kronecker product of two matrices with the S factor first.
+
+    A broadcast product: np.kron costs several times as much on 2x2 factors.
+    """
+    A = np.asarray(A, dtype=complex)
+    B = np.asarray(B, dtype=complex)
+    if A.ndim != 2 or B.ndim != 2:
+        raise ValueError(f"tensor expects two matrices, got shapes "
+                         f"{A.shape} and {B.shape}")
+    (p, q), (r, s) = A.shape, B.shape
+    return (A[:, None, :, None] * B[None, :, None, :]).reshape(p * r, q * s)
 
 
 def _check_same_dim(A, B):
@@ -114,7 +123,8 @@ def anticommutator(A, B) -> np.ndarray:
 
 
 def dagger(A) -> np.ndarray:
-    return np.asarray(A, dtype=complex).conj().T
+    """Conjugate transpose of a matrix or of each matrix in a (..., m, n) stack."""
+    return np.asarray(A, dtype=complex).conj().swapaxes(-1, -2)
 
 
 def frob(A) -> float:
@@ -123,20 +133,20 @@ def frob(A) -> float:
 
 
 def partial_trace(rho, keep: str = "S") -> np.ndarray:
-    """Trace out one qubit of a 4x4 operator in S (x) A ordering.
+    """Trace out one qubit of 4x4 operators in S (x) A ordering.
 
     Args:
-        rho: 4x4 complex matrix.
+        rho: 4x4 complex matrix, or a (..., 4, 4) stack of them.
         keep: "S" traces out the accessor, "A" traces out the target.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"partial_trace expects a 4x4 matrix, got {rho.shape}")
-    r = rho.reshape(2, 2, 2, 2)
+    if rho.shape[-2:] != (4, 4):
+        raise ValueError(f"partial_trace expects 4x4 matrices, got {rho.shape}")
+    r = rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))
     if keep == "S":
-        return np.trace(r, axis1=1, axis2=3)
+        return np.einsum("...iaja->...ij", r)
     if keep == "A":
-        return np.trace(r, axis1=0, axis2=2)
+        return np.einsum("...aiaj->...ij", r)
     raise ValueError(f"keep must be 'S' or 'A', got {keep!r}")
 
 
@@ -195,26 +205,37 @@ def _rotation_between(u, v) -> np.ndarray:
 
 
 def check_density(rho, tol: float | None = None) -> np.ndarray:
-    """Validate a density matrix (Hermitian, unit trace, psd to -1e-10)."""
+    """Validate a density matrix (Hermitian, unit trace, psd to -1e-10).
+
+    A (..., d, d) stack is validated matrix by matrix; one bad matrix
+    rejects the stack.
+    """
     rho = np.asarray(rho, dtype=complex)
     tol = TOL_RANK if tol is None else tol
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+    if rho.ndim < 2 or rho.shape[-2] != rho.shape[-1]:
         raise ValueError("density matrix must be square")
-    if frob(rho - dagger(rho)) > tol:
+    if (np.linalg.norm(rho - dagger(rho), axis=(-2, -1)) > tol).any():
         raise ValueError("density matrix is not Hermitian to tolerance")
-    if abs(np.trace(rho) - 1.0) > tol:
+    if (abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0) > tol).any():
         raise ValueError("density matrix trace differs from 1")
     if np.linalg.eigvalsh(rho).min() < -1e-10:
         raise ValueError("density matrix has a negative eigenvalue")
     return rho
 
 
+# Tr(tilde_a rho) = vec(rho) . vec(tilde_a^T) for a = x, y, z: one product
+_BLOCH_READ = _STRINGS_1[1:].transpose(0, 2, 1).reshape(3, 4).T
+
+
 def bloch(rho) -> np.ndarray:
-    """Bloch coordinates (x, y, z) of a one-qubit density matrix."""
+    """Bloch coordinates (x, y, z) of a one-qubit density matrix.
+
+    A (..., 2, 2) stack of density matrices gives (..., 3) coordinates.
+    """
     rho = check_density(rho)
-    if rho.shape != (2, 2):
-        raise ValueError("bloch expects a 2x2 density matrix")
-    return np.array([np.trace(t @ rho).real for t in (PAULI_X_TILDE, PAULI_Y_TILDE, PAULI_Z_TILDE)])
+    if rho.shape[-2:] != (2, 2):
+        raise ValueError("bloch expects 2x2 density matrices")
+    return (rho.reshape(rho.shape[:-2] + (4,)) @ _BLOCH_READ).real
 
 
 def bloch_inverse(p) -> np.ndarray:

@@ -170,6 +170,13 @@ def test_sample_csv_matches_library(tmp_path, capsys):
     assert np.array_equal(pts, expect)
 
 
+def test_sample_integral_float_n(tmp_path, capsys):
+    cfg = _write(tmp_path, "fig.json", {**SAMPLE, "n": 3.0})
+    code, out, _ = _run(capsys, "sample", cfg)
+    assert code == 0
+    assert len(parse_csv(io.StringIO(out))) == 3
+
+
 def test_sample_named_angle_ranges(tmp_path, capsys):
     spec = {"s_x": 0.0, "s_z": 0.5, "a_z": 0.0, "n": 4, "seed": 1,
             "angle_ranges": {"t1": [0.0, 0.1]}}
@@ -292,6 +299,10 @@ def test_unknown_config_key_is_exit_1(tmp_path, capsys, command, payload,
     ("sample", {**SAMPLE, "s_z": [0.5]}, "s_z"),
     ("sample", {**SAMPLE, "a_z": {"z": 1}}, "a_z"),
     ("sample", {**SAMPLE, "n": "many"}, "n"),
+    ("sample", {**SAMPLE, "n": 2.7}, "2.7"),
+    ("sample", {**SAMPLE, "mode": "grids"}, "mode"),
+    ("sample", {**SAMPLE, "angle_ranges": [[1.0, 0.0]] * 9}, "angle_ranges"),
+    ("sample", {**SAMPLE, "angle_ranges": {"s3": [2.0, 1.0]}}, "s3"),
     ("sample", {**SAMPLE, "seed": "x"}, "seed"),
     ("sample", {**SAMPLE, "angle_ranges": {"t1": ["a", 1.0]}}, "t1"),
     ("steer", {"draws": "ten"}, "draws"),

@@ -9,7 +9,7 @@ coordinate closure against a brute-force closure in matrix form.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qindirect.lieclosure import (STRUCTURE, LieBasis, _coords, closure,
                                   contains, invariant_space, orthonormalize,
@@ -176,20 +176,36 @@ def test_coords_round_trip(d, rng):
     assert len(orthonormalize(skew)) == min(5, d * d - 1)
 
 
-def _vec(mats):
-    flat = np.asarray(mats).reshape(len(mats), -1)
-    return np.hstack([flat.real, flat.imag])
+def _oracle_dim(gens, tol=1e-6):
+    """Brute-force closure in matrix form: bracket every kept pair.
 
-
-def _oracle_dim(gens):
-    """Brute-force closure in matrix form: bracket every kept pair."""
-    kept, todo = [], [g / frob(g) for g in gens]
-    while todo:
-        x = todo.pop()
-        if np.linalg.matrix_rank(_vec(kept + [x]), tol=1e-8) > len(kept):
-            brackets = [commutator(x, b) for b in kept]
-            todo += [c / frob(c) for c in brackets if frob(c) > 1e-8]
-            kept.append(x)
+    Candidates are the generators and the brackets of kept pairs, scaled to
+    unit norm, so a candidate's residual against the orthonormal matrices
+    kept so far (Gram-Schmidt, twice, in Re Tr(A^dag B)) is relative to its
+    own norm.  The candidate with the largest residual is taken next
+    (pivoted Gram-Schmidt) and its normalised residual is kept and
+    bracketed, so the new direction of a near-dependent candidate is
+    explored at full scale.  A residual at most tol drops the candidate for
+    good, since later matrices only shrink it; a bracket of two kept
+    (unit-norm) matrices below tol counts as zero.
+    """
+    todo = np.array([g / frob(g) for g in gens if frob(g) > 0])
+    kept = todo[:0]
+    while len(todo):
+        for _ in range(2):
+            coef = np.einsum("kij,mij->mk", kept.conj(), todo).real
+            todo = todo - np.einsum("mk,kij->mij", coef, kept)
+        norms = np.linalg.norm(todo, axis=(1, 2))
+        todo, norms = todo[norms > tol], norms[norms > tol]
+        if not len(todo):
+            break
+        best = np.argmax(norms)
+        r = todo[best] / norms[best]
+        brackets = [c / frob(c) for c in (commutator(r, k) for k in kept)
+                    if frob(c) > tol]
+        kept = np.concatenate([kept, r[None]])
+        todo = np.concatenate([np.delete(todo, best, axis=0)]
+                              + [np.reshape(brackets, (-1,) + r.shape)])
     return len(kept)
 
 
@@ -210,6 +226,7 @@ def test_closure_matches_matrix_oracle_rotated(angles, gens):
 @settings(max_examples=25)
 @given(st.integers(0, 2 ** 32 - 1),
        st.sampled_from(["1a", "1b", "1c", "2a", "2b", "2c", None, "c1", "c2"]))
+@example(284, None)  # the earlier oracle lost a dimension here (14, not 15)
 def test_closure_matches_matrix_oracle_models(seed, kind):
     rng = np.random.default_rng(seed)
     if kind in (None, "c1", "c2"):

@@ -85,6 +85,29 @@ def test_tensor_ordering():
     assert tensor(a, b).shape == (4, 4)
 
 
+@pytest.mark.parametrize("shape_a, shape_b", [
+    ((2, 2), (2, 2)), ((4, 4), (4, 4)), ((2, 1), (2, 1)), ((1, 2), (1, 2)),
+    ((2, 1), (1, 2)), ((2, 2), (4, 4)), ((3, 2), (2, 5)),
+])
+def test_tensor_matches_kron(shape_a, shape_b, rng):
+    a = rng.normal(size=shape_a) + 1j * rng.normal(size=shape_a)
+    b = rng.normal(size=shape_b) + 1j * rng.normal(size=shape_b)
+    assert_allclose(tensor(a, b), np.kron(a, b), rtol=0, atol=1e-15)
+    # mixed real and complex input, either way round
+    assert_allclose(tensor(a.real, b), np.kron(a.real, b), rtol=0, atol=1e-15)
+    assert_allclose(tensor(a, b.real), np.kron(a, b.real), rtol=0, atol=1e-15)
+    out = tensor(a.real, b.real)
+    assert out.dtype == complex
+    assert_allclose(out, np.kron(a.real, b.real), rtol=0, atol=1e-15)
+
+
+def test_tensor_rejects_non_matrices():
+    with pytest.raises(ValueError):
+        tensor(np.ones(2), np.eye(2))
+    with pytest.raises(ValueError):
+        tensor(np.eye(2), np.ones((2, 2, 2)))
+
+
 def test_commutator_shape_mismatch():
     with pytest.raises(ValueError):
         commutator(np.eye(2), np.eye(4))
@@ -174,6 +197,57 @@ def test_check_density_rejections():
         check_density(np.ones((2, 3)))
     out = check_density(np.diag([0.25, 0.75]))
     assert out.dtype == complex
+
+
+def _density_stack(rng, n):
+    z = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+    rho = z @ dagger(z)
+    return rho / np.trace(rho, axis1=1, axis2=2)[:, None, None]
+
+
+def test_check_density_and_bloch_on_a_stack(rng):
+    rho = _density_stack(rng, 6).reshape(2, 3, 2, 2)
+    assert check_density(rho).shape == (2, 3, 2, 2)
+    points = bloch(rho)
+    assert points.shape == (2, 3, 3)
+    for i in range(2):
+        for j in range(3):
+            assert_allclose(points[i, j], bloch(rho[i, j]), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("bad", [
+    # each fails exactly one of the three checks
+    np.array([[0.5, 0.1], [0.3, 0.5]]),  # not Hermitian
+    2.0 * np.eye(2),  # trace 2
+    np.diag([1.5, -0.5]),  # negative eigenvalue
+])
+def test_check_density_rejects_one_bad_matrix_in_a_stack(bad, rng):
+    for where in (0, 3, 7):
+        rho = _density_stack(rng, 8)
+        check_density(rho)
+        rho[where] = bad
+        with pytest.raises(ValueError):
+            check_density(rho)
+        with pytest.raises(ValueError):
+            bloch(rho)
+
+
+def test_partial_trace_on_a_stack(rng):
+    m = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
+    for keep in ("S", "A"):
+        out = partial_trace(m, keep=keep)
+        assert out.shape == (5, 2, 2)
+        for full, part in zip(m, out):
+            assert_allclose(part, partial_trace(full, keep=keep), rtol=0,
+                            atol=1e-15)
+
+
+def test_dagger_on_a_stack(rng):
+    m = rng.normal(size=(3, 2, 4)) + 1j * rng.normal(size=(3, 2, 4))
+    out = dagger(m)
+    assert out.shape == (3, 4, 2)
+    for a, b in zip(m, out):
+        assert_allclose(b, a.conj().T)
 
 
 def test_frob_and_dagger():

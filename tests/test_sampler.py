@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
+from qindirect import sampler
 from qindirect.qalg import ID4, dagger, frob
 from qindirect.sampler import (ANGLE_NAMES, DEFAULT_RANGE, SampleConfig,
                                _angle_table, emit_csv, kak_to_alphas,
@@ -129,6 +130,74 @@ def test_grid_table_layout():
     assert_allclose(table[0], [0.25] * 9)
     assert_allclose(table[1], [0.25] * 8 + [0.75])
     assert_allclose(table[2], [0.25] * 7 + [0.75, 0.25])
+
+
+# the four reference initial states (axial/equatorial target x mixed/pure
+# accessor) of the point-cloud figures
+REFERENCE_STATES = [(0.0, 0.5, 0.0), (0.5, 0.0, 0.0),
+                    (0.0, 0.5, 1.0), (0.5, 0.0, 1.0)]
+
+
+def _point_loop(cfg):
+    """sample() one row at a time through the per-point oracle."""
+    out = []
+    for t1, t3, t4, a1, a2, s1, s2, s3, s4 in _angle_table(cfg):
+        alphas = kak_to_alphas(t3, t4, a1, a2, s1, s2)
+        out.append(reachable_point(cfg, alphas, (t1, s3, s4)))
+    return np.array(out).reshape(-1, 3)
+
+
+@pytest.mark.parametrize("state", REFERENCE_STATES)
+@pytest.mark.parametrize("mode, ranges", [
+    ("random", (DEFAULT_RANGE,) * 9),
+    ("grid", tuple((0.1 * k, 0.1 * k + 2.0 + 0.5 * k) for k in range(9))),
+])
+def test_batched_sample_matches_point_loop(state, mode, ranges):
+    s_x, s_z, a_z = state
+    cfg = SampleConfig(s_x=s_x, s_z=s_z, a_z=a_z, n=300, seed=17,
+                       mode=mode, angle_ranges=ranges)
+    assert np.abs(sample(cfg) - _point_loop(cfg)).max() <= 1e-14
+
+
+def test_batched_sample_row_blocks(monkeypatch):
+    # 50 rows in blocks of 7: six full blocks and a tail of one
+    monkeypatch.setattr(sampler, "_BLOCK", 7)
+    cfg = SampleConfig(s_x=0.5, s_z=0.0, a_z=1.0, n=50, seed=2)
+    assert np.abs(sample(cfg) - _point_loop(cfg)).max() <= 1e-14
+
+
+def test_closed_form_broadcasts_row_by_row(rng):
+    alphas = rng.uniform(-2 * np.pi, 2 * np.pi, (40, 6))
+    stacked = y_closed_form(alphas)
+    assert stacked.shape == (40, 4, 4)
+    for row, y in zip(alphas, stacked):
+        assert_allclose(y, y_closed_form(row), rtol=0, atol=1e-15)
+    assert y_closed_form(alphas.reshape(5, 8, 6)).shape == (5, 8, 4, 4)
+    with pytest.raises(ValueError):
+        y_closed_form(np.zeros(5))
+
+
+def _grid_table_per_index(cfg):
+    """The grid table built one index at a time, as the oracle."""
+    lo = np.array([r[0] for r in cfg.angle_ranges])
+    hi = np.array([r[1] for r in cfg.angle_ranges])
+    m = 1
+    while m ** 9 < cfg.n:
+        m += 1
+    steps = (np.arange(m) + 0.5) / m
+    table = np.empty((cfg.n, 9))
+    for idx in range(cfg.n):
+        digits = np.unravel_index(idx, (m,) * 9)
+        table[idx] = lo + (hi - lo) * steps[list(digits)]
+    return table
+
+
+@pytest.mark.parametrize("n", [1, 4, 729, 1000])
+def test_grid_table_matches_per_index_construction(n):
+    ranges = tuple((-0.5 * k, 1.0 + k) for k in range(9))
+    cfg = SampleConfig(s_x=0.0, s_z=0.0, a_z=0.0, n=n, mode="grid",
+                       angle_ranges=ranges)
+    assert np.array_equal(_angle_table(cfg), _grid_table_per_index(cfg))
 
 
 def test_axial_config_keeps_cloud_on_axis():
