@@ -299,10 +299,6 @@ def test_unknown_config_key_is_exit_1(tmp_path, capsys, command, payload,
     ("sample", {**SAMPLE, "s_z": [0.5]}, "s_z"),
     ("sample", {**SAMPLE, "a_z": {"z": 1}}, "a_z"),
     ("sample", {**SAMPLE, "n": "many"}, "n"),
-    ("sample", {**SAMPLE, "n": 2.7}, "2.7"),
-    ("sample", {**SAMPLE, "mode": "grids"}, "mode"),
-    ("sample", {**SAMPLE, "angle_ranges": [[1.0, 0.0]] * 9}, "angle_ranges"),
-    ("sample", {**SAMPLE, "angle_ranges": {"s3": [2.0, 1.0]}}, "s3"),
     ("sample", {**SAMPLE, "seed": "x"}, "seed"),
     ("sample", {**SAMPLE, "angle_ranges": {"t1": ["a", 1.0]}}, "t1"),
     ("steer", {"draws": "ten"}, "draws"),
@@ -314,6 +310,10 @@ def test_unknown_config_key_is_exit_1(tmp_path, capsys, command, payload,
     ("fic", {"target": "up"}, "target"),
     ("classify", {**AXIS_CC, "control": {"type": "axis", "n": ["x", 0, 1]}},
      "'x'"),
+    ("sample", {**SAMPLE, "n": 2.7}, "2.7"),
+    ("sample", {**SAMPLE, "mode": "grids"}, "mode"),
+    ("sample", {**SAMPLE, "angle_ranges": [[1.0, 0.0]] * 9}, "angle_ranges"),
+    ("sample", {**SAMPLE, "angle_ranges": {"s3": [2.0, 1.0]}}, "s3"),
 ])
 def test_malformed_value_is_exit_1(tmp_path, capsys, command, payload, key):
     cfg = _write(tmp_path, "cfg.json", payload)
