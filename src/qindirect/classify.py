@@ -25,12 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import qalg
 from .qalg import (ID2, TOL_RANK, _rotation_about, _rotation_between,
                    commutator, frob, pauli, sigma_from_vec, tensor)
 from .lieclosure import closure
 from .model import (FullSU2, SingleAxis, TwoQubitModel, df_split,
-                    generator_set, hamiltonians)
+                    generator_set)
 
 CASE_DIMS = {"1a": 15, "1b": 10, "1c": 7, "2a": 6, "2b": 10, "2c": 15}
 
@@ -225,52 +224,27 @@ def normal_form(m: TwoQubitModel) -> NormalForm:
                       r_a=r_a, r_s=r_s, model=model)
 
 
-def _pauli_vector(mat: np.ndarray) -> np.ndarray:
-    """R^3 vector of a traceless 2x2 matrix via the Pauli correspondence.
-
-    The matrices fed in are real multiples of either v.pauli or i v.pauli;
-    the returned vector is real either way (overall scale is the caller's
-    business).
-    """
-    w = np.array([np.trace(pauli(ax, tilde=True) @ mat) for ax in "xyz"]) / 2.0
-    return w.real if np.linalg.norm(w.real) >= np.linalg.norm(w.imag) else w.imag
-
-
 def drift_perp_components(m: TwoQubitModel) -> tuple:
     """The two drift components perpendicular to the control axis.
 
-    Computed from partial traces of the Hamiltonians: the interaction row
-    coupled to the control axis (as an S-side vector, resolved against the
-    rows coupled to the perpendicular axes) and the accessor drift vector,
-    each projected off the axis. Returns (p1, p2) as R^3 vectors scaled to
-    the row units of K, so ||p1||^2 + ||p2||^2 matches the coordinate form
-    omega_A^2 + x^2 + y^2 whenever det K != 0.
+    The interaction row coupled to the control axis, K^T n (an S-side
+    vector, resolved against the rows coupled to the perpendicular axes),
+    and the accessor drift vector C projected off the axis n.  Returns
+    (p1, p2) as R^3 vectors in the row units of K, so ||p1||^2 + ||p2||^2
+    matches the coordinate form omega_A^2 + x^2 + y^2 whenever det K != 0.
     """
     if not isinstance(m.control, SingleAxis):
         raise ValueError("perpendicular components require single-axis control")
-    h = hamiltonians(m)
-    h_c = -1j * h.controls[0]
-    ihi = 1j * h.h_i
-    m1 = qalg.partial_trace(ihi @ h_c, keep="S")
-    m2 = qalg.partial_trace(h.h_a, keep="A")
-    m3 = qalg.partial_trace(h_c, keep="A")
-    # m1 = -(i/4)(K^T n).pauli, m2 = C.pauli, m3 = n.pauli
-    v1 = 4.0 * _pauli_vector(m1)
-    v2 = _pauli_vector(m2)
-    n = _pauli_vector(m3)
-    nn = np.linalg.norm(n)
-    if nn < 1e-12:
-        return v1, v2  # degenerate axis: the whole vectors count
-    n = n / nn
-    p2 = v2 - np.dot(v2, n) * n
-    # v1 lives on the S side: resolve it against the span of the rows
+    n = m.control.n  # stored unit length
+    p2 = m.C - np.dot(m.C, n) * n
+    # K^T n lives on the S side: resolve it against the span of the rows
     # coupled to axes perpendicular to n, the S-side image of "perp to n"
     ref = np.eye(3)[0] if abs(n[0]) < 0.9 else np.eye(3)[1]
     u1 = np.cross(n, ref)
     u1 = u1 / np.linalg.norm(u1)
     u2 = np.cross(n, u1)
     basis = np.array([m.K.T @ u1, m.K.T @ u2]).T
-    coef, *_ = np.linalg.lstsq(basis, v1, rcond=None)
+    coef, *_ = np.linalg.lstsq(basis, m.K.T @ n, rcond=None)
     p1 = basis @ coef
     return p1, p2
 
@@ -283,16 +257,20 @@ def oms0_check(m: TwoQubitModel, tol_rank: float | None = None) -> Oms0Report:
     normal form (det = alpha*beta*z, c2 = omega_A^2 + x^2 + y^2); the
     coordinate-free projection is evaluated as a cross-check and must agree
     whenever C1 holds (it resolves against a degenerate row span otherwise).
+    Both decisions compare against the model's own scale (|det K| against
+    ||K||_F^3, c2 against ||K||_F^2 + ||C||^2), so an overall rescaling of
+    K and C leaves the verdict unchanged.
     """
     tol_rank = TOL_RANK if tol_rank is None else tol_rank
     nf = normal_form(m)
     det_k = float(np.linalg.det(m.K))
-    c1 = abs(det_k) > tol_rank
+    k_norm = np.linalg.norm(m.K)
+    c1 = abs(det_k) > tol_rank * k_norm ** 3
     c2_magnitude = nf.omega_A ** 2 + nf.x ** 2 + nf.y ** 2
-    c2 = c2_magnitude > 1e-12
+    c2 = c2_magnitude > 1e-12 * (k_norm ** 2 + np.dot(m.C, m.C))
 
     det_nf = nf.alpha * nf.beta * nf.z
-    if abs(det_nf - det_k) > 1e-9 * max(1.0, abs(det_k)):
+    if abs(det_nf - det_k) > 1e-9 * k_norm ** 3:
         raise AssertionError("normal-form determinant mismatch")
     if c1:
         p1, p2 = drift_perp_components(m)

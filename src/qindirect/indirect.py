@@ -10,8 +10,8 @@ Three layers, all for the target-plus-accessor pair:
   F = 0 case (Euler factorization through the axis the controls provide);
 * free-interaction state transfer: with full controllability, the target
   can be driven from any initial pair to any density matrix with the
-  right trace, by interpolating between SWAP and an entangling unitary
-  that maximally mixes the target.
+  right trace, along a closed-form one-angle family of unitaries running
+  from SWAP to one that maximally mixes the target.
 """
 
 from __future__ import annotations
@@ -20,8 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qalg import (ID2, SIGMA_X, SIGMA_Z, check_density, dagger, frob,
-                   mat_exp, partial_trace, tensor, z_rotation)
+from .qalg import (ID2, PAULI_X_TILDE, PAULI_Z_TILDE, SIGMA_X, SIGMA_Z,
+                   check_density, dagger, frob, mat_exp, tensor, z_rotation)
+# Unused here; qbench/selftest.py checks that its tracer rebinds
+# indirect.partial_trace, so the name stays bound in this module.
+from .qalg import partial_trace  # noqa: F401
 from .lieclosure import LieBasis, invariant_space, trace_A_image
 
 
@@ -127,87 +130,56 @@ def _pure_state_vector(psi: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     return u[:, -1]
 
 
-# columns: (|00>+|11>)/sqrt2, (|01>-|10>)/sqrt2, (|00>-|11>)/sqrt2, (|01>+|10>)/sqrt2
-_BELL = np.array([[1, 0, 1, 0],
-                  [0, 1, 0, 1],
-                  [0, -1, 0, 1],
-                  [1, 0, -1, 0]], dtype=complex) / np.sqrt(2)
+def _transfer(rho_S: np.ndarray, psi_A: np.ndarray, phi: float,
+              t: np.ndarray) -> np.ndarray:
+    """U(phi) = (t (x) 1) M(phi) (W^dag (x) E^dag) SWAP.
+
+    M(phi) = cos(phi) X (x) 1 + sin(phi) Z (x) X with X, Z the Hermitian
+    Paulis (real, symmetric and squaring to 1, hence orthogonal).  E holds
+    the eigenvectors e_k of rho_S, W = (v, v_perp) the pure accessor vector
+    and its complement, and t the columns (t_0, t_1).  With a_k the
+    accessor basis,
+
+        e_k (x) v      ->  cos(phi) t_1 (x) a_k + sin(phi) t_0 (x) a_{1-k},
+        e_k (x) v_perp ->  cos(phi) t_0 (x) a_k - sin(phi) t_1 (x) a_{1-k}.
+
+    The images of the two e_k (x) v put orthogonal accessor vectors next to
+    each t_j, so the target ends in cos^2(phi) |t_1><t_1| +
+    sin^2(phi) |t_0><t_0| whatever the spectrum of rho_S.  phi = 0 is SWAP
+    up to local unitaries; phi = pi/4 mixes the target maximally.
+    """
+    rho_S = np.asarray(rho_S, dtype=complex)
+    check_density(rho_S)
+    v = _pure_state_vector(psi_A)
+    w = np.column_stack([v, [-np.conj(v[1]), np.conj(v[0])]])
+    e = np.linalg.eigh(rho_S)[1]
+    mix = (np.cos(phi) * tensor(PAULI_X_TILDE, ID2)
+           + np.sin(phi) * tensor(PAULI_Z_TILDE, PAULI_X_TILDE))
+    return tensor(t, ID2) @ mix @ dagger(tensor(w, e)) @ swap_op()
 
 
 def fic_mix(rho_S: np.ndarray, psi_A: np.ndarray) -> np.ndarray:
     """Unitary sending rho_S (x) psi_A to a state with maximally mixed target.
 
-    The eigenvectors of rho_S paired with the pure accessor vector form an
-    orthonormal pair of product vectors; mapping them to two orthonormal
-    maximally entangled vectors (and the complementary pair to the other
-    two Bell-type vectors, for unitarity) kills every target Bloch
-    component regardless of the eigenvalues.
+    The phi = pi/4 member of the transfer family: each eigenvector of
+    rho_S paired with the pure accessor vector goes to a maximally
+    entangled vector, which kills every target Bloch component regardless
+    of the eigenvalues.
     """
-    rho_S = np.asarray(rho_S, dtype=complex)
-    check_density(rho_S)
-    v_a = _pure_state_vector(psi_A)
-    w, u = np.linalg.eigh(rho_S)
-    order = np.argsort(w)[::-1]
-    e1, e2 = u[:, order[0]], u[:, order[1]]
-    perp = np.array([-np.conj(v_a[1]), np.conj(v_a[0])])
-    source = np.column_stack([np.kron(e1, v_a), np.kron(e2, v_a),
-                              np.kron(e1, perp), np.kron(e2, perp)])
-    return _BELL @ dagger(source)
-
-
-def _unitary_phases(U: np.ndarray) -> tuple:
-    # A unitary matrix is normal: eigenvectors of distinct eigenvalues are
-    # orthogonal, and QR orthonormalizes within each repeated eigenvalue.
-    w, v = np.linalg.eig(U)
-    return np.angle(w), np.linalg.qr(v)[0]
+    return _transfer(rho_S, psi_A, np.pi / 4, ID2)
 
 
 def fic_reach(rho_S: np.ndarray, psi_A: np.ndarray,
               target: np.ndarray) -> np.ndarray:
     """4x4 unitary U with Tr_A(U (rho_S (x) psi_A) U^dag) = target.
 
-    Interpolates along U(theta) = exp(theta log(U_ent SWAP^dag)) SWAP
-    between SWAP (theta = 0, pure output) and the entangling unitary of
-    fic_mix (theta = 1, maximally mixed output).  The largest output
-    eigenvalue moves continuously from 1 to 1/2, so bisection brackets any
-    target spectrum; a final S-side rotation aligns the eigenbasis.
+    A member of the SWAP-to-mixing family of fic_mix, in closed form: with
+    lambda the largest eigenvalue of the target and t its eigenvectors,
+    phi = arccos sqrt(lambda) puts weight lambda on t_1 and 1 - lambda on
+    t_0.  lambda runs from 1 (phi = 0, SWAP) to 1/2 (phi = pi/4, fic_mix).
     """
-    rho_S = np.asarray(rho_S, dtype=complex)
     target = np.asarray(target, dtype=complex)
-    check_density(rho_S)
     check_density(target)
-    v_a = _pure_state_vector(psi_A)
-    psi = np.outer(v_a, v_a.conj())
-    state = tensor(rho_S, psi)
-
-    u_swap = swap_op()
-    u_ent = fic_mix(rho_S, psi)
-    phases, q = _unitary_phases(u_ent @ dagger(u_swap))
-
-    def u_of(theta: float) -> np.ndarray:
-        return (q * np.exp(1j * theta * phases)) @ dagger(q) @ u_swap
-
-    def lam_max(theta: float) -> tuple:
-        out = partial_trace(u_of(theta) @ state @ dagger(u_of(theta)), keep="S")
-        return float(np.linalg.eigvalsh(out)[-1]), out
-
-    w_t = np.linalg.eigvalsh(target)
-    lam_target = float(w_t[-1])
-
-    lo, hi = 0.0, 1.0  # lam(lo) = 1 >= lam_target >= 1/2 = lam(hi)
-    for _ in range(200):
-        theta = 0.5 * (lo + hi)
-        lam, _ = lam_max(theta)
-        if abs(lam - lam_target) <= 1e-11:
-            break
-        if lam > lam_target:
-            lo = theta
-        else:
-            hi = theta
-
-    u_theta = u_of(theta)
-    out = partial_trace(u_theta @ state @ dagger(u_theta), keep="S")
-    w_o, v_o = np.linalg.eigh(out)
-    w_tt, v_t = np.linalg.eigh(target)
-    align = v_t @ dagger(v_o)  # both ascending order
-    return tensor(align, ID2) @ u_theta
+    w_t, t = np.linalg.eigh(target)
+    phi = np.arccos(np.sqrt(np.clip(w_t[-1], 0.5, 1.0)))
+    return _transfer(rho_S, psi_A, phi, t)

@@ -3,20 +3,17 @@
 Each construction is checked against its defining contract (what the
 partial trace of the steered state must equal), plus edge cases at the
 gimbal points of the Euler factorization and at degenerate spectra.
-The eigendecomposition behind state transfer is checked against
-scipy.linalg.schur as an independent oracle.
 """
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from qindirect.classify import case_1b_basis
-from qindirect.indirect import (E1, GennegatVerdict, _unitary_phases,
-                                euler_su2, fic_mix, fic_reach, gennegat_test,
-                                pure_uic_steer, swap_op)
+from qindirect.indirect import (E1, GennegatVerdict, euler_su2, fic_mix,
+                                fic_reach, gennegat_test, pure_uic_steer,
+                                swap_op)
 from qindirect.lieclosure import closure, contains, orthonormalize
 from qindirect.model import generator_set, random_model
 from qindirect.qalg import (ID2, ID4, SIGMA_X, SIGMA_Z, bloch_inverse,
@@ -176,30 +173,6 @@ def test_fic_mix_requires_pure_accessor():
         fic_mix(ID2 / 2, bloch_inverse([0.0, 0.0, 0.5]))
 
 
-def _phase_cases():
-    rng = np.random.default_rng(8)
-    yield ID4
-    yield swap_op()
-    yield np.diag([1, 1, 1j, 1j])  # two repeated eigenvalues
-    for _ in range(200):
-        p = rng.normal(size=3)
-        rho_s = bloch_inverse(rng.uniform(0, 0.99) * p / np.linalg.norm(p))
-        v = rng.normal(size=2) + 1j * rng.normal(size=2)
-        u = fic_mix(rho_s, _density(v / np.linalg.norm(v)))
-        yield u @ dagger(swap_op())
-
-
-def test_unitary_phases_matches_schur():
-    for u in _phase_cases():
-        phases, q = _unitary_phases(u)
-        assert frob(q @ dagger(q) - ID4) <= 1e-14
-        assert frob((q * np.exp(1j * phases)) @ dagger(q) - u) <= 1e-14
-        t, _ = scipy.linalg.schur(u, output="complex")
-        gap = np.abs(np.exp(1j * phases)[:, None] - np.diag(t)[None, :])
-        assert gap.min(axis=0).max() <= 1e-14
-        assert gap.min(axis=1).max() <= 1e-14
-
-
 @settings(max_examples=25)
 @given(st_bloch, st_pure, st_bloch)
 def test_fic_reach_contract(p, psi, q):
@@ -219,6 +192,29 @@ def test_fic_reach_extreme_targets():
         u = fic_reach(rho_s, psi, target)
         out = partial_trace(u @ tensor(rho_s, psi) @ dagger(u), keep="S")
         assert frob(out - target) < 1e-8
+
+
+def test_fic_reach_is_exact():
+    # closed form: no search tolerance, so residuals sit at rounding level,
+    # including pure and maximally mixed rho_S and targets
+    rng = np.random.default_rng(9)
+
+    def pure():
+        v = rng.normal(size=2) + 1j * rng.normal(size=2)
+        return _density(v / np.linalg.norm(v))
+
+    def mixed():
+        p = rng.normal(size=3)
+        return bloch_inverse(rng.uniform(0, 0.99) * p / np.linalg.norm(p))
+
+    cases = [(mixed(), pure(), mixed()) for _ in range(300)]
+    cases += [(r, pure(), t) for r in (pure(), ID2 / 2)
+              for t in (pure(), ID2 / 2)]
+    for rho_s, psi, target in cases:
+        u = fic_reach(rho_s, psi, target)
+        assert frob(u @ dagger(u) - ID4) <= 1e-12
+        out = partial_trace(u @ tensor(rho_s, psi) @ dagger(u), keep="S")
+        assert frob(out - target) <= 1e-12
 
 
 def test_fic_reach_rejects_bad_inputs():
