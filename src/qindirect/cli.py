@@ -27,7 +27,8 @@ from . import classify as _classify
 from . import indirect as _indirect
 from . import sampler as _sampler
 from .lieclosure import closure
-from .model import FullSU2, ModelFormatError, generator_set, model_from_dict
+from .model import (FullSU2, ModelFormatError, finite_float, generator_set,
+                    load_json, model_from_dict)
 from .qalg import (SIGMA_X, TOL_RANK, bloch_inverse, dagger, frob, mat_exp,
                    partial_trace, tensor, z_rotation)
 
@@ -36,7 +37,7 @@ def _load_config(path) -> dict:
     if path is None:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
+        cfg = load_json(fh)
     if not isinstance(cfg, dict):
         raise ModelFormatError("config must be a JSON object")
     return cfg
@@ -68,6 +69,8 @@ def _floats(value, key: str, shape: tuple) -> np.ndarray:
     arr = _convert(lambda v: np.asarray(v, dtype=float), value, key)
     if arr.shape != shape:
         raise ModelFormatError(f"{key} must be numbers of shape {shape}")
+    if not np.isfinite(arr).all():
+        raise ModelFormatError(f"{key} must be finite numbers")
     return arr
 
 
@@ -81,7 +84,8 @@ def _tolerances(cfg: dict, args) -> dict:
     if not isinstance(tols, dict) or set(tols) - {"tol_rank"}:
         raise ModelFormatError("tolerances must be an object whose only key "
                                f"is tol_rank, got {tols!r}")
-    return {"tol_rank": _option(tols, args, "tol_rank", TOL_RANK, float)}
+    return {"tol_rank": _option(tols, args, "tol_rank", TOL_RANK,
+                                finite_float)}
 
 
 def _serialize_matrix(m: np.ndarray) -> dict:
@@ -238,9 +242,9 @@ def _cmd_sample(cfg: dict, args) -> str:
     if mode not in _sampler.MODES:
         raise ModelFormatError(f"mode must be one of {_sampler.MODES}, "
                                f"got {mode!r}")
-    kwargs = {"s_x": _option(cfg, args, "s_x", 0.0, float),
-              "s_z": _option(cfg, args, "s_z", 0.0, float),
-              "a_z": _option(cfg, args, "a_z", 0.0, float),
+    kwargs = {"s_x": _option(cfg, args, "s_x", 0.0, finite_float),
+              "s_z": _option(cfg, args, "s_z", 0.0, finite_float),
+              "a_z": _option(cfg, args, "a_z", 0.0, finite_float),
               "n": _option(cfg, args, "n", 729),
               "seed": _option(cfg, args, "seed", 0),
               "mode": mode}

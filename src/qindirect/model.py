@@ -15,6 +15,7 @@ A model is (omega_S, K, C, control):
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -211,10 +212,28 @@ def model_to_dict(m: TwoQubitModel) -> dict:
             "control": ctl}
 
 
+def finite_float(value) -> float:
+    """float(value), rejecting nan and +-inf with ModelFormatError."""
+    out = float(value)
+    if not math.isfinite(out):
+        raise ModelFormatError(f"{value!r} is not a finite number")
+    return out
+
+
+def load_json(fh):
+    """json.load that rejects non-finite numbers with ModelFormatError.
+
+    Python's json accepts the literals NaN, Infinity and -Infinity, and
+    reads 1e999 as inf; a NaN passes every comparison-based check
+    downstream, so both are refused where the file is read.
+    """
+    return json.load(fh, parse_constant=finite_float, parse_float=finite_float)
+
+
 def load_model(path) -> TwoQubitModel:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            d = json.load(fh)
+            d = load_json(fh)
         except json.JSONDecodeError as exc:
             raise ModelFormatError(f"invalid JSON in {path}: {exc}") from exc
     return model_from_dict(d)

@@ -204,8 +204,21 @@ def _rotation_between(u, v) -> np.ndarray:
     return _rotation_about(w / s, np.arctan2(s, c))
 
 
+def _min_eigenvalue(rho) -> np.ndarray:
+    """Smallest eigenvalue of each Hermitian matrix of a (..., d, d) stack.
+
+    Like ``eigvalsh``, only the diagonal and the lower triangle are read.
+    For d = 2 it is tr/2 - hypot((a - d)/2, |b|), with a, d the diagonal
+    and b the lower off-diagonal entry, instead of a batched eigensolver.
+    """
+    if rho.shape[-1] != 2:
+        return np.linalg.eigvalsh(rho)[..., 0]
+    a, d = rho[..., 0, 0].real, rho[..., 1, 1].real
+    return 0.5 * (a + d) - np.hypot(0.5 * (a - d), abs(rho[..., 1, 0]))
+
+
 def check_density(rho, tol: float | None = None) -> np.ndarray:
-    """Validate a density matrix (Hermitian, unit trace, psd to -1e-10).
+    """Validate a density matrix: finite, Hermitian, unit trace, psd to -1e-10.
 
     A (..., d, d) stack is validated matrix by matrix; one bad matrix
     rejects the stack.
@@ -214,11 +227,13 @@ def check_density(rho, tol: float | None = None) -> np.ndarray:
     tol = TOL_RANK if tol is None else tol
     if rho.ndim < 2 or rho.shape[-2] != rho.shape[-1]:
         raise ValueError("density matrix must be square")
+    if not np.isfinite(rho).all():
+        raise ValueError("density matrix has non-finite entries")
     if (np.linalg.norm(rho - dagger(rho), axis=(-2, -1)) > tol).any():
         raise ValueError("density matrix is not Hermitian to tolerance")
     if (abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0) > tol).any():
         raise ValueError("density matrix trace differs from 1")
-    if np.linalg.eigvalsh(rho).min() < -1e-10:
+    if (_min_eigenvalue(rho) < -1e-10).any():
         raise ValueError("density matrix has a negative eigenvalue")
     return rho
 

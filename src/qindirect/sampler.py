@@ -24,6 +24,13 @@ A sampled point is the Bloch vector of
     e^{-s4 sz}) Y^dag ] e^{-t1 sz},
 
 with rho_S = (1/2)(1 + s_x tx + s_z tz) and rho_A = (1/2)(1 + a_z tz).
+
+rho_A = diag((1 + a_z)/2, (1 - a_z)/2) commutes with e^{s4 sz}, so the
+s4 conjugation is the identity and s4 does not move a point.  ``sample``
+skips it; s4 stays a column of the angle table, so a seed draws the same
+table, grid index and cloud as it would with the rotation applied.
+``reachable_point`` still applies it, so the tests can pin that the
+point does not depend on s4.
 """
 
 from __future__ import annotations
@@ -61,6 +68,8 @@ class SampleConfig:
     mode: str = "random"  # one of MODES
 
     def __post_init__(self):
+        if not np.isfinite([self.s_x, self.s_z, self.a_z]).all():
+            raise ValueError("s_x, s_z and a_z must be finite")
         if self.s_x ** 2 + self.s_z ** 2 > 1.0 + 1e-12:
             raise ValueError("initial S Bloch vector leaves the ball")
         if abs(self.a_z) > 1.0 + 1e-12:
@@ -170,31 +179,46 @@ def _angle_table(cfg: SampleConfig) -> np.ndarray:
     m = 1
     while m ** 9 < cfg.n:
         m += 1
-    steps = (np.arange(m) + 0.5) / m
-    digits = np.stack(np.unravel_index(np.arange(cfg.n), (m,) * 9), axis=1)
-    return lo + (hi - lo) * steps[digits]
+    # the m grid values of each axis, looked up by the base-m digits of the
+    # row index one axis at a time, last axis first, into one axis-major
+    # table (returned as its (n, 9) transpose)
+    values = lo[:, None] + (hi - lo)[:, None] * ((np.arange(m) + 0.5) / m)
+    table = np.empty((9, cfg.n))
+    index = np.arange(cfg.n)
+    digit = np.empty_like(index)
+    for axis in range(8, -1, -1):
+        np.divmod(index, m, out=(index, digit))
+        values[axis].take(digit, out=table[axis])
+    return table.T
 
 
 def _z_conjugated(rho, angles) -> np.ndarray:
     """z_rotation(a) @ rho @ dagger(z_rotation(a)) for each angle a.
 
-    z_rotation(a) is diag(d) with d = (e^{ia/2}, e^{-ia/2}), so the product
-    is rho * outer(d, conj(d)).  ``rho`` is one 2x2 matrix or a stack with
-    the leading shape of ``angles``.
+    z_rotation(a) is diag(e^{ia/2}, e^{-ia/2}), so the product is rho times
+    the phase matrix [[1, e^{ia}], [e^{-ia}, 1]]: one exponential per
+    angle.  ``rho`` is one 2x2 matrix or a stack with the leading shape of
+    ``angles``.
     """
-    d = np.exp(0.5j * np.multiply.outer(angles, [1.0, -1.0]))
-    return rho * (d[..., :, None] * d[..., None, :].conj())
+    e = np.exp(1j * angles)
+    phase = np.ones(e.shape + (2, 2), dtype=complex)
+    phase[..., 0, 1] = e
+    phase[..., 1, 0] = e.conj()
+    return rho * phase
 
 
 def _sample_block(rho_s, rho_a, table) -> np.ndarray:
-    """reachable_point for every row (t1, t3, ..., s4) of an angle table."""
-    t1, t3, t4, a1, a2, s1, s2, s3, s4 = table.T
+    """reachable_point for every row (t1, t3, ..., s4) of an angle table.
+
+    s4 is read and dropped: rho_a is diagonal, so it commutes with
+    e^{s4 sz} (see the module docstring).
+    """
+    t1, t3, t4, a1, a2, s1, s2, s3, _ = table.T
     y = y_closed_form(kak_to_alphas(t3, t4, a1, a2, s1, s2).T)
     rs = _z_conjugated(rho_s, s3)
-    ra = _z_conjugated(rho_a, s4)
-    # the row-wise Kronecker product rs (x) ra is not kept past this product
+    # the row-wise Kronecker product rs (x) rho_a is not kept past this product
     ys = y @ (rs[:, :, None, :, None]
-              * ra[:, None, :, None, :]).reshape(-1, 4, 4)
+              * rho_a[None, None, :, None, :]).reshape(-1, 4, 4)
     omega = ys @ dagger(y)
     return bloch(_z_conjugated(partial_trace(omega, keep="S"), t1))
 
@@ -219,14 +243,16 @@ def emit_csv(points, destination, seed: int | None = None) -> None:
     """Write points as CSV: optional "# seed=<n>" comment, header, rows.
 
     17 significant digits per coordinate (lossless float round trip),
-    LF line endings.
+    LF line endings.  All rows are formatted by one ``%`` operation.
     """
+    flat = np.asarray(points, dtype=float).ravel().tolist()
+    rows = ("%.17g,%.17g,%.17g\n" * (len(flat) // 3)) % tuple(flat)
+
     def _write(fh):
         if seed is not None:
             fh.write(f"# seed={seed}\n")
         fh.write("x,y,z\n")
-        for p in points:
-            fh.write("%.17g,%.17g,%.17g\n" % (p[0], p[1], p[2]))
+        fh.write(rows)
 
     if hasattr(destination, "write"):
         _write(destination)

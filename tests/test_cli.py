@@ -314,6 +314,8 @@ def test_unknown_config_key_is_exit_1(tmp_path, capsys, command, payload,
     ("sample", {**SAMPLE, "mode": "grids"}, "mode"),
     ("sample", {**SAMPLE, "angle_ranges": [[1.0, 0.0]] * 9}, "angle_ranges"),
     ("sample", {**SAMPLE, "angle_ranges": {"s3": [2.0, 1.0]}}, "s3"),
+    ("sample", {**SAMPLE, "s_z": "nan"}, "s_z"),
+    ("fic", {"target": ["nan", 0.0, 0.0]}, "target"),
 ])
 def test_malformed_value_is_exit_1(tmp_path, capsys, command, payload, key):
     cfg = _write(tmp_path, "cfg.json", payload)
@@ -321,6 +323,36 @@ def test_malformed_value_is_exit_1(tmp_path, capsys, command, payload, key):
     assert code == 1
     assert out == ""
     assert key in err
+
+
+@pytest.mark.parametrize("command, text", [
+    ("sample", '{"s_x": NaN, "s_z": 0.0, "a_z": 1.0, "n": 4}'),
+    ("sample", '{"s_x": 0.0, "s_z": 0.5, "a_z": -Infinity}'),
+    ("sample", '{"s_x": 0.0, "s_z": 0.5, "a_z": 1e999}'),
+    ("fic", '{"target": [NaN, 0.0, 0.0]}'),
+    ("fic", '{"target": [0.0, 0.0, 0.5], "rho_S": [Infinity, 0.0, 0.0]}'),
+    ("classify", '{"omega_S": 1.0, "K": [[0, 0, 0], [0, NaN, 0], [0, 0, 0]],'
+                 ' "C": [0, 0, 0], "control": {"type": "full"}}'),
+    ("classify", '{"omega_S": 0.0, "K": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],'
+                 ' "C": [0, 1, 0], "control": {"type": "axis",'
+                 ' "n": [0, 0, -Infinity]}}'),
+])
+def test_non_finite_number_is_exit_1(tmp_path, capsys, command, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = _run(capsys, command, str(path))
+    assert code == 1
+    assert out == ""
+    assert "error:" in err and "not a finite number" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_tolerance_flag_is_exit_1(tmp_path, capsys, value):
+    cfg = _write(tmp_path, "ising.json", ISING)
+    code, out, err = _run(capsys, "classify", cfg, f"--tol-rank={value}")
+    assert code == 1
+    assert out == ""
+    assert "tol_rank" in err and "not a finite number" in err
 
 
 def test_bloch_vector_outside_ball_is_exit_2(tmp_path, capsys):

@@ -206,6 +206,17 @@ def test_save_load(tmp_path):
         load_model(bad)
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_load_model_rejects_non_finite_numbers(tmp_path, literal):
+    path = tmp_path / "model.json"
+    save_model(ising_model(), path)
+    text = path.read_text()
+    assert '"omega_S": 1.0' in text
+    path.write_text(text.replace('"omega_S": 1.0', f'"omega_S": {literal}'))
+    with pytest.raises(ModelFormatError, match=literal):
+        load_model(path)
+
+
 def test_random_model_case_structure(rng):
     for _ in range(5):
         m = random_model("1a", rng)

@@ -14,10 +14,10 @@ from numpy.testing import assert_allclose
 
 from qindirect.qalg import (ID2, ID4, PAULI_BASIS, PAULI_X_TILDE,
                             PAULI_Y_TILDE, PAULI_Z_TILDE, SIGMA_X, SIGMA_Y,
-                            SIGMA_Z, anticommutator, bloch, bloch_inverse,
-                            check_density, commutator, dagger, frob,
-                            from_pauli_coords, is_skew_hermitian, mat_exp,
-                            partial_trace, pauli, pauli_coords,
+                            SIGMA_Z, _min_eigenvalue, anticommutator, bloch,
+                            bloch_inverse, check_density, commutator, dagger,
+                            frob, from_pauli_coords, is_skew_hermitian,
+                            mat_exp, partial_trace, pauli, pauli_coords,
                             sigma_from_vec, tensor, z_rotation)
 
 st_angle = st.floats(-10.0, 10.0)
@@ -229,6 +229,84 @@ def test_check_density_rejects_one_bad_matrix_in_a_stack(bad, rng):
         with pytest.raises(ValueError):
             check_density(rho)
         with pytest.raises(ValueError):
+            bloch(rho)
+
+
+def _hermitian_stack(rng, n):
+    z = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+    return 0.5 * (z + dagger(z))
+
+
+def test_min_eigenvalue_matches_eigvalsh(rng):
+    h = _hermitian_stack(rng, 500)
+    ref = np.linalg.eigvalsh(h)[:, 0]
+    assert_allclose(_min_eigenvalue(h), ref, rtol=0, atol=1e-14)
+    assert_allclose(_min_eigenvalue(h.reshape(5, 100, 2, 2)),
+                    ref.reshape(5, 100), rtol=0, atol=1e-14)
+    for single, expected in zip(h[:20], ref[:20]):
+        lam = _min_eigenvalue(single)
+        assert lam.shape == ()
+        assert abs(lam - expected) <= 1e-14
+    # like eigvalsh, only the lower triangle is read
+    upper = h.copy()
+    upper[:, 0, 1] = 7.0
+    assert np.array_equal(_min_eigenvalue(upper), _min_eigenvalue(h))
+    # d = 4 keeps the eigensolver
+    z = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+    h4 = z + dagger(z)
+    assert np.array_equal(_min_eigenvalue(h4), np.linalg.eigvalsh(h4)[:, 0])
+
+
+def _rotated_diag(rng, p, q):
+    """U diag(p, q) U^dag for a random unitary U."""
+    u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return u @ np.diag([p, q]) @ dagger(u)
+
+
+@pytest.mark.parametrize("p, q, lam", [
+    (1.0, 0.0, 0.0),  # rank 1
+    (0.5, 0.5, 0.5),  # maximally mixed
+    (1.0 + 5e-11, -5e-11, -5e-11),  # slightly negative, within -1e-10
+])
+def test_check_density_closed_form_edges_accepted(rng, p, q, lam):
+    for rho in (np.diag([p, q]).astype(complex), _rotated_diag(rng, p, q)):
+        assert abs(_min_eigenvalue(rho) - lam) <= 1e-15
+        check_density(rho)
+        check_density(np.stack([0.5 * ID2, rho]))
+
+
+def test_check_density_rejects_eigenvalue_below_threshold(rng):
+    for rho in (np.diag([1.0 + 2e-10, -2e-10]).astype(complex),
+                _rotated_diag(rng, 1.0 + 2e-10, -2e-10)):
+        assert abs(_min_eigenvalue(rho) + 2e-10) <= 1e-15
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            check_density(rho)
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            check_density(np.stack([0.5 * ID2, rho, 0.5 * ID2]))
+
+
+def test_check_density_hermitian_check_reads_both_triangles():
+    # the lower triangle is a valid state; the upper one disagrees by more
+    # than tol, which the eigenvalue alone would not see
+    rho = np.array([[0.5, 0.2 + 2e-9j], [0.2, 0.5]])
+    with pytest.raises(ValueError, match="not Hermitian"):
+        check_density(rho)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        check_density(np.stack([0.5 * ID2, rho]))
+    check_density(rho, tol=1e-8)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf,
+                                   complex(0.0, np.nan)])
+def test_check_density_rejects_non_finite(value):
+    for i, j in ((0, 0), (0, 1), (1, 0)):
+        rho = 0.5 * ID2
+        rho[i, j] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            check_density(rho)
+        with pytest.raises(ValueError, match="non-finite"):
+            check_density(np.stack([0.5 * ID2, rho]))
+        with pytest.raises(ValueError, match="non-finite"):
             bloch(rho)
 
 

@@ -61,6 +61,11 @@ def test_sample_config_validation():
     with pytest.raises(ValueError):
         SampleConfig(s_x=0.0, s_z=0.5, a_z=0.0,
                      angle_ranges=((1.0, 0.0),) * 9)
+    for bad in (np.nan, np.inf, -np.inf):
+        for key in ("s_x", "s_z", "a_z"):
+            state = {"s_x": 0.0, "s_z": 0.5, "a_z": 0.0, key: bad}
+            with pytest.raises(ValueError, match="finite"):
+                SampleConfig(**state)
     # lists are coerced to float tuples
     cfg = SampleConfig(s_x=0.0, s_z=0.5, a_z=0.0,
                        angle_ranges=[[0, 1]] * 9)
@@ -71,6 +76,22 @@ def test_reachable_point_zero_angles():
     cfg = SampleConfig(s_x=0.3, s_z=0.4, a_z=0.7)
     p = reachable_point(cfg, np.zeros(6), (0.0, 0.0, 0.0))
     assert_allclose(p, [0.3, 0.0, 0.4], atol=1e-12)
+
+
+@pytest.mark.parametrize("state", [(0.3, 0.4, 0.7), (0.5, 0.0, 1.0),
+                                   (0.0, -0.6, -0.2)])
+def test_initial_a_rotation_irrelevant(state, rng):
+    # rho_A is diagonal, so e^{s4 sz} rho_A e^{-s4 sz} = rho_A: the batched
+    # sampler skips this rotation, and the oracle, which applies it, agrees
+    s_x, s_z, a_z = state
+    cfg = SampleConfig(s_x=s_x, s_z=s_z, a_z=a_z)
+    for _ in range(4):
+        alphas = rng.uniform(-2 * np.pi, 2 * np.pi, 6)
+        t1, s3 = rng.uniform(0.0, 4 * np.pi, 2)
+        ref = reachable_point(cfg, alphas, (t1, s3, 0.0))
+        for s4 in (0.3, -1.7, np.pi, 2.5 * np.pi, 11.0):
+            p = reachable_point(cfg, alphas, (t1, s3, s4))
+            assert np.abs(p - ref).max() <= 1e-15
 
 
 def test_final_z_rotation_preserves_height_and_radius(rng):
@@ -192,7 +213,7 @@ def _grid_table_per_index(cfg):
     return table
 
 
-@pytest.mark.parametrize("n", [1, 4, 729, 1000])
+@pytest.mark.parametrize("n", [1, 4, 729, 1000, 2, 511, 512, 513])
 def test_grid_table_matches_per_index_construction(n):
     ranges = tuple((-0.5 * k, 1.0 + k) for k in range(9))
     cfg = SampleConfig(s_x=0.0, s_z=0.0, a_z=0.0, n=n, mode="grid",
@@ -232,6 +253,33 @@ def test_csv_round_trip_memory_and_file(tmp_path):
     emit_csv(pts, path)
     assert not path.read_text().startswith("#")  # no seed comment by default
     assert np.array_equal(parse_csv(path), pts)
+
+
+def _emit_rows(points, seed):
+    """emit_csv's output written one row at a time, as the oracle."""
+    text = "" if seed is None else f"# seed={seed}\n"
+    text += "x,y,z\n"
+    for p in points:
+        text += "%.17g,%.17g,%.17g\n" % (p[0], p[1], p[2])
+    return text
+
+
+def test_emit_csv_matches_row_format():
+    tiny = np.finfo(float).tiny
+    special = np.array([[-0.0, 0.0, 5e-324], [-5e-324, tiny / 3, -tiny],
+                        [1.0, -1.0, 0.1], [1e-300, -2.5e-310, 1 / 3]])
+    cloud = sample(SampleConfig(s_x=0.5, s_z=0.0, a_z=1.0, n=300, seed=4))
+    for points, seed in ((special, None), (cloud, 7), (cloud[:1], 0),
+                         (np.empty((0, 3)), None)):
+        buf = io.StringIO()
+        emit_csv(points, buf, seed=seed)
+        assert buf.getvalue() == _emit_rows(points, seed)
+        back = parse_csv(io.StringIO(buf.getvalue()))
+        assert np.array_equal(back, points)
+        assert np.array_equal(np.signbit(back), np.signbit(points))
+    buf = io.StringIO()
+    emit_csv(special.tolist(), buf)  # nested lists are accepted too
+    assert buf.getvalue() == _emit_rows(special, None)
 
 
 def test_parse_csv_skips_comments_and_blanks():
