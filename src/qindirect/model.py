@@ -170,6 +170,14 @@ def ising_model() -> TwoQubitModel:
 _MODEL_KEYS = {"omega_S", "K", "C", "control"}
 
 
+def finite_float(value) -> float:
+    """float(value), rejecting nan and +-inf with ModelFormatError."""
+    out = float(value)
+    if not math.isfinite(out):
+        raise ModelFormatError(f"{value!r} is not a finite number")
+    return out
+
+
 def model_from_dict(d: dict) -> TwoQubitModel:
     if not isinstance(d, dict):
         raise ModelFormatError("model must be a JSON object")
@@ -190,12 +198,17 @@ def model_from_dict(d: dict) -> TwoQubitModel:
         elif ctl["type"] == "axis":
             if set(ctl) != {"type", "n"}:
                 raise ModelFormatError("axis control takes exactly the field 'n'")
-            control = SingleAxis(n=np.asarray(ctl["n"], dtype=float))
+            n = np.asarray(ctl["n"], dtype=float)
+            if not np.isfinite(n).all():
+                raise ModelFormatError("control axis must be finite numbers")
+            control = SingleAxis(n=n)
         else:
             raise ModelFormatError(f"unknown control type {ctl['type']!r}")
-        return TwoQubitModel(omega_S=float(d["omega_S"]),
-                             K=np.asarray(d["K"], dtype=float),
-                             C=np.asarray(d["C"], dtype=float),
+        K = np.asarray(d["K"], dtype=float)
+        C = np.asarray(d["C"], dtype=float)
+        if not (np.isfinite(K).all() and np.isfinite(C).all()):
+            raise ModelFormatError("K and C must be finite numbers")
+        return TwoQubitModel(omega_S=finite_float(d["omega_S"]), K=K, C=C,
                              control=control)
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ModelFormatError):
@@ -210,14 +223,6 @@ def model_to_dict(m: TwoQubitModel) -> dict:
         ctl = {"type": "axis", "n": m.control.n.tolist()}
     return {"omega_S": m.omega_S, "K": m.K.tolist(), "C": m.C.tolist(),
             "control": ctl}
-
-
-def finite_float(value) -> float:
-    """float(value), rejecting nan and +-inf with ModelFormatError."""
-    out = float(value)
-    if not math.isfinite(out):
-        raise ModelFormatError(f"{value!r} is not a finite number")
-    return out
 
 
 def load_json(fh):

@@ -316,6 +316,10 @@ def test_unknown_config_key_is_exit_1(tmp_path, capsys, command, payload,
     ("sample", {**SAMPLE, "angle_ranges": {"s3": [2.0, 1.0]}}, "s3"),
     ("sample", {**SAMPLE, "s_z": "nan"}, "s_z"),
     ("fic", {"target": ["nan", 0.0, 0.0]}, "target"),
+    ("classify", {**ISING, "K": [[0, 0, 0], [0, "nan", 0], [0, 0, 0]]}, "K"),
+    ("classify", {**ISING, "omega_S": "-inf"}, "'-inf'"),
+    ("classify", {**AXIS_CC, "control": {"type": "axis", "n": [0, 0, "inf"]}},
+     "axis"),
 ])
 def test_malformed_value_is_exit_1(tmp_path, capsys, command, payload, key):
     cfg = _write(tmp_path, "cfg.json", payload)

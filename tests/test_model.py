@@ -188,6 +188,13 @@ def test_model_from_dict_strictness():
         model_from_dict({**good, "K": "not a matrix"})
     with pytest.raises(ModelFormatError):
         model_from_dict([1, 2, 3])
+    # non-finite numbers, here as strings that float() reads as nan / inf
+    for field, value in (("omega_S", "nan"), ("K", [[0, 0, 0], [0, "inf", 0],
+                                                    [0, 0, 0]]),
+                         ("C", [0.0, float("nan"), 0.0]),
+                         ("control", {"type": "axis", "n": [0, "-inf", 1]})):
+        with pytest.raises(ModelFormatError, match="finite"):
+            model_from_dict({**good, field: value})
 
 
 def test_save_load(tmp_path):
