@@ -1,26 +1,29 @@
 #!/usr/bin/env python3
-"""Record benchmark runs of one or more checkouts into BENCH_<sha>.json files.
+"""Record the benchmark of a parent and a head checkout into BENCH files.
 
 Each checkout is a directory holding a copy of this repository (for
 example a ``git clone`` at the parent commit and one at the change).  For
-every round and workload the script runs
+each of the ten pairs, one per seed in ``SEEDS``, and each workload the
+script runs
 
     python3 qbench/run.py --workload W --seed S --seconds T --trace 0
 
-in each checkout, one process at a time, alternating which checkout goes
-first from round to round, so that files recorded together can be
-compared.  It then times ``qindirect sample`` at 10^5 points end to end
-(interpreter start, sampling and CSV output to a file) in each checkout,
-alternated the same way, as an ungated number.  Traced runs
-(``--traced-runs``) add the per-layer metrics.
+in both checkouts, one process at a time, the parent first in even pairs
+and the head first in odd ones.  One traced round (``--trace 1``, the
+first seed) adds the per-layer metrics.  It then times ``qindirect
+sample`` at 10^5 points end to end (interpreter start, sampling and CSV
+output to a file), ``SAMPLE_RUNS`` times per checkout, alternated the same
+way, as an ungated number.
 
-For each checkout it writes ``BENCH_<sha>.json`` (sha: the first 12 hex
-digits of the checkout's HEAD commit) with every result line, the
-benchmark's environment record (commit, source digest, Python, numpy,
-CPU), the settings, and the median of each metric per workload.  It
-edits nothing in the checkouts.  Usage::
+It writes ``BENCH_<sha>.json`` (sha: the first 12 hex digits of the
+checkout's HEAD commit) for both checkouts into the root of this
+repository, with every result line, the benchmark's environment record
+(commit, source digest, Python, numpy, CPU) and the median and quartiles
+of each metric per workload.  The head's file also holds, for every
+end-to-end metric of ``BENCHMARK.json``, the pairs in which the head was
+better.  It edits nothing in the checkouts.  Usage::
 
-    python3 scripts/bench_record.py --seconds 10 --runs 5 PARENT HEAD
+    python3 scripts/bench_record.py PARENT HEAD
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ import tempfile
 import time
 
 WORKLOADS = ("classify-sweep", "reach-cloud", "steer-obstruct")
+SEEDS = tuple(range(1, 11))  # one seed per parent/head pair
+SAMPLE_RUNS = 5
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # the CLI run timed end to end: a 10^5-point random cloud
 SAMPLE_CONFIG = {"s_x": 0.5, "s_z": 0.0, "a_z": 1.0, "n": 100000, "seed": 1}
@@ -86,90 +91,114 @@ def head_commit(checkout: str) -> str:
     return out.stdout.strip()
 
 
+def values(runs: list, workload: str, metric: str) -> list:
+    """The metric of the untraced runs of one workload, in pair order."""
+    return [run["result"]["metrics"][metric]["value"] for run in runs
+            if run["workload"] == workload and not run["trace"]
+            and metric in run["result"]["metrics"]]
+
+
 def summarise(runs: list) -> dict:
-    """Median of each metric per workload and trace setting."""
+    """Median and quartiles of each metric per workload and trace setting."""
     table: dict = {}
     for run in runs:
         key = run["workload"] + (" (traced)" if run["trace"] else "")
         for name, metric in run["result"]["metrics"].items():
             table.setdefault(key, {}).setdefault(name, []).append(
                 metric["value"])
-    return {key: {name: statistics.median(values)
-                  for name, values in metrics.items()}
-            for key, metrics in table.items()}
+    out: dict = {}
+    for key, metrics in table.items():
+        for name, vals in metrics.items():
+            q1, median, q3 = (statistics.quantiles(vals, n=4)
+                              if len(vals) > 1 else vals * 3)
+            out.setdefault(key, {})[name] = {"median": median, "q1": q1,
+                                             "q3": q3}
+    return out
 
 
-def alternated(checkouts: list, round_no: int) -> list:
-    return checkouts if round_no % 2 == 0 else checkouts[::-1]
+def compare(parent_runs: list, head_runs: list, end_to_end: list) -> dict:
+    """Per workload and end-to-end metric: head wins over the pairs."""
+    out: dict = {}
+    for workload in WORKLOADS:
+        for metric in end_to_end:
+            p = values(parent_runs, workload, metric["name"])
+            h = values(head_runs, workload, metric["name"])
+            sign = 1.0 if metric["better"] == "higher" else -1.0
+            out.setdefault(workload, {})[metric["name"]] = {
+                "wins": sum(sign * (b - a) > 0 for a, b in zip(p, h)),
+                "pairs": len(p),
+                "parent_median": statistics.median(p),
+                "parent_quartiles": statistics.quantiles(p, n=4)[::2],
+                "head_median": statistics.median(h),
+            }
+    return out
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("checkouts", nargs="*", default=[REPO],
-                        help="repository copies to measure "
-                             "(default: this one)")
-    parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--runs", type=int, default=3,
-                        help="untraced runs per workload and checkout")
-    parser.add_argument("--traced-runs", type=int, default=1,
-                        help="traced runs per workload and checkout")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[11],
-                        help="workload seeds, cycled over the rounds")
-    parser.add_argument("--workloads", nargs="+", default=list(WORKLOADS),
-                        choices=WORKLOADS)
-    parser.add_argument("--sample-runs", type=int, default=3,
-                        help="timed qindirect sample runs per checkout")
-    parser.add_argument("--out-dir", default=REPO)
+    parser.add_argument("parent")
+    parser.add_argument("head")
+    parser.add_argument("--seconds", type=float, default=30.0,
+                        help="seconds per qbench run (default 30, the "
+                             "run_seconds of BENCHMARK.json)")
     args = parser.parse_args(argv)
 
-    checkouts = [os.path.abspath(c) for c in args.checkouts]
+    checkouts = [os.path.abspath(args.parent), os.path.abspath(args.head)]
     shas = [head_commit(c) for c in checkouts]
-    if len(set(shas)) != len(shas):
-        parser.error("two checkouts are at the same commit; their BENCH "
-                     "files would overwrite each other")
-    records = {c: {"commit": sha, "runs": [], "cli_sample_seconds": []}
-               for c, sha in zip(checkouts, shas)}
-    rounds = [(0, r) for r in range(args.runs)]
-    rounds += [(1, r) for r in range(args.traced_runs)]
-    for trace, r in rounds:
-        seed = args.seeds[r % len(args.seeds)]
-        for workload in args.workloads:
-            for checkout in alternated(checkouts, r):
-                run = bench_run(checkout, workload, seed, args.seconds, trace)
-                records[checkout]["runs"].append(run)
+    if shas[0] == shas[1]:
+        parser.error("both checkouts are at the same commit")
+    records = [{"commit": sha, "runs": [], "cli_sample_seconds": []}
+               for sha in shas]
+    rounds = [(0, i, seed) for i, seed in enumerate(SEEDS)] + [(1, 0, SEEDS[0])]
+    for trace, i, seed in rounds:
+        for workload in WORKLOADS:
+            for side in ((0, 1) if i % 2 == 0 else (1, 0)):
+                run = bench_run(checkouts[side], workload, seed, args.seconds,
+                                trace)
+                records[side]["runs"].append(run)
                 value = run["result"]["metrics"].get("throughput_rel", {})
-                print(f"{os.path.basename(checkout)} {workload} seed {seed} "
+                print(f"{shas[side][:12]} {workload} seed {seed} "
                       f"trace {trace}: throughput_rel "
                       f"{value.get('value', '-')} failed "
                       f"{run['result']['failed']}", flush=True)
     with tempfile.TemporaryDirectory() as workdir:
-        for r in range(args.sample_runs):
-            for checkout in alternated(checkouts, r):
-                records[checkout]["cli_sample_seconds"].append(
-                    time_cli_sample(checkout, workdir))
+        for i in range(SAMPLE_RUNS):
+            for side in ((0, 1) if i % 2 == 0 else (1, 0)):
+                records[side]["cli_sample_seconds"].append(
+                    time_cli_sample(checkouts[side], workdir))
 
-    for checkout, rec in records.items():
+    with open(os.path.join(checkouts[1], "BENCHMARK.json"),
+              encoding="utf-8") as fh:
+        end_to_end = json.load(fh)["end_to_end"]
+    records[1]["compared_with"] = shas[0]
+    records[1]["comparison"] = compare(records[0]["runs"], records[1]["runs"],
+                                       end_to_end)
+    for role, rec in zip(("parent", "head"), records):
+        rec["role"] = role
         rec["settings"] = {
             "command": "python3 qbench/run.py --workload W --seed S "
                        "--seconds T --trace {0,1}",
-            "seconds": args.seconds, "seeds": args.seeds,
-            "runs": args.runs, "traced_runs": args.traced_runs,
-            "alternated_with": [records[c]["commit"] for c in checkouts
-                                if c != checkout],
+            "seconds": args.seconds, "seeds": list(SEEDS),
+            "traced_seed": SEEDS[0],
             "cli_sample": {"config": SAMPLE_CONFIG,
                            "command": "python3 -m qindirect.cli sample "
                                       "CONFIG --output FILE",
                            "gated": False},
         }
         rec["summary"] = summarise(rec["runs"])
-        times = rec["cli_sample_seconds"]
-        rec["cli_sample_median_s"] = (statistics.median(times) if times
-                                      else None)
-        path = os.path.join(args.out_dir, f"BENCH_{rec['commit'][:12]}.json")
+        rec["cli_sample_median_s"] = statistics.median(
+            rec["cli_sample_seconds"])
+        path = os.path.join(REPO, f"BENCH_{rec['commit'][:12]}.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(rec, fh, indent=1, sort_keys=True)
             fh.write("\n")
         print(f"wrote {path}")
+    for workload, metrics in records[1]["comparison"].items():
+        for name, c in metrics.items():
+            q1, q3 = c["parent_quartiles"]
+            print(f"{workload} {name}: parent {c['parent_median']:.4g} "
+                  f"[{q1:.4g}, {q3:.4g}] head {c['head_median']:.4g} "
+                  f"wins {c['wins']}/{c['pairs']}")
     return 0
 
 

@@ -171,8 +171,13 @@ _MODEL_KEYS = {"omega_S", "K", "C", "control"}
 
 
 def finite_float(value) -> float:
-    """float(value), rejecting nan and +-inf with ModelFormatError."""
-    out = float(value)
+    """float(value), rejecting nan, +-inf and too large integers with
+    ModelFormatError."""
+    try:
+        out = float(value)
+    except OverflowError:  # an int beyond the float range
+        raise ModelFormatError(f"{len(str(abs(value)))}-digit integer is not "
+                               "a finite number") from None
     if not math.isfinite(out):
         raise ModelFormatError(f"{value!r} is not a finite number")
     return out
@@ -210,7 +215,7 @@ def model_from_dict(d: dict) -> TwoQubitModel:
             raise ModelFormatError("K and C must be finite numbers")
         return TwoQubitModel(omega_S=finite_float(d["omega_S"]), K=K, C=C,
                              control=control)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ModelFormatError):
             raise
         raise ModelFormatError(str(exc)) from exc
@@ -228,11 +233,19 @@ def model_to_dict(m: TwoQubitModel) -> dict:
 def load_json(fh):
     """json.load that rejects non-finite numbers with ModelFormatError.
 
-    Python's json accepts the literals NaN, Infinity and -Infinity, and
-    reads 1e999 as inf; a NaN passes every comparison-based check
-    downstream, so both are refused where the file is read.
+    Python's json accepts the literals NaN, Infinity and -Infinity, reads
+    1e999 as inf and a 400-digit integer as an int that no float holds; a
+    NaN passes every comparison-based check downstream, so all of them are
+    refused where the file is read.
     """
-    return json.load(fh, parse_constant=finite_float, parse_float=finite_float)
+    return json.load(fh, parse_constant=finite_float, parse_float=finite_float,
+                     parse_int=_finite_int)
+
+
+def _finite_int(text: str) -> int:
+    value = int(text)
+    finite_float(value)
+    return value
 
 
 def load_model(path) -> TwoQubitModel:

@@ -340,6 +340,14 @@ def test_malformed_value_is_exit_1(tmp_path, capsys, command, payload, key):
     ("classify", '{"omega_S": 0.0, "K": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],'
                  ' "C": [0, 1, 0], "control": {"type": "axis",'
                  ' "n": [0, 0, -Infinity]}}'),
+    # integers of 401 digits, beyond the float range
+    pytest.param("sample", '{"s_x": 0.0, "a_z": -1%s}' % ("0" * 400),
+                 id="sample-huge-int"),
+    pytest.param("fic", '{"target": [0.0, 0.0, 1%s]}' % ("0" * 400),
+                 id="fic-huge-int"),
+    pytest.param("classify", '{"omega_S": 1.0, "K": [[0, 0, 0], [0, 1%s, 0],'
+                 ' [0, 0, 0]], "C": [0, 0, 0], "control": {"type": "full"}}'
+                 % ("0" * 400), id="classify-huge-int"),
 ])
 def test_non_finite_number_is_exit_1(tmp_path, capsys, command, text):
     path = tmp_path / "cfg.json"

@@ -195,6 +195,10 @@ def test_model_from_dict_strictness():
                          ("control", {"type": "axis", "n": [0, "-inf", 1]})):
         with pytest.raises(ModelFormatError, match="finite"):
             model_from_dict({**good, field: value})
+    # integers beyond the float range
+    for field, value in (("omega_S", 10 ** 400), ("C", [0, 10 ** 400, 0])):
+        with pytest.raises(ModelFormatError):
+            model_from_dict({**good, field: value})
 
 
 def test_save_load(tmp_path):

@@ -269,8 +269,10 @@ def test_emit_csv_matches_row_format():
     special = np.array([[-0.0, 0.0, 5e-324], [-5e-324, tiny / 3, -tiny],
                         [1.0, -1.0, 0.1], [1e-300, -2.5e-310, 1 / 3]])
     cloud = sample(SampleConfig(s_x=0.5, s_z=0.0, a_z=1.0, n=300, seed=4))
+    # two full formatting steps and one row more
+    long = np.resize(cloud, (2 * sampler._CSV_ROWS + 1, 3))
     for points, seed in ((special, None), (cloud, 7), (cloud[:1], 0),
-                         (np.empty((0, 3)), None)):
+                         (np.empty((0, 3)), None), (long, 1)):
         buf = io.StringIO()
         emit_csv(points, buf, seed=seed)
         assert buf.getvalue() == _emit_rows(points, seed)
