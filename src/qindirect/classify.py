@@ -16,7 +16,8 @@ Covers three layers:
 
 Conventions are those of :mod:`qindirect.qalg`; in particular every
 two-site basis element written ``i sigma_a (x) sigma_b`` carries the
-explicit scalar ``i``.
+explicit scalar ``i``, and every element is built from the Pauli-string
+basis by the sigma <-> E_ab dictionary stated there.
 """
 
 from __future__ import annotations
@@ -25,11 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qalg import (ID2, TOL_RANK, _rotation_about, _rotation_between,
-                   commutator, frob, pauli, sigma_from_vec, tensor)
+from .qalg import (PAULI_BASIS, TOL_RANK, _rotation_about, _rotation_between,
+                   commutator, frob)
 from .lieclosure import closure
-from .model import (FullSU2, SingleAxis, TwoQubitModel, df_split,
-                    generator_set)
+from .model import FullSU2, SingleAxis, TwoQubitModel, generator_set
 
 CASE_DIMS = {"1a": 15, "1b": 10, "1c": 7, "2a": 6, "2b": 10, "2c": 15}
 
@@ -58,25 +58,32 @@ class Oms0Report:
 
 
 # ---------------------------------------------------------------------------
-# element builders (shared by reference bases and identity suites)
+# element builders (shared by reference bases and identity suites): lookups
+# in the Pauli-string basis, _E[a, b] = E_ab with index 0 for the identity
+
+
+_E = PAULI_BASIS[4].reshape(4, 4, 4, 4)
+_AXIS = {"x": 1, "y": 2, "z": 3}
 
 
 def _two(s_ax: str, a_ax: str) -> np.ndarray:
-    """i sigma_s (x) sigma_a."""
-    return 1j * tensor(pauli(s_ax), pauli(a_ax))
+    """i sigma_s (x) sigma_a = -E_sa / 2."""
+    return -0.5 * _E[_AXIS[s_ax], _AXIS[a_ax]]
 
 
 def _two_vec(v, a_ax: str) -> np.ndarray:
     """i sigma_v (x) sigma_a for a real S-side vector v."""
-    return 1j * tensor(sigma_from_vec(v), pauli(a_ax))
+    return -0.5 * np.tensordot(v, _E[1:, _AXIS[a_ax]], axes=1)
 
 
 def _one_s(ax: str) -> np.ndarray:
-    return tensor(pauli(ax), ID2)
+    """sigma_s (x) 1 = E_s0."""
+    return _E[_AXIS[ax], 0].copy()
 
 
 def _one_a(ax: str) -> np.ndarray:
-    return tensor(ID2, pauli(ax))
+    """1 (x) sigma_a = E_0a."""
+    return _E[0, _AXIS[ax]].copy()
 
 
 def case_1b_basis() -> list:
@@ -121,10 +128,9 @@ def predict_case(m: TwoQubitModel, tol: float | None = None) -> CaseLabel:
     if not isinstance(m.control, FullSU2):
         raise ValueError("case prediction requires full accessor control")
     tol = TOL_RANK if tol is None else tol
-    split = df_split(m, tol)
     w = abs(m.omega_S)
-    d = np.abs(split.D).max()
-    f = np.abs(split.F).max()
+    d = np.abs(m.K[:, :2]).max()  # D, the first two columns of K
+    f = np.abs(m.K[:, 2]).max()  # F, the third
     checked = [w, d, f]
     if w > tol:
         if d <= tol and f <= tol:
@@ -136,8 +142,8 @@ def predict_case(m: TwoQubitModel, tol: float | None = None) -> CaseLabel:
         else:
             tag = "1c"
     else:
-        tag = {1: "2a", 2: "2b", 3: "2c"}[split.rank_K]
-        sv = np.linalg.svd(m.K, compute_uv=False)
+        sv = np.linalg.svd(m.K, compute_uv=False)  # sv[0] > 0: K is nonzero
+        tag = {1: "2a", 2: "2b", 3: "2c"}[int(np.sum(sv > tol * sv[0]))]
         checked += list(sv[1:] / sv[0])
     marginal = any(tol / 10 < q < tol * 10 for q in checked)
     return CaseLabel(tag=tag, predicted_dim=CASE_DIMS[tag], marginal=marginal)
@@ -393,7 +399,7 @@ def appendix_b_suite(x: float, y: float, z: float, alpha: float,
                 + (s / 2) * (z * _one_s("x") - x * _one_s("z")))
     q2_print = -y * _one_a("x") + c * x * _one_a("y") - 2 * s * _two_vec(cvec, "x")
 
-    r1 = c * tensor(sigma_from_vec(cvec), ID2)
+    r1 = c * np.tensordot(cvec, _E[1:, 0], axes=1)  # c sigma_cvec (x) 1
     r2 = (c ** 2 * z * _two("z", "z") + s ** 2 * y * _two("y", "z")
           - (s * c / 2) * (y * _one_s("z") + z * _one_s("y")))
     r3 = ((c ** 2 * y / 4) * _one_a("y") - (s * c / 2) * y * _two("x", "x")

@@ -8,15 +8,14 @@ takes besides --output, and the config keys it reads.  A config key outside
 that set is an error; for the model commands such keys are passed to
 ``model_from_dict``, which rejects any that are not model fields.  Verdicts
 are emitted as sorted-key JSON, with a "tolerances" block from the commands
-that make rank decisions; sample emits CSV.  Exit codes: 0 success
-(negative verdicts included), 1 malformed config, 2 precondition
-violations.
+that make rank decisions; sample writes its CSV straight to the
+destination.  Exit codes: 0 success (negative verdicts included), 1
+malformed config, 2 precondition violations.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
 from typing import Callable, NamedTuple
@@ -91,21 +90,6 @@ def _tolerances(cfg: dict, args) -> dict:
 def _serialize_matrix(m: np.ndarray) -> dict:
     return {"real": np.asarray(m).real.tolist(),
             "imag": np.asarray(m).imag.tolist()}
-
-
-def _jsonable(obj):
-    """Recursively convert numpy scalars so json.dumps accepts the payload."""
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +205,7 @@ def _cmd_fic(cfg: dict, args) -> dict:
     return {"draws": draws, "seed": seed, "max_residual": worst}
 
 
-def _cmd_sample(cfg: dict, args) -> str:
+def _cmd_sample(cfg: dict, args) -> Callable:
     ranges = cfg.get("angle_ranges")
     if isinstance(ranges, dict):
         full = dict.fromkeys(_sampler.ANGLE_NAMES, _sampler.DEFAULT_RANGE)
@@ -252,9 +236,7 @@ def _cmd_sample(cfg: dict, args) -> str:
         kwargs["angle_ranges"] = ranges
     sc = _sampler.SampleConfig(**kwargs)
     points = _sampler.sample(sc)
-    buf = io.StringIO()
-    _sampler.emit_csv(points, buf, seed=sc.seed)
-    return buf.getvalue()
+    return lambda fh: _sampler.emit_csv(points, fh, seed=sc.seed)
 
 
 def _cmd_verify(cfg: dict, args) -> dict:
@@ -353,12 +335,21 @@ def _run(cmd: Command, args):
     return cmd.run(cfg, args)
 
 
-def _emit(text: str, output_path) -> None:
+def _json_writer(payload: dict) -> Callable:
+    """Writer of a verdict as sorted-key JSON; numpy scalars go through
+    their ``item()``."""
+    text = json.dumps(payload, indent=2, sort_keys=True,
+                      default=lambda obj: obj.item()) + "\n"
+    return lambda fh: fh.write(text)
+
+
+def _emit(write: Callable, output_path) -> None:
+    """Call write(fh) on the --output file, or on stdout."""
     if output_path:
         with open(output_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            write(fh)
     else:
-        sys.stdout.write(text)
+        write(sys.stdout)
 
 
 def main(argv=None) -> int:
@@ -374,12 +365,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return 2
-    if isinstance(result, dict):
-        text = json.dumps(_jsonable(result), indent=2, sort_keys=True) + "\n"
-    else:
-        text = result
+    # the output file is opened only now, so rejected input writes nothing
+    write = _json_writer(result) if isinstance(result, dict) else result
     try:
-        _emit(text, args.output)
+        _emit(write, args.output)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -61,13 +61,13 @@ def gennegat_test(L: LieBasis, rho_S: np.ndarray, rho_A: np.ndarray,
 # pure-accessor steering (10-dim algebra, D != 0, F = 0)
 
 
-def _check_su2(X: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def _check_su2(X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=complex)
     if X.shape != (2, 2):
         raise ValueError("expected a 2x2 matrix")
-    if frob(X @ dagger(X) - ID2) > tol:
+    if frob(X @ dagger(X) - ID2) > 1e-9:
         raise ValueError("matrix is not unitary")
-    if abs(np.linalg.det(X) - 1.0) > tol:
+    if abs(np.linalg.det(X) - 1.0) > 1e-9:
         raise ValueError("matrix does not have determinant 1")
     return X
 
@@ -121,11 +121,11 @@ def swap_op() -> np.ndarray:
                      [0, 0, 0, 1]], dtype=complex)
 
 
-def _pure_state_vector(psi: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def _pure_state_vector(psi: np.ndarray) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex)
     check_density(psi)
     w, u = np.linalg.eigh(psi)
-    if 1.0 - w[-1] > tol:
+    if 1.0 - w[-1] > 1e-8:
         raise ValueError("accessor state must be pure")
     return u[:, -1]
 

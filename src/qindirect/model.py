@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qalg
-from .qalg import (ID2, TOL_RANK, _rotation_about, _rotation_between,
-                   sigma_from_vec, tensor)
+from .qalg import TOL_RANK, _rotation_about, _rotation_between
 
 
 class ModelFormatError(ValueError):
@@ -44,6 +43,8 @@ class SingleAxis:
         n = np.asarray(self.n, dtype=float)
         if n.shape != (3,):
             raise ModelFormatError("control axis must be a real 3-vector")
+        if not np.isfinite(n).all():
+            raise ModelFormatError("control axis must be finite numbers")
         nrm = np.linalg.norm(n)
         if nrm < TOL_RANK:
             raise ModelFormatError("control axis must be nonzero")
@@ -53,64 +54,40 @@ class SingleAxis:
 
 @dataclass(frozen=True)
 class TwoQubitModel:
+    """A validated model: finite numbers, K of shape 3x3 and nonzero, C of
+    length 3, and a FullSU2 or SingleAxis control."""
+
     omega_S: float
     K: np.ndarray
     C: np.ndarray = field(default_factory=lambda: np.zeros(3))
     control: FullSU2 | SingleAxis = field(default_factory=FullSU2)
 
     def __post_init__(self):
+        omega = finite_float(self.omega_S)
         K = np.asarray(self.K, dtype=float)
         C = np.asarray(self.C, dtype=float)
         if K.shape != (3, 3):
             raise ModelFormatError("K must be a real 3x3 matrix")
         if C.shape != (3,):
             raise ModelFormatError("C must be a real 3-vector")
-        if np.abs(K).max() < TOL_RANK:
+        k_max = np.abs(K).max()  # nan or inf exactly when K has such an entry
+        if not (math.isfinite(k_max) and np.isfinite(C).all()):
+            raise ModelFormatError("K and C must be finite numbers")
+        if k_max < TOL_RANK:
             raise ModelFormatError("K must be nonzero (trivial interaction)")
+        if not isinstance(self.control, (FullSU2, SingleAxis)):
+            raise ModelFormatError(f"unknown control type {self.control!r}")
         object.__setattr__(self, "K", K)
         object.__setattr__(self, "C", C)
-        object.__setattr__(self, "omega_S", float(self.omega_S))
+        object.__setattr__(self, "omega_S", omega)
         self.K.setflags(write=False)
         self.C.setflags(write=False)
 
-    @property
-    def rows(self):
-        """The rows a, b, c of K."""
-        return self.K[0], self.K[1], self.K[2]
 
-
-@dataclass(frozen=True)
-class ModelHamiltonians:
-    h_s: np.ndarray
-    h_i: np.ndarray
-    h_a: np.ndarray
-    controls: list  # skew-Hermitian control directions 1 (x) sigma_k
-
-
-def control_directions(control) -> list:
-    if isinstance(control, FullSU2):
-        return [tensor(ID2, qalg.pauli(ax)) for ax in "xyz"]
-    if isinstance(control, SingleAxis):
-        return [tensor(ID2, sigma_from_vec(control.n))]
-    raise ModelFormatError(f"unknown control type {control!r}")
-
-
-def hamiltonians(m: TwoQubitModel) -> ModelHamiltonians:
-    """Hermitian H_S, H_I, H_A plus the skew-Hermitian control directions."""
-    a, b, c = m.rows
-    ihs = m.omega_S * tensor(qalg.pauli("z"), ID2)
-    ihi = (1j * tensor(sigma_from_vec(a), qalg.pauli("x"))
-           + 1j * tensor(sigma_from_vec(b), qalg.pauli("y"))
-           + 1j * tensor(sigma_from_vec(c), qalg.pauli("z")))
-    iha = tensor(ID2, sigma_from_vec(m.C))
-    return ModelHamiltonians(h_s=-1j * ihs, h_i=-1j * ihi, h_a=-1j * iha,
-                             controls=control_directions(m.control))
-
-
-# In Pauli coordinates (see :mod:`qindirect.qalg`), with E_ab = (i/2) P_a (x) P_b:
-# sigma_z (x) 1 = E_z1, i sigma_s (x) sigma_j = -E_sj / 2 and 1 (x) sigma_j = E_1j.
 # Row r of _DRIFT_MAP is the flattened matrix multiplying parameter r of
-# (omega_S, K[j, s] row-major, C_j); its last three rows are the controls.
+# (omega_S, K[j, s] row-major, C_j): E_z0, -E_sj / 2 and E_0j, by the
+# sigma <-> E_ab dictionary of :mod:`qindirect.qalg`.  Its last three rows
+# are the control directions 1 (x) sigma_j.
 _E = qalg.PAULI_BASIS[4].reshape(4, 4, 16)
 _DRIFT_MAP = np.concatenate([_E[3, :1],
                              -0.5 * _E[1:, 1:].transpose(1, 0, 2).reshape(9, 16),
@@ -124,8 +101,8 @@ def generator_set(m: TwoQubitModel) -> list:
     """Drift i(H_S + H_I + H_A) followed by the control directions.
 
     Built straight from the model's numbers in Pauli coordinates, without
-    tensor products: the drift holds omega_S on E_z1, -K[j, s]/2 on E_sj and
-    C_j on E_1j, and a control direction n holds n_j on E_1j.  The three
+    tensor products: the drift holds omega_S on E_z0, -K[j, s]/2 on E_sj and
+    C_j on E_0j, and a control direction n holds n_j on E_0j.  The three
     full-control directions are shared read-only arrays, like a model's K
     and C.
     """
@@ -136,24 +113,7 @@ def generator_set(m: TwoQubitModel) -> list:
     drift = (p @ _DRIFT_MAP).reshape(4, 4)
     if isinstance(m.control, FullSU2):
         return [drift, *_FULL_CONTROLS]
-    if isinstance(m.control, SingleAxis):
-        return [drift, (m.control.n @ _AXIS_MAP).reshape(4, 4)]
-    raise ModelFormatError(f"unknown control type {m.control!r}")
-
-
-@dataclass(frozen=True)
-class DFSplit:
-    D: np.ndarray
-    F: np.ndarray
-    rank_K: int
-
-
-def df_split(m: TwoQubitModel, tol: float | None = None) -> DFSplit:
-    """Column split K = (D F) and the numerical rank of K."""
-    tol = TOL_RANK if tol is None else tol
-    s = np.linalg.svd(m.K, compute_uv=False)
-    rank = int(np.sum(s > tol * s[0])) if s[0] > 0 else 0
-    return DFSplit(D=m.K[:, :2].copy(), F=m.K[:, 2].copy(), rank_K=rank)
+    return [drift, (m.control.n @ _AXIS_MAP).reshape(4, 4)]
 
 
 def ising_model() -> TwoQubitModel:
@@ -203,17 +163,10 @@ def model_from_dict(d: dict) -> TwoQubitModel:
         elif ctl["type"] == "axis":
             if set(ctl) != {"type", "n"}:
                 raise ModelFormatError("axis control takes exactly the field 'n'")
-            n = np.asarray(ctl["n"], dtype=float)
-            if not np.isfinite(n).all():
-                raise ModelFormatError("control axis must be finite numbers")
-            control = SingleAxis(n=n)
+            control = SingleAxis(n=ctl["n"])
         else:
             raise ModelFormatError(f"unknown control type {ctl['type']!r}")
-        K = np.asarray(d["K"], dtype=float)
-        C = np.asarray(d["C"], dtype=float)
-        if not (np.isfinite(K).all() and np.isfinite(C).all()):
-            raise ModelFormatError("K and C must be finite numbers")
-        return TwoQubitModel(omega_S=finite_float(d["omega_S"]), K=K, C=C,
+        return TwoQubitModel(omega_S=d["omega_S"], K=d["K"], C=d["C"],
                              control=control)
     except (TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ModelFormatError):

@@ -16,6 +16,10 @@ Conventions used throughout the package:
   index 4a + b (one factor for d = 2).  The basis is orthonormal under
   Re Tr(A^dag B); skew-Hermitian matrices have real coordinates and the
   identity component is coordinate 0.
+* The skew family in that basis (d = 4, index 0 for the identity factor):
+  sigma_s (x) 1 = E_s0, 1 (x) sigma_a = E_0a and
+  i sigma_s (x) sigma_a = -E_sa / 2 for s, a in x, y, z.  The package
+  writes its su(4) elements in these terms rather than as tensor products.
 * Everything the package exponentiates is skew-Hermitian (a generator of a
   unitary), so ``mat_exp`` accepts only such matrices and uses a Hermitian
   eigendecomposition.  TOL_RANK is the one global default tolerance.
@@ -25,8 +29,8 @@ from __future__ import annotations
 
 import numpy as np
 
-# Global default tolerance for rank and nonzero decisions.  Functions take
-# overrides.
+# Global default tolerance for rank and nonzero decisions.  The rank
+# decisions take overrides; the density and skew-Hermitian checks do not.
 TOL_RANK = 1e-9
 
 PAULI_X_TILDE = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -117,11 +121,6 @@ def commutator(A, B) -> np.ndarray:
     return A @ B - B @ A
 
 
-def anticommutator(A, B) -> np.ndarray:
-    A, B = _check_same_dim(A, B)
-    return A @ B + B @ A
-
-
 def dagger(A) -> np.ndarray:
     """Conjugate transpose of a matrix or of each matrix in a (..., m, n) stack."""
     return np.asarray(A, dtype=complex).conj().swapaxes(-1, -2)
@@ -150,10 +149,9 @@ def partial_trace(rho, keep: str = "S") -> np.ndarray:
     raise ValueError(f"keep must be 'S' or 'A', got {keep!r}")
 
 
-def is_skew_hermitian(A, tol: float | None = None) -> bool:
+def is_skew_hermitian(A) -> bool:
     A = np.asarray(A, dtype=complex)
-    tol = TOL_RANK if tol is None else tol
-    return frob(A + dagger(A)) <= tol * max(1.0, frob(A))
+    return frob(A + dagger(A)) <= TOL_RANK * max(1.0, frob(A))
 
 
 def mat_exp(A) -> np.ndarray:
@@ -217,21 +215,21 @@ def _min_eigenvalue(rho) -> np.ndarray:
     return 0.5 * (a + d) - np.hypot(0.5 * (a - d), abs(rho[..., 1, 0]))
 
 
-def check_density(rho, tol: float | None = None) -> np.ndarray:
-    """Validate a density matrix: finite, Hermitian, unit trace, psd to -1e-10.
+def check_density(rho) -> np.ndarray:
+    """Validate a density matrix: finite, Hermitian and unit trace to
+    TOL_RANK, psd to -1e-10.
 
     A (..., d, d) stack is validated matrix by matrix; one bad matrix
     rejects the stack.
     """
     rho = np.asarray(rho, dtype=complex)
-    tol = TOL_RANK if tol is None else tol
     if rho.ndim < 2 or rho.shape[-2] != rho.shape[-1]:
         raise ValueError("density matrix must be square")
     if not np.isfinite(rho).all():
         raise ValueError("density matrix has non-finite entries")
-    if (np.linalg.norm(rho - dagger(rho), axis=(-2, -1)) > tol).any():
+    if (np.linalg.norm(rho - dagger(rho), axis=(-2, -1)) > TOL_RANK).any():
         raise ValueError("density matrix is not Hermitian to tolerance")
-    if (abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0) > tol).any():
+    if (abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0) > TOL_RANK).any():
         raise ValueError("density matrix trace differs from 1")
     if (_min_eigenvalue(rho) < -1e-10).any():
         raise ValueError("density matrix has a negative eigenvalue")

@@ -35,7 +35,6 @@ point does not depend on s4.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,7 +146,8 @@ def y_closed_form(alphas) -> np.ndarray:
           -1j * c3 * c4 * sp25 * sm16,
           -s3 * s4 * sm25 * sm16)
     # coefficient of P_j (x) P_k at index 4j + k, P_j on S and P_k on A;
-    # E_jk = (i/2) P_j (x) P_k, so the Pauli coordinates are -2i times it
+    # E_jk = (i/2) P_j (x) P_k (the basis and its sigma dictionary are in
+    # the qalg docstring), so the Pauli coordinates are -2i times it
     coef = np.stack([blk[j] for j in range(4) for blk in (c0, cx, cy, cz)],
                     axis=-1)
     coef *= -2j

@@ -187,9 +187,11 @@ def test_sample_named_angle_ranges(tmp_path, capsys):
 
     bad = _write(tmp_path, "bad.json",
                  {**spec, "angle_ranges": {"t9": [0.0, 0.1]}})
-    code, _, err = _run(capsys, "sample", bad)
+    dest = tmp_path / "cloud.csv"
+    code, _, err = _run(capsys, "sample", bad, "--output", str(dest))
     assert code == 1
     assert "t9" in err
+    assert not dest.exists()  # the CSV streams, but only once sample() is done
 
 
 def test_verify_residuals(capsys):

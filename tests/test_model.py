@@ -2,7 +2,9 @@
 
 The K -> i H_I element map is frozen entry by entry: row j of K couples
 the accessor-side sigma_j, the column index is the target-side component,
-and every coupling term carries the explicit scalar i.
+and every coupling term carries the explicit scalar i.  ``generator_set``
+is checked against an oracle written with tensor products of the skew
+Paulis, which does not read the Pauli-string basis that it uses.
 """
 
 import json
@@ -14,14 +16,13 @@ from hypothesis.extra import numpy as hnp
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from qindirect.model import (DFSplit, FullSU2, ModelFormatError, SingleAxis,
-                             TwoQubitModel, control_directions, df_split,
-                             generator_set, hamiltonians, ising_model,
+from qindirect.model import (FullSU2, ModelFormatError, SingleAxis,
+                             TwoQubitModel, generator_set, ising_model,
                              load_model, model_from_dict, model_to_dict,
                              random_model, random_single_axis_model,
                              save_model)
 from qindirect.qalg import (ID2, dagger, frob, is_skew_hermitian, pauli,
-                            tensor)
+                            sigma_from_vec, tensor)
 
 st_k = hnp.arrays(np.float64, (3, 3), elements=st.floats(-1.0, 1.0))
 
@@ -29,6 +30,20 @@ st_k = hnp.arrays(np.float64, (3, 3), elements=st.floats(-1.0, 1.0))
 def _model(K, omega=0.7, C=(0.1, 0.2, 0.3)):
     return TwoQubitModel(omega_S=omega, K=np.asarray(K, dtype=float),
                          C=np.asarray(C, dtype=float))
+
+
+def _kron_generators(m):
+    """Oracle: the drift i(H_S + H_I + H_A) and the control directions as
+    tensor products, with rows a, b, c of K coupled to sigma_{x,y,z} on A."""
+    a, b, c = m.K
+    drift = (m.omega_S * tensor(pauli("z"), ID2)
+             + 1j * tensor(sigma_from_vec(a), pauli("x"))
+             + 1j * tensor(sigma_from_vec(b), pauli("y"))
+             + 1j * tensor(sigma_from_vec(c), pauli("z"))
+             + tensor(ID2, sigma_from_vec(m.C)))
+    if isinstance(m.control, FullSU2):
+        return [drift] + [tensor(ID2, pauli(ax)) for ax in "xyz"]
+    return [drift, tensor(ID2, sigma_from_vec(m.control.n))]
 
 
 def test_ising_model_structure():
@@ -48,6 +63,14 @@ def test_validation_rejects_bad_shapes():
         TwoQubitModel(omega_S=1.0, K=np.eye(2))
     with pytest.raises(ModelFormatError):
         TwoQubitModel(omega_S=1.0, K=np.eye(3), C=np.zeros(2))
+    with pytest.raises(ModelFormatError, match="finite"):
+        TwoQubitModel(omega_S=1.0, K=[[0, 0, 0], [0, np.nan, 0], [0, 0, 0]])
+    with pytest.raises(ModelFormatError, match="finite"):
+        TwoQubitModel(omega_S=np.inf, K=np.eye(3))
+    with pytest.raises(ModelFormatError, match="finite"):
+        TwoQubitModel(omega_S=1.0, K=np.eye(3), C=[0.0, -np.inf, 0.0])
+    with pytest.raises(ModelFormatError, match="unknown control"):
+        TwoQubitModel(omega_S=1.0, K=np.eye(3), control="all")
 
 
 def test_model_arrays_read_only():
@@ -65,13 +88,8 @@ def test_single_axis_normalized():
         SingleAxis(n=[0.0, 0.0, 0.0])
     with pytest.raises(ModelFormatError):
         SingleAxis(n=[1.0, 2.0])
-
-
-def test_rows_property():
-    m = _model(np.arange(9.0).reshape(3, 3) + 1.0)
-    a, b, c = m.rows
-    assert_allclose(a, [1.0, 2.0, 3.0])
-    assert_allclose(c, [7.0, 8.0, 9.0])
+    with pytest.raises(ModelFormatError, match="finite"):
+        SingleAxis(n=[0.0, np.nan, 1.0])
 
 
 def test_interaction_element_map():
@@ -82,31 +100,33 @@ def test_interaction_element_map():
         for k in range(3):
             K = np.zeros((3, 3))
             K[j, k] = 1.0
-            h = hamiltonians(_model(K))
-            ihi = 1j * h.h_i
+            drift = generator_set(_model(K, omega=0.0, C=np.zeros(3)))[0]
             expect = 1j * tensor(pauli(axes[k]), pauli(axes[j]))
-            assert frob(ihi - expect) < 1e-15, (j, k)
+            assert frob(drift - expect) < 1e-15, (j, k)
 
 
 def test_hamiltonians_hermitian_and_controls_skew():
+    # H = -i x (drift) is Hermitian exactly when the drift is skew-Hermitian
     m = _model(np.eye(3), omega=0.3, C=(0.4, -0.2, 0.9))
-    h = hamiltonians(m)
-    for mat in (h.h_s, h.h_i, h.h_a):
-        assert frob(mat - dagger(mat)) < 1e-12
-    for ctl in h.controls:
-        assert is_skew_hermitian(ctl)
-    assert len(h.controls) == 3
+    gens = generator_set(m)
+    assert len(gens) == 4
+    for g in gens:
+        assert frob(g + dagger(g)) < 1e-12
+        assert is_skew_hermitian(g)
     axis_m = TwoQubitModel(omega_S=0.0, K=np.eye(3),
                            control=SingleAxis(n=[0.0, 1.0, 0.0]))
-    assert len(hamiltonians(axis_m).controls) == 1
+    assert len(generator_set(axis_m)) == 2
 
 
 def test_generator_set_layout():
     m = ising_model()
     gens = generator_set(m)
     assert len(gens) == 4
-    h = hamiltonians(m)
-    assert_allclose(gens[0], 1j * (h.h_s + h.h_i + h.h_a))
+    # omega_S sigma_z (x) 1 + i sigma_y (x) sigma_y, then 1 (x) sigma_{x,y,z}
+    drift = tensor(pauli("z"), ID2) + 1j * tensor(pauli("y"), pauli("y"))
+    assert_allclose(gens[0], drift, rtol=0, atol=1e-15)
+    for g, ax in zip(gens[1:], "xyz"):
+        assert_allclose(g, tensor(ID2, pauli(ax)), rtol=0, atol=1e-15)
     assert is_skew_hermitian(gens[0])
 
 
@@ -115,41 +135,26 @@ st_vec = hnp.arrays(np.float64, 3, elements=st.floats(-1.0, 1.0))
 
 @given(st_k, st_vec, st.floats(-1.0, 1.0), st.one_of(st.none(), st_vec))
 def test_generator_set_matches_hamiltonians(K, C, omega, axis):
-    # the coordinate-built generators against the kron-built Hamiltonians
+    # the coordinate-built generators against the kron-built oracle
     assume(np.abs(K).max() > 1e-6)
     assume(axis is None or np.linalg.norm(axis) > 1e-3)
     control = FullSU2() if axis is None else SingleAxis(n=axis)
     m = TwoQubitModel(omega_S=omega, K=K, C=C, control=control)
-    h = hamiltonians(m)
-    expect = [1j * (h.h_s + h.h_i + h.h_a)] + h.controls
+    expect = _kron_generators(m)
     gens = generator_set(m)
     assert len(gens) == len(expect)
     for g, e in zip(gens, expect):
         assert np.abs(g - e).max() <= 1e-14
 
 
-def test_control_directions_rejects_unknown():
-    with pytest.raises(ModelFormatError):
-        control_directions("all")
-
-
 @given(st_k, st_k)
 def test_interaction_additive_in_K(k1, k2):
     assume(np.abs(k1).max() > 1e-6 and np.abs(k2).max() > 1e-6)
     assume(np.abs(k1 + k2).max() > 1e-6)
-    h1 = hamiltonians(_model(k1)).h_i
-    h2 = hamiltonians(_model(k2)).h_i
-    h12 = hamiltonians(_model(k1 + k2)).h_i
-    assert frob(h12 - h1 - h2) < 1e-12
-
-
-def test_df_split():
-    K = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
-    split = df_split(_model(K))
-    assert isinstance(split, DFSplit)
-    assert_allclose(split.D, K[:, :2])
-    assert_allclose(split.F, K[:, 2])
-    assert split.rank_K == 2
+    # at omega_S = 0 and C = 0 the drift is i H_I alone
+    g1, g2, g12 = (generator_set(_model(k, omega=0.0, C=np.zeros(3)))[0]
+                   for k in (k1, k2, k1 + k2))
+    assert frob(g12 - g1 - g2) < 1e-12
 
 
 def test_json_round_trip_full_control():

@@ -14,10 +14,10 @@ from numpy.testing import assert_allclose
 
 from qindirect.qalg import (ID2, ID4, PAULI_BASIS, PAULI_X_TILDE,
                             PAULI_Y_TILDE, PAULI_Z_TILDE, SIGMA_X, SIGMA_Y,
-                            SIGMA_Z, _min_eigenvalue, anticommutator, bloch,
-                            bloch_inverse, check_density, commutator, dagger,
-                            frob, from_pauli_coords, is_skew_hermitian,
-                            mat_exp, partial_trace, pauli, pauli_coords,
+                            SIGMA_Z, _min_eigenvalue, bloch, bloch_inverse,
+                            check_density, commutator, dagger, frob,
+                            from_pauli_coords, is_skew_hermitian, mat_exp,
+                            partial_trace, pauli, pauli_coords,
                             sigma_from_vec, tensor, z_rotation)
 
 st_angle = st.floats(-10.0, 10.0)
@@ -49,14 +49,6 @@ def test_bracket_table_cyclic():
     assert frob(commutator(SIGMA_X, SIGMA_Y) - SIGMA_Z) < 1e-15
     assert frob(commutator(SIGMA_Y, SIGMA_Z) - SIGMA_X) < 1e-15
     assert frob(commutator(SIGMA_Z, SIGMA_X) - SIGMA_Y) < 1e-15
-
-
-def test_anticommutator_table():
-    sigmas = [SIGMA_X, SIGMA_Y, SIGMA_Z]
-    for j, sj in enumerate(sigmas):
-        for k, sk in enumerate(sigmas):
-            expect = -0.5 * ID2 if j == k else np.zeros((2, 2))
-            assert frob(anticommutator(sj, sk) - expect) < 1e-15
 
 
 def test_pauli_accessor():
@@ -287,13 +279,14 @@ def test_check_density_rejects_eigenvalue_below_threshold(rng):
 
 def test_check_density_hermitian_check_reads_both_triangles():
     # the lower triangle is a valid state; the upper one disagrees by more
-    # than tol, which the eigenvalue alone would not see
+    # than TOL_RANK, which the eigenvalue alone would not see
     rho = np.array([[0.5, 0.2 + 2e-9j], [0.2, 0.5]])
     with pytest.raises(ValueError, match="not Hermitian"):
         check_density(rho)
     with pytest.raises(ValueError, match="not Hermitian"):
         check_density(np.stack([0.5 * ID2, rho]))
-    check_density(rho, tol=1e-8)
+    # a disagreement of norm sqrt(2) * 5e-10 is within TOL_RANK
+    check_density(np.array([[0.5, 0.2 + 5e-10j], [0.2, 0.5]]))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf,
