@@ -23,7 +23,9 @@ from .qalg import TOL_RANK
 
 def _structure(E: np.ndarray) -> np.ndarray:
     prod = E[:, None] @ E[None, :]  # E_j E_k
-    return qalg.pauli_coords(prod - prod.transpose(1, 0, 2, 3)).real
+    F = qalg.pauli_coords(prod - prod.transpose(1, 0, 2, 3)).real
+    F.setflags(write=False)  # shared by every caller
+    return F
 
 
 STRUCTURE = {d: _structure(E) for d, E in qalg.PAULI_BASIS.items()}

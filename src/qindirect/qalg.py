@@ -47,14 +47,25 @@ _TILDE = {"x": PAULI_X_TILDE, "y": PAULI_Y_TILDE, "z": PAULI_Z_TILDE}
 _SIGMA = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` made read-only: the basis tables are shared by every caller.
+
+    A view made before its base is frozen stays writable, so each table is
+    frozen on its own.
+    """
+    a.setflags(write=False)
+    return a
+
+
 _STRINGS_1 = np.array([ID2, PAULI_X_TILDE, PAULI_Y_TILDE, PAULI_Z_TILDE])
 # d -> (d^2, d, d) stack of the orthonormal basis E_j
 PAULI_BASIS = {
-    2: (1j / np.sqrt(2.0)) * _STRINGS_1,
-    4: 0.5j * np.einsum("aij,bkl->abikjl", _STRINGS_1, _STRINGS_1).reshape(16, 4, 4),
+    2: _frozen((1j / np.sqrt(2.0)) * _STRINGS_1),
+    4: _frozen(0.5j * np.einsum("aij,bkl->abikjl", _STRINGS_1,
+                                _STRINGS_1).reshape(16, 4, 4)),
 }
-_FLAT_BASIS = {d: E.reshape(d * d, d * d) for d, E in PAULI_BASIS.items()}
-_DUAL_BASIS = {d: E.conj().T for d, E in _FLAT_BASIS.items()}
+_FLAT_BASIS = {d: _frozen(E.reshape(d * d, d * d)) for d, E in PAULI_BASIS.items()}
+_DUAL_BASIS = {d: _frozen(E.conj().T) for d, E in _FLAT_BASIS.items()}
 
 
 def _check_pauli_dim(d: int) -> None:

@@ -5,18 +5,7 @@ inner z-rotation pair absorbed into the initial state) as a six-exponential
 product
 
     Y = e^{i t3 sx (x) sz} e^{t4 sz (x) 1} e^{a1 1 (x) sx}
-        e^{i a2 sx (x) sx} e^{s1 sz (x) 1} e^{i s2 sx (x) sz},
-
-which collapses, after substituting the half/quarter angles
-
-    alpha = (-t3/4, t4/2, a1/2, -a2/4, s1/2, -s2/4),
-
-into the closed form Y = C0 (x) 1 + Cx (x) tx + Cy (x) ty + Cz (x) tz with
-2x2 blocks C0..Cz (t* are the accessor-side Pauli matrices).  Both routes
-are implemented; the closed form is used for sampling and the exponential
-product is kept as an independent cross-check.  ``sample`` evaluates the
-closed form and the reduction below for a whole block of angle rows at
-once; ``reachable_point`` is the same map for one row, kept as its oracle.
+        e^{i a2 sx (x) sx} e^{s1 sz (x) 1} e^{i s2 sx (x) sz}.
 
 A sampled point is the Bloch vector of
 
@@ -24,6 +13,29 @@ A sampled point is the Bloch vector of
     e^{-s4 sz}) Y^dag ] e^{-t1 sz},
 
 with rho_S = (1/2)(1 + s_x tx + s_z tz) and rho_A = (1/2)(1 + a_z tz).
+
+``sample`` computes this map as a rotation sweep on the real Pauli
+coordinates (see :mod:`qindirect.qalg`) of i rho_S (x) rho_A, one column
+per row of the angle table.  Every factor is a conjugation by e^{theta g E_j}
+with E_j a single Pauli string: sz (x) 1 = E_30, i sx (x) sz = -E_13/2,
+i sx (x) sx = -E_11/2 and 1 (x) sx = E_01.  Since [E_j, E_k] = +-E_l or 0,
+that conjugation turns four coordinate planes (x_k, x_l) by the angle
+theta g and leaves the other coordinates alone.  The planes and their
+orientation are read from ``lieclosure.STRUCTURE[4]`` at import.  The
+partial trace is then a selection of coordinates, Tr_A E_a0 = sqrt(2) E_a
+and Tr_A E_ab = 0 for b != 0.  The final z-rotation by t1 acts on S only,
+so the sweep applies it before the trace.
+
+Two oracles follow other routes.  ``reachable_point`` computes one point
+from 4x4 matrices: the closed form ``y_closed_form``, which substitutes the
+half/quarter angles
+
+    alpha = (-t3/4, t4/2, a1/2, -a2/4, s1/2, -s2/4)
+
+and writes Y = C0 (x) 1 + Cx (x) tx + Cy (x) ty + Cz (x) tz with 2x2
+blocks C0..Cz (t* are the accessor-side Pauli matrices), and
+``qalg.partial_trace``.  ``y_product`` multiplies the six exponentials and
+is the oracle of the closed form.
 
 rho_A = diag((1 + a_z)/2, (1 - a_z)/2) commutes with e^{s4 sz}, so the
 s4 conjugation is the identity and s4 does not move a point.  ``sample``
@@ -39,19 +51,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .lieclosure import STRUCTURE
 from .qalg import (ID2, SIGMA_X, SIGMA_Z, bloch, bloch_inverse, dagger,
-                   from_pauli_coords, mat_exp, partial_trace, tensor,
-                   z_rotation)
+                   from_pauli_coords, mat_exp, partial_trace, pauli_coords,
+                   tensor, z_rotation)
 
 ANGLE_NAMES = ("t1", "t3", "t4", "a1", "a2", "s1", "s2", "s3", "s4")
 DEFAULT_RANGE = (0.0, 4.0 * np.pi)
 MODES = ("random", "grid")  # i.i.d. uniform angles, or grid midpoints
 # rows of the angle table per array pass of ``sample``.  It bounds the
-# (rows, 4, 4) complex temporaries of a large cloud.  At 256 rows (64 kB
-# each) a 729-point call peaks at about the memory of the per-point loop;
-# 1024 rows take about a fifth less time on 10^5 points but hold about
-# 1 MB more at 729 points, for no gain there
-_BLOCK = 256
+# temporaries of a large cloud: the (16, rows) coordinates, the cosines and
+# sines of the angles, and the (rows, 2, 2) reduced states.  At 512 rows
+# the largest of them (64 kB) is as large as the (256, 4, 4) complex
+# propagators of the matrix route, and a 729-point call peaks at about the
+# same memory; 1024 rows are faster still but hold about 0.15 MB more
+_BLOCK = 512
 # rows per formatting step of emit_csv; a step holds under 1 MB of floats,
 # tuple and text, and 10^5 rows take as long as in one step
 _CSV_ROWS = 4096
@@ -195,50 +209,70 @@ def _angle_table(cfg: SampleConfig) -> np.ndarray:
     return table.T
 
 
-def _z_conjugated(rho, angles) -> np.ndarray:
-    """z_rotation(a) @ rho @ dagger(z_rotation(a)) for each angle a.
+# the factors of the point map in the order they act on the state: the
+# angle column, the Pauli string E_j (index 4a + b) of the generator g E_j,
+# and g (module docstring)
+_E01, _E11, _E13, _E30 = 1, 5, 7, 12
+_SWEEP = (("s3", _E30, 1.0), ("s2", _E13, -0.5), ("s1", _E30, 1.0),
+          ("a2", _E11, -0.5), ("a1", _E01, 1.0), ("t4", _E30, 1.0),
+          ("t3", _E13, -0.5), ("t1", _E30, 1.0))
+_SWEEP_COLUMNS = tuple(ANGLE_NAMES.index(name) for name, _, _ in _SWEEP)
+_SWEEP_SCALE = np.array([g for _, _, g in _SWEEP])
+_SWEEP_SCALE.setflags(write=False)
 
-    z_rotation(a) is diag(e^{ia/2}, e^{-ia/2}), so the product is rho times
-    the phase matrix [[1, e^{ia}], [e^{-ia}, 1]]: one exponential per
-    angle.  ``rho`` is one 2x2 matrix or a stack with the leading shape of
-    ``angles``.
+
+def _planes(j: int) -> np.ndarray:
+    """(4, 2) rows (k, l) with [E_j, E_k] = E_l, so [E_j, E_l] = -E_k.
+
+    e^{phi E_j} . e^{-phi E_j} turns each plane (x_k, x_l) by phi.
     """
-    e = np.exp(1j * angles)
-    phase = np.ones(e.shape + (2, 2), dtype=complex)
-    phase[..., 0, 1] = e
-    phase[..., 1, 0] = e.conj()
-    return rho * phase
+    planes = np.argwhere(STRUCTURE[4][j] > 0.5)
+    planes.setflags(write=False)
+    return planes
 
 
-def _sample_block(rho_s, rho_a, table) -> np.ndarray:
+_PLANES = {j: _planes(j) for j in sorted({j for _, j, _ in _SWEEP})}
+
+
+def _rotate(x, planes, cos, sin) -> None:
+    """Turn the planes (x_k, x_l) of (16, rows) coordinates in place."""
+    k, l = planes.T
+    xk, xl = x[k], x[l]
+    x[k] = cos * xk - sin * xl
+    x[l] = sin * xk + cos * xl
+
+
+def _sample_block(state, table) -> np.ndarray:
     """reachable_point for every row (t1, t3, ..., s4) of an angle table.
 
-    s4 is read and dropped: rho_a is diagonal, so it commutes with
+    ``state`` holds the (16,) Pauli coordinates of i rho_S (x) rho_A.
+    s4 is read and dropped: rho_A is diagonal, so it commutes with
     e^{s4 sz} (see the module docstring).
     """
-    t1, t3, t4, a1, a2, s1, s2, s3, _ = table.T
-    y = y_closed_form(kak_to_alphas(t3, t4, a1, a2, s1, s2).T)
-    rs = _z_conjugated(rho_s, s3)
-    # the row-wise Kronecker product rs (x) rho_a is not kept past this product
-    ys = y @ (rs[:, :, None, :, None]
-              * rho_a[None, None, :, None, :]).reshape(-1, 4, 4)
-    omega = ys @ dagger(y)
-    return bloch(_z_conjugated(partial_trace(omega, keep="S"), t1))
+    phi = table[:, _SWEEP_COLUMNS].T * _SWEEP_SCALE[:, None]
+    cos, sin = np.cos(phi), np.sin(phi)
+    x = np.repeat(state[:, None], len(table), axis=1)
+    for (_, j, _), c, s in zip(_SWEEP, cos, sin):
+        _rotate(x, _PLANES[j], c, s)
+    # i rho' = Tr_A of the state has one-qubit coordinates sqrt(2) x_a0
+    return bloch(from_pauli_coords(-np.sqrt(2.0) * 1j * x[0::4].T, 2))
 
 
 def sample(cfg: SampleConfig) -> np.ndarray:
     """n Bloch points; deterministic in the whole config.
 
-    Batched over row blocks of the angle table; ``reachable_point`` is the
-    same map for one row and serves as its oracle.
+    A rotation sweep over row blocks of the angle table (module
+    docstring); ``reachable_point`` is the same map for one row, computed
+    from 4x4 matrices, and serves as its oracle.
     """
     angles = _angle_table(cfg)
     rho_s = bloch_inverse([cfg.s_x, 0.0, cfg.s_z])
     rho_a = bloch_inverse([0.0, 0.0, cfg.a_z])
+    state = pauli_coords(1j * tensor(rho_s, rho_a)).real
     points = np.empty((cfg.n, 3))
     for start in range(0, cfg.n, _BLOCK):
         stop = start + _BLOCK
-        points[start:stop] = _sample_block(rho_s, rho_a, angles[start:stop])
+        points[start:stop] = _sample_block(state, angles[start:stop])
     return points
 
 

@@ -16,8 +16,8 @@ from qindirect.classify import (CASE_DIMS, appendix_b_suite,
 from qindirect.indirect import (E1, fic_mix, fic_reach, gennegat_test,
                                 pure_uic_steer, swap_op)
 from qindirect.lieclosure import closure, contains, orthonormalize
-from qindirect.model import (SingleAxis, TwoQubitModel, generator_set,
-                             random_model, random_single_axis_model)
+from qindirect.model import (generator_set, random_model,
+                             random_single_axis_model)
 from qindirect.qalg import (ID2, SIGMA_X, bloch_inverse, dagger, frob,
                             mat_exp, partial_trace, tensor, z_rotation)
 from qindirect.sampler import SampleConfig, sample, y_closed_form, y_product

@@ -22,7 +22,7 @@ from qindirect.lieclosure import closure, contains, orthonormalize, span_equals
 from qindirect.model import (SingleAxis, TwoQubitModel, generator_set,
                              ising_model, random_model,
                              random_single_axis_model)
-from qindirect.qalg import ID2, pauli, sigma_from_vec, tensor
+from qindirect.qalg import ID2, pauli, tensor
 
 st_unit3 = st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)).filter(
     lambda v: 0.1 < np.linalg.norm(v) <= 1.0).map(

@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
+from qindirect import classify, lieclosure, qalg, sampler
 from qindirect.qalg import (ID2, ID4, PAULI_BASIS, PAULI_X_TILDE,
                             PAULI_Y_TILDE, PAULI_Z_TILDE, SIGMA_X, SIGMA_Y,
                             SIGMA_Z, _min_eigenvalue, bloch, bloch_inverse,
@@ -344,6 +345,30 @@ def test_pauli_basis_partial_trace_is_a_selection():
             expect = np.sqrt(2.0) * PAULI_BASIS[2][a] if b == 0 else 0.0 * ID2
             assert_allclose(partial_trace(PAULI_BASIS[4][4 * a + b], keep="S"),
                             expect, atol=1e-15)
+
+
+def test_shared_tables_are_read_only():
+    # one caller's in-place write into a shared table would change every
+    # element and matrix built from it later
+    e1 = np.eye(16)[1]
+
+    def built():
+        return (classify._one_a("x"), from_pauli_coords(e1, 4),
+                pauli_coords(PAULI_BASIS[4][7] + ID4))
+
+    before = built()
+    tables = [*PAULI_BASIS.values(), *qalg._FLAT_BASIS.values(),
+              *qalg._DUAL_BASIS.values(), *lieclosure.STRUCTURE.values(),
+              *sampler._PLANES.values(), sampler._SWEEP_SCALE]
+    for table in tables:
+        with pytest.raises(ValueError):
+            table[1] *= 2
+    for old, new in zip(before, built()):
+        assert np.array_equal(old, new)
+    # the builders hand out writable copies
+    out = classify._one_a("x")
+    out *= 2
+    assert np.array_equal(classify._one_a("x"), before[0])
 
 
 def test_pauli_coords_rejects_bad_shapes():

@@ -1,8 +1,10 @@
 """Tests for the reachable-set sampler and its CSV round trip.
 
 The closed form of the six-factor propagator is cross-checked against the
-plain exponential product over random angles; the sampled clouds are
-checked for the symmetries that the figure configurations rely on.
+plain exponential product over random angles; each rotation of the
+coordinate sweep against the conjugation by its 4x4 exponential; the
+sampled clouds against the per-point matrix route and for the symmetries
+that the figure configurations rely on.
 """
 
 import io
@@ -13,7 +15,8 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 from qindirect import sampler
-from qindirect.qalg import ID4, dagger, frob
+from qindirect.qalg import (ID2, ID4, SIGMA_X, SIGMA_Z, dagger, frob,
+                            mat_exp, pauli_coords, tensor)
 from qindirect.sampler import (ANGLE_NAMES, DEFAULT_RANGE, SampleConfig,
                                _angle_table, emit_csv, kak_to_alphas,
                                parse_csv, reachable_point, sample,
@@ -43,6 +46,38 @@ def test_closed_form_matches_product(alphas):
 
 def test_closed_form_identity_at_zero():
     assert_allclose(y_closed_form(np.zeros(6)), ID4, atol=1e-15)
+
+
+# the generator of each factor of the sweep as a 4x4 matrix, built from the
+# sigma matrices rather than from the E_ab dictionary
+_FACTOR_GENERATORS = {
+    "s3": tensor(SIGMA_Z, ID2), "s1": tensor(SIGMA_Z, ID2),
+    "t4": tensor(SIGMA_Z, ID2), "t1": tensor(SIGMA_Z, ID2),
+    "s2": 1j * tensor(SIGMA_X, SIGMA_Z), "t3": 1j * tensor(SIGMA_X, SIGMA_Z),
+    "a2": 1j * tensor(SIGMA_X, SIGMA_X),
+    "a1": tensor(ID2, SIGMA_X),
+}
+
+
+def test_sweep_covers_every_angle_but_s4():
+    names = [name for name, _, _ in sampler._SWEEP]
+    assert sorted(names) == sorted(set(ANGLE_NAMES) - {"s4"})
+    assert names[0] == "s3" and names[-1] == "t1"
+
+
+@pytest.mark.parametrize("name, j, g", sampler._SWEEP)
+@pytest.mark.parametrize("theta", [0.7, -1.3, 2.9, -4.1])
+def test_sweep_rotation_matches_conjugation(name, j, g, theta, rng):
+    # one factor's plane rotations of random coordinates (five columns)
+    # equal the conjugation of the matrices by U = e^{theta G}
+    m = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
+    rho = 0.25 * (m + dagger(m))
+    x = pauli_coords(1j * rho).real.T.copy()
+    u = mat_exp(theta * _FACTOR_GENERATORS[name])
+    expect = pauli_coords(1j * (u @ rho @ dagger(u))).real.T
+    sampler._rotate(x, sampler._PLANES[j], np.cos(theta * g),
+                    np.sin(theta * g))
+    assert np.abs(x - expect).max() <= 1e-14
 
 
 def test_sample_config_validation():
