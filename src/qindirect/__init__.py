@@ -2,8 +2,8 @@
 
 Submodules:
 
-* :mod:`qindirect.qalg` -- Pauli conventions and coordinates, tensor and
-  bracket helpers.
+* :mod:`qindirect.qalg` -- Pauli conventions, coordinates, the structure
+  tensor and the u(d) check; tensor and bracket helpers.
 * :mod:`qindirect.lieclosure` -- numeric Lie-algebra closures and spans in
   Pauli coordinates.
 * :mod:`qindirect.model` -- the (omega_S, K, C, control) model and JSON I/O.

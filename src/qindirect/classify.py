@@ -123,11 +123,10 @@ def c2_failure_subalgebra() -> list:
 # dim B = 3 classification
 
 
-def predict_case(m: TwoQubitModel, tol: float | None = None) -> CaseLabel:
+def predict_case(m: TwoQubitModel, tol: float = TOL_RANK) -> CaseLabel:
     """Case tag and Lie-algebra dimension for a fully controlled accessor."""
     if not isinstance(m.control, FullSU2):
         raise ValueError("case prediction requires full accessor control")
-    tol = TOL_RANK if tol is None else tol
     w = abs(m.omega_S)
     d = np.abs(m.K[:, :2]).max()  # D, the first two columns of K
     f = np.abs(m.K[:, 2]).max()  # F, the third
@@ -149,9 +148,9 @@ def predict_case(m: TwoQubitModel, tol: float | None = None) -> CaseLabel:
     return CaseLabel(tag=tag, predicted_dim=CASE_DIMS[tag], marginal=marginal)
 
 
-def cross_validate(m: TwoQubitModel, tol: float | None = None) -> CrossValidation:
+def cross_validate(m: TwoQubitModel, tol: float = TOL_RANK) -> CrossValidation:
     label = predict_case(m, tol)
-    dim = len(closure(generator_set(m)))
+    dim = len(closure(generator_set(m), tol))
     return CrossValidation(predicted=label, computed_dim=dim,
                            agree=(dim == label.predicted_dim))
 
@@ -255,7 +254,7 @@ def drift_perp_components(m: TwoQubitModel) -> tuple:
     return p1, p2
 
 
-def oms0_check(m: TwoQubitModel, tol_rank: float | None = None) -> Oms0Report:
+def oms0_check(m: TwoQubitModel, tol_rank: float = TOL_RANK) -> Oms0Report:
     """Complete-controllability test for single-axis control at omega_S = 0.
 
     C1: det K != 0. C2: the drift components perpendicular to the control
@@ -267,7 +266,6 @@ def oms0_check(m: TwoQubitModel, tol_rank: float | None = None) -> Oms0Report:
     ||K||_F^3, c2 against ||K||_F^2 + ||C||^2), so an overall rescaling of
     K and C leaves the verdict unchanged.
     """
-    tol_rank = TOL_RANK if tol_rank is None else tol_rank
     nf = normal_form(m)
     det_k = float(np.linalg.det(m.K))
     k_norm = np.linalg.norm(m.K)

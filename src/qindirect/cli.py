@@ -56,6 +56,16 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _positive(kind) -> Callable:
+    """``kind`` that also rejects 0 and below (a tolerance, a draw count)."""
+    def convert(value):
+        x = kind(value)
+        if x <= 0:
+            raise ValueError(f"{x!r} is not above 0")
+        return x
+    return convert
+
+
 def _option(cfg: dict, args, key: str, default, kind=_integer):
     """The flag value if given, else cfg[key] or the default, as ``kind``."""
     val = getattr(args, key, None)
@@ -84,7 +94,7 @@ def _tolerances(cfg: dict, args) -> dict:
         raise ModelFormatError("tolerances must be an object whose only key "
                                f"is tol_rank, got {tols!r}")
     return {"tol_rank": _option(tols, args, "tol_rank", TOL_RANK,
-                                finite_float)}
+                                _positive(finite_float))}
 
 
 def _serialize_matrix(m: np.ndarray) -> dict:
@@ -96,8 +106,8 @@ def _serialize_matrix(m: np.ndarray) -> dict:
 # random draws shared by steer/fic/verify
 
 
-def _random_density(rng, dim: int = 2) -> np.ndarray:
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+def _random_density(rng) -> np.ndarray:
+    z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     h = z @ dagger(z)
     return h / np.trace(h).real
 
@@ -170,7 +180,7 @@ def _cmd_steer(cfg: dict, args) -> dict:
         t = _indirect.pure_uic_steer(rho_s, x)
         out = partial_trace(t @ tensor(rho_s, _indirect.E1) @ dagger(t), "S")
         return {"residual": frob(out - x @ rho_s @ dagger(x))}
-    draws = _option(cfg, args, "draws", 500)
+    draws = _option(cfg, args, "draws", 500, _positive(_integer))
     seed = _option(cfg, args, "seed", 0)
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -191,7 +201,7 @@ def _cmd_fic(cfg: dict, args) -> dict:
         u = _indirect.fic_reach(rho_s, psi_a, target)
         out = partial_trace(u @ tensor(rho_s, psi_a) @ dagger(u), "S")
         return {"residual": frob(out - target)}
-    draws = _option(cfg, args, "draws", 100)
+    draws = _option(cfg, args, "draws", 100, _positive(_integer))
     seed = _option(cfg, args, "seed", 0)
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -240,7 +250,7 @@ def _cmd_sample(cfg: dict, args) -> Callable:
 
 
 def _cmd_verify(cfg: dict, args) -> dict:
-    draws = _option(cfg, args, "draws", 1000)
+    draws = _option(cfg, args, "draws", 1000, _positive(_integer))
     seed = _option(cfg, args, "seed", 0)
     rng = np.random.default_rng(seed)
     gamma_worst: dict = {}

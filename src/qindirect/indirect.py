@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qalg import (ID2, PAULI_X_TILDE, PAULI_Z_TILDE, SIGMA_X, SIGMA_Z,
-                   check_density, dagger, frob, mat_exp, tensor, z_rotation)
+                   TOL_RANK, check_density, dagger, frob, mat_exp, tensor,
+                   z_rotation)
 # Unused here; qbench/selftest.py checks that its tracer rebinds
 # indirect.partial_trace, so the name stays bound in this module.
 from .qalg import partial_trace  # noqa: F401
@@ -36,7 +37,7 @@ class GennegatVerdict:
 
 
 def gennegat_test(L: LieBasis, rho_S: np.ndarray, rho_A: np.ndarray,
-                  tol: float | None = None) -> GennegatVerdict:
+                  tol: float = TOL_RANK) -> GennegatVerdict:
     """Necessary test for steering the target from rho_S (x) rho_A.
 
     Builds the smallest ad(L)-invariant subspace V containing

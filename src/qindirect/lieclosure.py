@@ -3,14 +3,14 @@
 Elements of u(d), d = 2 or 4, are real coordinates in the orthonormal basis
 E_ab = (i/sqrt d) P_a (x) P_b of :mod:`qindirect.qalg`, so Re Tr(A^dag B) is
 a dot product and tolerances keep their matrix meaning.  Brackets come from
-the structure tensor F[j, k, l] = <E_l, [E_j, E_k]>, computed at import.
+the structure tensor ``qalg.STRUCTURE``, F[j, k, l] = <E_l, [E_j, E_k]>.
 
 One routine finds the smallest subspace that contains some seeds and is
 invariant under ad_x for x in a set of operators, with one SVD rank decision
 per sweep over the newly found vectors.  ``closure(G)`` uses G as both seeds
 and operators: by the Jacobi identity the right-nested brackets of the
-generators span the algebra they generate.  Matrices are converted to
-coordinates once, at the boundary.
+generators span the algebra they generate.  Matrices are checked and
+converted to coordinates once, at the boundary (``qalg.skew_coords``).
 """
 
 from __future__ import annotations
@@ -18,25 +18,15 @@ from __future__ import annotations
 import numpy as np
 
 from . import qalg
-from .qalg import TOL_RANK
-
-
-def _structure(E: np.ndarray) -> np.ndarray:
-    prod = E[:, None] @ E[None, :]  # E_j E_k
-    F = qalg.pauli_coords(prod - prod.transpose(1, 0, 2, 3)).real
-    F.setflags(write=False)  # shared by every caller
-    return F
-
-
-STRUCTURE = {d: _structure(E) for d, E in qalg.PAULI_BASIS.items()}
+from .qalg import STRUCTURE, TOL_RANK, skew_coords
 
 
 class LieBasis:
     """Orthonormal real subspace, stored as (n, dim^2) Pauli coordinates."""
 
-    def __init__(self, dim: int, coords: np.ndarray | None = None):
+    def __init__(self, dim: int, coords: np.ndarray):
         self.dim = dim
-        self.coords = np.zeros((0, dim * dim)) if coords is None else coords
+        self.coords = coords
 
     def __len__(self) -> int:
         return self.coords.shape[0]
@@ -47,22 +37,6 @@ class LieBasis:
 
     def __iter__(self):
         return iter(self.mats)
-
-
-def _coords(mats, require_traceless: bool, tol: float) -> np.ndarray:
-    """Real coordinates of skew-Hermitian matrices, checked like the matrices.
-
-    Skew-Hermitian: ||M + M^dag|| = 2 ||Im c||; trace: |Tr M| = sqrt(d) |c_0|;
-    both are bounded by tol * max(1, ||M||).
-    """
-    c = qalg.pauli_coords(mats)
-    im2 = (c.imag * c.imag).sum(axis=1)
-    scale = tol * np.sqrt(np.maximum(1.0, (c.real * c.real).sum(axis=1) + im2))
-    if (2.0 * np.sqrt(im2) > scale).any():
-        raise ValueError("input matrix is not skew-Hermitian")
-    if require_traceless and (np.sqrt(c.shape[1]) * np.abs(c[:, 0]) > scale).any():
-        raise ValueError("input matrix is not traceless")
-    return c.real
 
 
 def _residual(basis: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -76,7 +50,7 @@ def _unit_coords(mats, require_traceless: bool, tol: float) -> tuple:
     mats = list(mats)
     if not mats:
         return 2, np.zeros((0, 4))
-    c = _coords(mats, require_traceless, tol)
+    c = skew_coords(mats, require_traceless, tol)
     n = np.sqrt((c * c).sum(axis=1))
     return np.shape(mats[0])[-1], c[n > 0] / n[n > 0, None]
 
@@ -109,21 +83,18 @@ def _ad_invariant(seeds: np.ndarray, ops: np.ndarray, dim: int, tol: float,
     return LieBasis(dim, np.concatenate(found))
 
 
-def orthonormalize(mats, tol: float | None = None,
-                   require_traceless: bool = True) -> LieBasis:
+def orthonormalize(mats, tol: float = TOL_RANK) -> LieBasis:
     """Orthonormal basis of span(mats); near-dependent inputs are dropped.
 
-    Inputs are scaled to unit norm first; no inputs give the empty basis of
-    2x2 matrices.
+    The inputs must be traceless.  They are scaled to unit norm first; no
+    inputs give the empty basis of 2x2 matrices.
     """
-    tol = TOL_RANK if tol is None else tol
-    d, c = _unit_coords(mats, require_traceless, tol)
+    d, c = _unit_coords(mats, require_traceless=True, tol=tol)
     return LieBasis(d, _split(c, np.eye(d * d), tol, d * d)[0])
 
 
-def contains(basis: LieBasis, M, tol: float | None = None) -> bool:
+def contains(basis: LieBasis, M, tol: float = TOL_RANK) -> bool:
     """True iff M lies in span(basis) with relative residual below tol."""
-    tol = TOL_RANK if tol is None else tol
     c = qalg.pauli_coords(M)
     n = np.linalg.norm(c)
     if n == 0.0:
@@ -134,44 +105,40 @@ def contains(basis: LieBasis, M, tol: float | None = None) -> bool:
     return res <= tol * n
 
 
-def closure(generators, tol: float | None = None) -> LieBasis:
+def closure(generators, tol: float = TOL_RANK) -> LieBasis:
     """Smallest bracket-closed real subspace containing the generators.
 
     Stops when a sweep adds nothing or the dimension reaches dim^2 - 1
     (the whole of su(d)).
     """
-    tol = TOL_RANK if tol is None else tol
     d, G = _unit_coords(generators, require_traceless=True, tol=tol)
     return _ad_invariant(G, G, d, tol, d * d - 1)
 
 
-def invariant_space(L: LieBasis, seed, tol: float | None = None) -> LieBasis:
+def invariant_space(L: LieBasis, seed, tol: float = TOL_RANK) -> LieBasis:
     """Smallest subspace containing seed and invariant under ad of L.
 
     The seed may carry a trace (it is typically i times a density matrix),
     so only skew-Hermiticity is required of it.
     """
-    tol = TOL_RANK if tol is None else tol
     _, c = _unit_coords([seed], require_traceless=False, tol=tol)
     return _ad_invariant(c, L.coords, L.dim, tol, L.dim ** 2)
 
 
-def trace_A_image(V: LieBasis, tol: float | None = None) -> LieBasis:
+def trace_A_image(V: LieBasis, tol: float = TOL_RANK) -> LieBasis:
     """Orthonormal basis of the image of V under the partial trace over A.
 
     Tr_A E_a0 = sqrt(2) E_a of one qubit and Tr_A E_ab = 0 for b != 0, so
     the image is a selection of coordinates.
     """
-    tol = TOL_RANK if tol is None else tol
     if V.dim != 4:
         raise ValueError("trace_A_image expects a basis of 4x4 matrices")
     img = np.sqrt(2.0) * V.coords[:, 0::4]
     return LieBasis(2, _split(img, np.eye(4), tol, 4)[0])
 
 
-def span_equals(a: LieBasis, b: LieBasis, tol: float | None = None) -> bool:
+def span_equals(a: LieBasis, b: LieBasis, tol: float = TOL_RANK) -> bool:
     """Mutual containment of two bases."""
-    tol = TOL_RANK if tol is None else tol
     if a.dim != b.dim or len(a) != len(b):
         return False
     res = [_residual(y.coords, x.coords) for x, y in ((a, b), (b, a))]

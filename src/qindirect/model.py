@@ -230,10 +230,10 @@ def _unit(rng) -> np.ndarray:
             return v / n
 
 
-def _nonzero(rng, shape, floor=1e-3):
+def _nonzero(rng, shape):
     while True:
         v = rng.uniform(-1.0, 1.0, size=shape)
-        if np.abs(v).max() > floor:
+        if np.abs(v).max() > 1e-3:
             return v
 
 

@@ -20,6 +20,8 @@ Conventions used throughout the package:
   sigma_s (x) 1 = E_s0, 1 (x) sigma_a = E_0a and
   i sigma_s (x) sigma_a = -E_sa / 2 for s, a in x, y, z.  The package
   writes its su(4) elements in these terms rather than as tensor products.
+* ``STRUCTURE`` holds the brackets F[j, k, l] = <E_l, [E_j, E_k]> of the
+  basis, and ``skew_coords`` decides which matrices lie in u(d).
 * Everything the package exponentiates is skew-Hermitian (a generator of a
   unitary), so ``mat_exp`` accepts only such matrices and uses a Hermitian
   eigendecomposition.  TOL_RANK is the one global default tolerance.
@@ -30,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 # Global default tolerance for rank and nonzero decisions.  The rank
-# decisions take overrides; the density and skew-Hermitian checks do not.
+# decisions take overrides; the density check and ``mat_exp`` do not.
 TOL_RANK = 1e-9
 
 PAULI_X_TILDE = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -88,6 +90,32 @@ def from_pauli_coords(coords, d: int) -> np.ndarray:
     coords = np.asarray(coords)
     _check_pauli_dim(d)
     return (coords @ _FLAT_BASIS[d]).reshape(coords.shape[:-1] + (d, d))
+
+
+def skew_coords(mats, require_traceless: bool, tol: float) -> np.ndarray:
+    """Real Pauli coordinates c of skew-Hermitian (..., d, d) matrices M.
+
+    Raises ValueError unless ||M + M^dag|| = 2 ||Im c|| and, if required,
+    |Tr M| = sqrt(d) |c_0| are at most tol * max(1, ||M||) for every M.
+    """
+    c = pauli_coords(mats)
+    im2 = (c.imag ** 2).sum(axis=-1)
+    bound = tol * tol * np.maximum(1.0, (c.real ** 2).sum(axis=-1) + im2)
+    if (4.0 * im2 > bound).any():
+        raise ValueError("input matrix is not skew-Hermitian")
+    if require_traceless and (
+            np.sqrt(c.shape[-1]) * abs(c[..., 0]) ** 2 > bound).any():
+        raise ValueError("input matrix is not traceless")
+    return c.real
+
+
+def _structure(E: np.ndarray) -> np.ndarray:
+    prod = E[:, None] @ E[None, :]  # E_j E_k
+    return _frozen(pauli_coords(prod - prod.transpose(1, 0, 2, 3)).real)
+
+
+# d -> (d^2, d^2, d^2) structure tensor F[j, k, l] = <E_l, [E_j, E_k]>
+STRUCTURE = {d: _structure(E) for d, E in PAULI_BASIS.items()}
 
 
 def pauli(axis: str, tilde: bool = False) -> np.ndarray:
@@ -160,23 +188,17 @@ def partial_trace(rho, keep: str = "S") -> np.ndarray:
     raise ValueError(f"keep must be 'S' or 'A', got {keep!r}")
 
 
-def is_skew_hermitian(A) -> bool:
-    A = np.asarray(A, dtype=complex)
-    return frob(A + dagger(A)) <= TOL_RANK * max(1.0, frob(A))
-
-
 def mat_exp(A) -> np.ndarray:
-    """Exponential of a skew-Hermitian matrix.
+    """Exponential of a skew-Hermitian 2x2 or 4x4 matrix.
 
-    The input is checked and the exponential is computed from the
-    eigendecomposition of the Hermitian matrix iA, which yields an exactly
-    unitary result up to eigensolver accuracy.
+    The input is checked by ``skew_coords`` and the exponential is computed
+    from the eigendecomposition of the Hermitian matrix iA, which yields an
+    exactly unitary result up to eigensolver accuracy.
     """
     A = np.asarray(A, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("mat_exp expects a square matrix")
-    if not is_skew_hermitian(A):
-        raise ValueError("matrix is not skew-Hermitian to tolerance")
+    if A.ndim != 2:
+        raise ValueError("mat_exp expects one matrix")
+    skew_coords(A, require_traceless=False, tol=TOL_RANK)
     w, u = np.linalg.eigh(1j * A)  # A = -i H with H Hermitian
     return (u * np.exp(-1j * w)) @ u.conj().T
 

@@ -21,7 +21,7 @@ with E_j a single Pauli string: sz (x) 1 = E_30, i sx (x) sz = -E_13/2,
 i sx (x) sx = -E_11/2 and 1 (x) sx = E_01.  Since [E_j, E_k] = +-E_l or 0,
 that conjugation turns four coordinate planes (x_k, x_l) by the angle
 theta g and leaves the other coordinates alone.  The planes and their
-orientation are read from ``lieclosure.STRUCTURE[4]`` at import.  The
+orientation are read from ``qalg.STRUCTURE[4]`` at import.  The
 partial trace is then a selection of coordinates, Tr_A E_a0 = sqrt(2) E_a
 and Tr_A E_ab = 0 for b != 0.  The final z-rotation by t1 acts on S only,
 so the sweep applies it before the trace.
@@ -51,10 +51,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lieclosure import STRUCTURE
-from .qalg import (ID2, SIGMA_X, SIGMA_Z, bloch, bloch_inverse, dagger,
-                   from_pauli_coords, mat_exp, partial_trace, pauli_coords,
-                   tensor, z_rotation)
+from .qalg import (ID2, SIGMA_X, SIGMA_Z, STRUCTURE, bloch, bloch_inverse,
+                   dagger, from_pauli_coords, mat_exp, partial_trace,
+                   pauli_coords, tensor, z_rotation)
 
 ANGLE_NAMES = ("t1", "t3", "t4", "a1", "a2", "s1", "s2", "s3", "s4")
 DEFAULT_RANGE = (0.0, 4.0 * np.pi)

@@ -96,6 +96,18 @@ def test_cross_validate_all_cases(rng):
             assert cv.agree, (case, cv.computed_dim)
 
 
+def test_cross_validate_passes_tol_to_closure():
+    # at tol 1e-3 the 1e-6 F column is negligible to the prediction and to
+    # the closure alike, so both read case 1b; at 1e-9 both read 1a
+    m = TwoQubitModel(omega_S=1.0, K=np.diag([0.7, 1.0, 1e-6]),
+                      C=[0.1, 0.2, 0.3])
+    for tol, case in ((1e-3, "1b"), (1e-9, "1a")):
+        cv = cross_validate(m, tol=tol)
+        assert cv.predicted.tag == case
+        assert cv.computed_dim == len(closure(generator_set(m), tol=tol))
+        assert cv.agree, (tol, cv.computed_dim)
+
+
 def test_predict_case_rejects_single_axis():
     m = _axis_model(np.eye(3), np.zeros(3))
     with pytest.raises(ValueError):

@@ -322,6 +322,13 @@ def test_unknown_config_key_is_exit_1(tmp_path, capsys, command, payload,
     ("classify", {**ISING, "omega_S": "-inf"}, "'-inf'"),
     ("classify", {**AXIS_CC, "control": {"type": "axis", "n": [0, 0, "inf"]}},
      "axis"),
+    # a tolerance or a draw count that means nothing
+    ("closure", {**ISING, "tolerances": {"tol_rank": 0}}, "tol_rank"),
+    ("closure", {**ISING, "tolerances": {"tol_rank": -1}}, "tol_rank"),
+    ("classify", {**ISING, "tolerances": {"tol_rank": -1}}, "tol_rank"),
+    ("verify", {"draws": 0}, "draws"),
+    ("steer", {"draws": -3}, "draws"),
+    ("fic", {"draws": 0}, "draws"),
 ])
 def test_malformed_value_is_exit_1(tmp_path, capsys, command, payload, key):
     cfg = _write(tmp_path, "cfg.json", payload)

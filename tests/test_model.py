@@ -21,8 +21,8 @@ from qindirect.model import (FullSU2, ModelFormatError, SingleAxis,
                              load_model, model_from_dict, model_to_dict,
                              random_model, random_single_axis_model,
                              save_model)
-from qindirect.qalg import (ID2, dagger, frob, is_skew_hermitian, pauli,
-                            sigma_from_vec, tensor)
+from qindirect.qalg import (ID2, TOL_RANK, dagger, frob, pauli,
+                            sigma_from_vec, skew_coords, tensor)
 
 st_k = hnp.arrays(np.float64, (3, 3), elements=st.floats(-1.0, 1.0))
 
@@ -112,7 +112,7 @@ def test_hamiltonians_hermitian_and_controls_skew():
     assert len(gens) == 4
     for g in gens:
         assert frob(g + dagger(g)) < 1e-12
-        assert is_skew_hermitian(g)
+        skew_coords(g, require_traceless=True, tol=TOL_RANK)
     axis_m = TwoQubitModel(omega_S=0.0, K=np.eye(3),
                            control=SingleAxis(n=[0.0, 1.0, 0.0]))
     assert len(generator_set(axis_m)) == 2
@@ -127,7 +127,7 @@ def test_generator_set_layout():
     assert_allclose(gens[0], drift, rtol=0, atol=1e-15)
     for g, ax in zip(gens[1:], "xyz"):
         assert_allclose(g, tensor(ID2, pauli(ax)), rtol=0, atol=1e-15)
-    assert is_skew_hermitian(gens[0])
+    skew_coords(gens[0], require_traceless=True, tol=TOL_RANK)
 
 
 st_vec = hnp.arrays(np.float64, 3, elements=st.floats(-1.0, 1.0))

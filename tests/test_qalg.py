@@ -12,14 +12,14 @@ from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
-from qindirect import classify, lieclosure, qalg, sampler
+from qindirect import classify, qalg, sampler
 from qindirect.qalg import (ID2, ID4, PAULI_BASIS, PAULI_X_TILDE,
                             PAULI_Y_TILDE, PAULI_Z_TILDE, SIGMA_X, SIGMA_Y,
-                            SIGMA_Z, _min_eigenvalue, bloch, bloch_inverse,
-                            check_density, commutator, dagger, frob,
-                            from_pauli_coords, is_skew_hermitian, mat_exp,
+                            SIGMA_Z, STRUCTURE, TOL_RANK, _min_eigenvalue,
+                            bloch, bloch_inverse, check_density, commutator,
+                            dagger, frob, from_pauli_coords, mat_exp,
                             partial_trace, pauli, pauli_coords,
-                            sigma_from_vec, tensor, z_rotation)
+                            sigma_from_vec, skew_coords, tensor, z_rotation)
 
 st_angle = st.floats(-10.0, 10.0)
 st_coeff = st.floats(-2.0, 2.0)
@@ -43,7 +43,10 @@ def test_sigma_is_half_i_tilde():
     for sig, til in ((SIGMA_X, PAULI_X_TILDE), (SIGMA_Y, PAULI_Y_TILDE),
                      (SIGMA_Z, PAULI_Z_TILDE)):
         assert_allclose(sig, 0.5j * til)
-        assert is_skew_hermitian(sig)
+    # sigma_j = E_j / sqrt(2) in the one-qubit Pauli-string basis
+    sigmas = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
+    assert_allclose(skew_coords(sigmas, require_traceless=True, tol=TOL_RANK),
+                    np.eye(4)[1:] / np.sqrt(2.0), atol=1e-16)
 
 
 def test_bracket_table_cyclic():
@@ -148,6 +151,8 @@ def test_mat_exp_skew_rejects_non_skew():
         mat_exp(np.eye(2))
     with pytest.raises(ValueError):
         mat_exp(np.ones((2, 3)))
+    with pytest.raises(ValueError):
+        mat_exp(np.zeros((3, 3)))  # only 2x2 and 4x4 have Pauli coordinates
 
 
 @given(st_angle)
@@ -159,10 +164,28 @@ def test_exp_sigma_z_phases(t):
     assert_allclose(z_rotation(t), expect, atol=1e-15)
 
 
-def test_is_skew_hermitian():
-    assert is_skew_hermitian(1j * PAULI_X_TILDE)
-    assert not is_skew_hermitian(PAULI_X_TILDE)
-    assert is_skew_hermitian(np.zeros((3, 3)))
+def test_skew_coords():
+    # 1j tilde_x = sqrt(2) E_1 and 1j * 1 = sqrt(2) E_0
+    assert_allclose(skew_coords(1j * PAULI_X_TILDE, require_traceless=True,
+                                tol=TOL_RANK), [0.0, np.sqrt(2.0), 0.0, 0.0])
+    assert_allclose(skew_coords(1j * ID2, require_traceless=False,
+                                tol=TOL_RANK), [np.sqrt(2.0), 0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="not traceless"):
+        skew_coords(1j * ID2, require_traceless=True, tol=TOL_RANK)
+    with pytest.raises(ValueError, match="not skew-Hermitian"):
+        skew_coords(PAULI_X_TILDE, require_traceless=False, tol=TOL_RANK)
+    # one bad matrix rejects the stack
+    with pytest.raises(ValueError, match="not skew-Hermitian"):
+        skew_coords(np.stack([SIGMA_X, ID2]), require_traceless=False,
+                    tol=TOL_RANK)
+    # the bound is relative to max(1, ||M||): a Hermitian part of 1e-4 is
+    # rejected next to sigma_x and accepted next to 1e6 sigma_x at tol 1e-9
+    with pytest.raises(ValueError):
+        skew_coords(SIGMA_X + 1e-4 * ID2, require_traceless=False, tol=1e-9)
+    skew_coords(1e6 * SIGMA_X + 1e-4 * ID2, require_traceless=False,
+                tol=1e-9)
+    with pytest.raises(ValueError):
+        skew_coords(np.zeros((3, 3)), require_traceless=False, tol=TOL_RANK)
 
 
 @given(st_bloch)
@@ -333,7 +356,8 @@ def test_pauli_basis_orthonormal_skew(d):
     E = PAULI_BASIS[d]
     gram = np.einsum("jab,kab->jk", E.conj(), E)
     assert_allclose(gram, np.eye(d * d), atol=1e-15)
-    assert all(is_skew_hermitian(e) for e in E)
+    assert_allclose(skew_coords(E, require_traceless=False, tol=TOL_RANK),
+                    np.eye(d * d), atol=1e-15)
     assert_allclose(pauli_coords(E), np.eye(d * d), atol=1e-15)
     assert_allclose(from_pauli_coords(np.eye(d * d), d), E, atol=1e-15)
 
@@ -358,7 +382,7 @@ def test_shared_tables_are_read_only():
 
     before = built()
     tables = [*PAULI_BASIS.values(), *qalg._FLAT_BASIS.values(),
-              *qalg._DUAL_BASIS.values(), *lieclosure.STRUCTURE.values(),
+              *qalg._DUAL_BASIS.values(), *STRUCTURE.values(),
               *sampler._PLANES.values(), sampler._SWEEP_SCALE]
     for table in tables:
         with pytest.raises(ValueError):
