@@ -27,7 +27,7 @@ from . import indirect as _indirect
 from . import sampler as _sampler
 from .lieclosure import closure
 from .model import (FullSU2, ModelFormatError, finite_float, generator_set,
-                    load_json, model_from_dict)
+                    json_numbers, load_json, model_from_dict)
 from .qalg import (SIGMA_X, TOL_RANK, bloch_inverse, dagger, frob, mat_exp,
                    partial_trace, tensor, z_rotation)
 
@@ -57,7 +57,7 @@ def _integer(value) -> int:
 
 
 def _positive(kind) -> Callable:
-    """``kind`` that also rejects 0 and below (a tolerance, a draw count)."""
+    """``kind`` that also rejects 0 and below (a tolerance, a count)."""
     def convert(value):
         x = kind(value)
         if x <= 0:
@@ -66,16 +66,25 @@ def _positive(kind) -> Callable:
     return convert
 
 
-def _option(cfg: dict, args, key: str, default, kind=_integer):
+def _seed(value) -> int:
+    """A generator seed: an integer of at least 0."""
+    x = _integer(value)
+    if x < 0:
+        raise ValueError(f"{x!r} is below 0")
+    return x
+
+
+def _option(cfg: dict, args, key: str, default, kind):
     """The flag value if given, else cfg[key] or the default, as ``kind``."""
     val = getattr(args, key, None)
     if val is None:
-        val = cfg.get(key, default)
+        val = json_numbers(cfg.get(key, default), key)
     return _convert(kind, val, key)
 
 
 def _floats(value, key: str, shape: tuple) -> np.ndarray:
-    arr = _convert(lambda v: np.asarray(v, dtype=float), value, key)
+    arr = _convert(lambda v: np.asarray(v, dtype=float),
+                   json_numbers(value, key), key)
     if arr.shape != shape:
         raise ModelFormatError(f"{key} must be numbers of shape {shape}")
     if not np.isfinite(arr).all():
@@ -103,7 +112,7 @@ def _serialize_matrix(m: np.ndarray) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# random draws shared by steer/fic/verify
+# random draws and contract residuals shared by steer/fic/verify
 
 
 def _random_density(rng) -> np.ndarray:
@@ -128,6 +137,25 @@ def _random_pure(rng) -> np.ndarray:
 def _su2_from_angles(angles) -> np.ndarray:
     t2, t, t1 = angles
     return z_rotation(t2) @ mat_exp(t * SIGMA_X) @ z_rotation(t1)
+
+
+def _draws(cfg: dict, args, default: int):
+    """(draws, seed, generator) of a run over random draws."""
+    draws = _option(cfg, args, "draws", default, _positive(_integer))
+    seed = _option(cfg, args, "seed", 0, _seed)
+    return draws, seed, np.random.default_rng(seed)
+
+
+def _steer_residual(rho_s, x) -> float:
+    t = _indirect.pure_uic_steer(rho_s, x)
+    out = partial_trace(t @ tensor(rho_s, _indirect.E1) @ dagger(t), "S")
+    return frob(out - x @ rho_s @ dagger(x))
+
+
+def _fic_residual(rho_s, psi_a, target) -> float:
+    u = _indirect.fic_reach(rho_s, psi_a, target)
+    out = partial_trace(u @ tensor(rho_s, psi_a) @ dagger(u), "S")
+    return frob(out - target)
 
 
 # ---------------------------------------------------------------------------
@@ -177,41 +205,21 @@ def _cmd_steer(cfg: dict, args) -> dict:
     if "x_angles" in cfg:
         rho_s = _density(cfg, "rho_S", [0.0, 0.0, 0.5])
         x = _su2_from_angles(_floats(cfg["x_angles"], "x_angles", (3,)))
-        t = _indirect.pure_uic_steer(rho_s, x)
-        out = partial_trace(t @ tensor(rho_s, _indirect.E1) @ dagger(t), "S")
-        return {"residual": frob(out - x @ rho_s @ dagger(x))}
-    draws = _option(cfg, args, "draws", 500, _positive(_integer))
-    seed = _option(cfg, args, "seed", 0)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(draws):
-        rho_s = _random_density(rng)
-        x = _random_su2(rng)
-        t = _indirect.pure_uic_steer(rho_s, x)
-        out = partial_trace(t @ tensor(rho_s, _indirect.E1) @ dagger(t), "S")
-        worst = max(worst, frob(out - x @ rho_s @ dagger(x)))
+        return {"residual": _steer_residual(rho_s, x)}
+    draws, seed, rng = _draws(cfg, args, 500)
+    worst = max(_steer_residual(_random_density(rng), _random_su2(rng))
+                for _ in range(draws))
     return {"draws": draws, "seed": seed, "max_residual": worst}
 
 
 def _cmd_fic(cfg: dict, args) -> dict:
     if "target" in cfg:
-        rho_s = _density(cfg, "rho_S", [0.0, 0.0, 0.5])
-        psi_a = _density(cfg, "psi_A", [0.0, 0.0, 1.0])
-        target = _density(cfg, "target")
-        u = _indirect.fic_reach(rho_s, psi_a, target)
-        out = partial_trace(u @ tensor(rho_s, psi_a) @ dagger(u), "S")
-        return {"residual": frob(out - target)}
-    draws = _option(cfg, args, "draws", 100, _positive(_integer))
-    seed = _option(cfg, args, "seed", 0)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(draws):
-        rho_s = _random_density(rng)
-        psi_a = _random_pure(rng)
-        target = _random_density(rng)
-        u = _indirect.fic_reach(rho_s, psi_a, target)
-        out = partial_trace(u @ tensor(rho_s, psi_a) @ dagger(u), "S")
-        worst = max(worst, frob(out - target))
+        return {"residual": _fic_residual(
+            _density(cfg, "rho_S", [0.0, 0.0, 0.5]),
+            _density(cfg, "psi_A", [0.0, 0.0, 1.0]), _density(cfg, "target"))}
+    draws, seed, rng = _draws(cfg, args, 100)
+    worst = max(_fic_residual(_random_density(rng), _random_pure(rng),
+                              _random_density(rng)) for _ in range(draws))
     return {"draws": draws, "seed": seed, "max_residual": worst}
 
 
@@ -228,10 +236,11 @@ def _cmd_sample(cfg: dict, args) -> Callable:
     elif ranges is not None:
         ranges = tuple(map(tuple, _floats(ranges, "angle_ranges", (9, 2))))
     if ranges is not None:
-        empty = [name for name, (lo, hi) in zip(_sampler.ANGLE_NAMES, ranges)
-                 if hi < lo]
-        if empty:
-            raise ModelFormatError(f"angle_ranges: hi < lo for {empty}")
+        bad = [name for name, (lo, hi) in zip(_sampler.ANGLE_NAMES, ranges)
+               if not 0.0 <= float(hi) - float(lo) < np.inf]
+        if bad:
+            raise ModelFormatError("angle_ranges: hi < lo or hi - lo not "
+                                   f"finite for {bad}")
     mode = cfg.get("mode", "random")
     if mode not in _sampler.MODES:
         raise ModelFormatError(f"mode must be one of {_sampler.MODES}, "
@@ -239,8 +248,8 @@ def _cmd_sample(cfg: dict, args) -> Callable:
     kwargs = {"s_x": _option(cfg, args, "s_x", 0.0, finite_float),
               "s_z": _option(cfg, args, "s_z", 0.0, finite_float),
               "a_z": _option(cfg, args, "a_z", 0.0, finite_float),
-              "n": _option(cfg, args, "n", 729),
-              "seed": _option(cfg, args, "seed", 0),
+              "n": _option(cfg, args, "n", 729, _positive(_integer)),
+              "seed": _option(cfg, args, "seed", 0, _seed),
               "mode": mode}
     if ranges is not None:
         kwargs["angle_ranges"] = ranges
@@ -250,9 +259,7 @@ def _cmd_sample(cfg: dict, args) -> Callable:
 
 
 def _cmd_verify(cfg: dict, args) -> dict:
-    draws = _option(cfg, args, "draws", 1000, _positive(_integer))
-    seed = _option(cfg, args, "seed", 0)
-    rng = np.random.default_rng(seed)
+    draws, seed, rng = _draws(cfg, args, 1000)
     gamma_worst: dict = {}
     appendix_worst: dict = {}
     for _ in range(draws):

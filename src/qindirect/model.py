@@ -143,6 +143,20 @@ def finite_float(value) -> float:
     return out
 
 
+def json_numbers(value, key: str):
+    """``value`` if it is a JSON number or nested lists of them.
+
+    float() reads True as 1.0 and "2" as 2.0, so a bool or a string is
+    rejected here with ModelFormatError naming ``key``.
+    """
+    if isinstance(value, list):
+        for v in value:
+            json_numbers(v, key)
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ModelFormatError(f"{key}: {value!r} is not a finite number")
+    return value
+
+
 def model_from_dict(d: dict) -> TwoQubitModel:
     if not isinstance(d, dict):
         raise ModelFormatError("model must be a JSON object")
@@ -163,11 +177,12 @@ def model_from_dict(d: dict) -> TwoQubitModel:
         elif ctl["type"] == "axis":
             if set(ctl) != {"type", "n"}:
                 raise ModelFormatError("axis control takes exactly the field 'n'")
-            control = SingleAxis(n=ctl["n"])
+            control = SingleAxis(n=json_numbers(ctl["n"], "control axis"))
         else:
             raise ModelFormatError(f"unknown control type {ctl['type']!r}")
-        return TwoQubitModel(omega_S=d["omega_S"], K=d["K"], C=d["C"],
-                             control=control)
+        return TwoQubitModel(omega_S=json_numbers(d["omega_S"], "omega_S"),
+                             K=json_numbers(d["K"], "K"),
+                             C=json_numbers(d["C"], "C"), control=control)
     except (TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ModelFormatError):
             raise

@@ -235,53 +235,51 @@ def _rotation_between(u, v) -> np.ndarray:
     return _rotation_about(w / s, np.arctan2(s, c))
 
 
-def _min_eigenvalue(rho) -> np.ndarray:
-    """Smallest eigenvalue of each Hermitian matrix of a (..., d, d) stack.
+def state_bloch(r) -> np.ndarray:
+    """Bloch vectors Re r[1:] of one-qubit states from (..., 4) arrays of
+    r = Tr(P rho), P in (1, tilde_x, tilde_y, tilde_z); one bad r rejects all.
 
-    Like ``eigvalsh``, only the diagonal and the lower triangle are read.
-    For d = 2 it is tr/2 - hypot((a - d)/2, |b|), with a, d the diagonal
-    and b the lower off-diagonal entry, instead of a batched eigensolver.
+    rho must be finite, Hermitian (sqrt(2) ||Im r|| = ||rho - rho^dag||_F)
+    and of unit trace r_0 to TOL_RANK, with (Re r_0 - ||Re r[1:]||)/2 (the
+    smallest eigenvalue of its Hermitian part) at least -1e-10.
     """
-    if rho.shape[-1] != 2:
-        return np.linalg.eigvalsh(rho)[..., 0]
-    a, d = rho[..., 0, 0].real, rho[..., 1, 1].real
-    return 0.5 * (a + d) - np.hypot(0.5 * (a - d), abs(rho[..., 1, 0]))
+    r = np.asarray(r)
+    if not np.isfinite(r).all():
+        raise ValueError("density matrix has non-finite entries")
+    if (2.0 * (r.imag ** 2).sum(axis=-1) > TOL_RANK ** 2).any():
+        raise ValueError("density matrix is not Hermitian to tolerance")
+    if (abs(r[..., 0] - 1.0) > TOL_RANK).any():
+        raise ValueError("density matrix trace differs from 1")
+    re = r.real
+    p = re[..., 1:]
+    if (0.5 * (re[..., 0] - np.sqrt((p ** 2).sum(axis=-1))) < -1e-10).any():
+        raise ValueError("density matrix has a negative eigenvalue")
+    return p
+
+
+# Tr(P_a rho) = vec(rho) . vec(P_a^T) for each P_a: one product
+_STATE_READ = _frozen(_STRINGS_1.transpose(0, 2, 1).reshape(4, 4).T)
+
+
+def _read_state(rho):
+    """(rho, its Bloch vectors) for a 2x2 matrix or a (..., 2, 2) stack."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape[-2:] != (2, 2):
+        raise ValueError(f"expected 2x2 density matrices, got shape {rho.shape}")
+    # an inf in the product would raise a RuntimeWarning before the check
+    if not np.isfinite(rho).all():
+        raise ValueError("density matrix has non-finite entries")
+    return rho, state_bloch(rho.reshape(rho.shape[:-2] + (4,)) @ _STATE_READ)
 
 
 def check_density(rho) -> np.ndarray:
-    """Validate a density matrix: finite, Hermitian and unit trace to
-    TOL_RANK, psd to -1e-10.
-
-    A (..., d, d) stack is validated matrix by matrix; one bad matrix
-    rejects the stack.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim < 2 or rho.shape[-2] != rho.shape[-1]:
-        raise ValueError("density matrix must be square")
-    if not np.isfinite(rho).all():
-        raise ValueError("density matrix has non-finite entries")
-    if (np.linalg.norm(rho - dagger(rho), axis=(-2, -1)) > TOL_RANK).any():
-        raise ValueError("density matrix is not Hermitian to tolerance")
-    if (abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0) > TOL_RANK).any():
-        raise ValueError("density matrix trace differs from 1")
-    if (_min_eigenvalue(rho) < -1e-10).any():
-        raise ValueError("density matrix has a negative eigenvalue")
-    return rho
-
-
-# Tr(tilde_a rho) = vec(rho) . vec(tilde_a^T) for a = x, y, z: one product
-_BLOCH_READ = _STRINGS_1[1:].transpose(0, 2, 1).reshape(3, 4).T
+    """A 2x2 density matrix or (..., 2, 2) stack, checked by ``state_bloch``."""
+    return _read_state(rho)[0]
 
 
 def bloch(rho) -> np.ndarray:
-    """Bloch coordinates (x, y, z) of a one-qubit density matrix.
-
-    A (..., 2, 2) stack of density matrices gives (..., 3) coordinates.
-    """
-    rho = check_density(rho)
-    if rho.shape[-2:] != (2, 2):
-        raise ValueError("bloch expects 2x2 density matrices")
-    return (rho.reshape(rho.shape[:-2] + (4,)) @ _BLOCH_READ).real
+    """Bloch vectors (..., 3) of a checked 2x2 density matrix or stack."""
+    return _read_state(rho)[1]
 
 
 def bloch_inverse(p) -> np.ndarray:

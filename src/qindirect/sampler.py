@@ -21,10 +21,11 @@ with E_j a single Pauli string: sz (x) 1 = E_30, i sx (x) sz = -E_13/2,
 i sx (x) sx = -E_11/2 and 1 (x) sx = E_01.  Since [E_j, E_k] = +-E_l or 0,
 that conjugation turns four coordinate planes (x_k, x_l) by the angle
 theta g and leaves the other coordinates alone.  The planes and their
-orientation are read from ``qalg.STRUCTURE[4]`` at import.  The
-partial trace is then a selection of coordinates, Tr_A E_a0 = sqrt(2) E_a
-and Tr_A E_ab = 0 for b != 0.  The final z-rotation by t1 acts on S only,
-so the sweep applies it before the trace.
+orientation are read from ``qalg.STRUCTURE[4]`` at import.  The start is
+i rho_S (x) rho_A = sum s_a t_b E_ab / 2 with s = (1, s_x, 0, s_z) and
+t = (1, 0, 0, a_z).  As Tr_A E_a0 = sqrt(2) E_a and Tr_A E_ab = 0 for
+b != 0, ``qalg.state_bloch`` checks and reads Tr(P_a rho') = 2 x_a0, and
+no matrix is built.  The t1 z-rotation acts on S only, before the trace.
 
 Two oracles follow other routes.  ``reachable_point`` computes one point
 from 4x4 matrices: the closed form ``y_closed_form``, which substitutes the
@@ -53,14 +54,14 @@ import numpy as np
 
 from .qalg import (ID2, SIGMA_X, SIGMA_Z, STRUCTURE, bloch, bloch_inverse,
                    dagger, from_pauli_coords, mat_exp, partial_trace,
-                   pauli_coords, tensor, z_rotation)
+                   state_bloch, tensor, z_rotation)
 
 ANGLE_NAMES = ("t1", "t3", "t4", "a1", "a2", "s1", "s2", "s3", "s4")
 DEFAULT_RANGE = (0.0, 4.0 * np.pi)
 MODES = ("random", "grid")  # i.i.d. uniform angles, or grid midpoints
 # rows of the angle table per array pass of ``sample``.  It bounds the
 # temporaries of a large cloud: the (16, rows) coordinates, the cosines and
-# sines of the angles, and the (rows, 2, 2) reduced states.  At 512 rows
+# sines of the angles, and the (rows, 4) reduced states.  At 512 rows
 # the largest of them (64 kB) is as large as the (256, 4, 4) complex
 # propagators of the matrix route, and a 729-point call peaks at about the
 # same memory; 1024 rows are faster still but hold about 0.15 MB more
@@ -94,8 +95,9 @@ class SampleConfig:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         ranges = tuple((float(lo), float(hi)) for lo, hi in self.angle_ranges)
-        if len(ranges) != 9 or any(hi < lo for lo, hi in ranges):
-            raise ValueError("angle_ranges must be nine (lo, hi) intervals")
+        if len(ranges) != 9 or any(not 0.0 <= hi - lo < np.inf
+                                   for lo, hi in ranges):
+            raise ValueError("angle_ranges: need nine finite-width intervals")
         object.__setattr__(self, "angle_ranges", ranges)
 
 
@@ -253,8 +255,7 @@ def _sample_block(state, table) -> np.ndarray:
     x = np.repeat(state[:, None], len(table), axis=1)
     for (_, j, _), c, s in zip(_SWEEP, cos, sin):
         _rotate(x, _PLANES[j], c, s)
-    # i rho' = Tr_A of the state has one-qubit coordinates sqrt(2) x_a0
-    return bloch(from_pauli_coords(-np.sqrt(2.0) * 1j * x[0::4].T, 2))
+    return state_bloch(2.0 * x[0::4].T)  # Tr(P_a rho') = 2 x_a0
 
 
 def sample(cfg: SampleConfig) -> np.ndarray:
@@ -265,9 +266,8 @@ def sample(cfg: SampleConfig) -> np.ndarray:
     from 4x4 matrices, and serves as its oracle.
     """
     angles = _angle_table(cfg)
-    rho_s = bloch_inverse([cfg.s_x, 0.0, cfg.s_z])
-    rho_a = bloch_inverse([0.0, 0.0, cfg.a_z])
-    state = pauli_coords(1j * tensor(rho_s, rho_a)).real
+    state = 0.5 * np.outer([1.0, cfg.s_x, 0.0, cfg.s_z],
+                           [1.0, 0.0, 0.0, cfg.a_z]).ravel()
     points = np.empty((cfg.n, 3))
     for start in range(0, cfg.n, _BLOCK):
         stop = start + _BLOCK

@@ -329,6 +329,32 @@ def test_unknown_config_key_is_exit_1(tmp_path, capsys, command, payload,
     ("verify", {"draws": 0}, "draws"),
     ("steer", {"draws": -3}, "draws"),
     ("fic", {"draws": 0}, "draws"),
+    # a sample count below 1 and a negative seed
+    ("sample", {**SAMPLE, "n": 0}, "n"),
+    ("sample", {**SAMPLE, "seed": -3}, "seed"),
+    ("fic", {"draws": 2, "seed": -1}, "seed"),
+    ("verify", {"draws": 2, "seed": -1}, "seed"),
+    # an angle range whose width overflows
+    ("sample", {**SAMPLE, "angle_ranges": {"t1": [-1e308, 1e308]}}, "t1"),
+    ("sample", {**SAMPLE, "mode": "grid",
+                "angle_ranges": {"t1": [-1e308, 1e308]}}, "t1"),
+    ("sample", {**SAMPLE, "angle_ranges": [[-1e308, 1e308]] * 9},
+     "angle_ranges"),
+    # booleans and numeric strings are not numbers
+    ("sample", {**SAMPLE, "n": True}, "n"),
+    ("sample", {**SAMPLE, "n": "2"}, "n"),
+    ("sample", {**SAMPLE, "seed": False}, "seed"),
+    ("fic", {"draws": True}, "draws"),
+    ("sample", {**SAMPLE, "s_x": "0.3"}, "s_x"),
+    ("sample", {**SAMPLE, "angle_ranges": {"t1": [0.0, True]}}, "t1"),
+    ("steer", {"x_angles": [0.1, True, 0.2]}, "x_angles"),
+    ("negat", {**NEGAT, "rho_A": [0.0, 0.0, "0.3"]}, "rho_A"),
+    ("classify", {**ISING, "omega_S": True}, "omega_S"),
+    ("classify", {**ISING, "K": [[0, 0, 0], [0, "1", 0], [0, 0, 0]]}, "K"),
+    ("classify", {**ISING, "C": [0, False, 0]}, "C"),
+    ("classify", {**AXIS_CC, "control": {"type": "axis", "n": [0, 0, True]}},
+     "axis"),
+    ("classify", {**ISING, "tolerances": {"tol_rank": "1e-6"}}, "tol_rank"),
 ])
 def test_malformed_value_is_exit_1(tmp_path, capsys, command, payload, key):
     cfg = _write(tmp_path, "cfg.json", payload)
@@ -336,6 +362,16 @@ def test_malformed_value_is_exit_1(tmp_path, capsys, command, payload, key):
     assert code == 1
     assert out == ""
     assert key in err
+
+
+@pytest.mark.parametrize("command", ["steer", "fic", "verify", "sample"])
+def test_negative_seed_flag_is_exit_1(tmp_path, capsys, command):
+    args = ([_write(tmp_path, "cfg.json", SAMPLE)] if command == "sample"
+            else ["--draws", "2"])
+    code, out, err = _run(capsys, command, *args, "--seed", "-1")
+    assert code == 1
+    assert out == ""
+    assert "error:" in err and "seed" in err
 
 
 @pytest.mark.parametrize("command, text", [

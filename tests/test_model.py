@@ -206,6 +206,16 @@ def test_model_from_dict_strictness():
             model_from_dict({**good, field: value})
 
 
+def test_model_from_dict_rejects_bools_and_numeric_strings():
+    good = model_to_dict(ising_model())
+    for field, value in (("omega_S", True), ("omega_S", "1.0"),
+                         ("K", [[0, 0, 0], [0, "1", 0], [0, 0, 0]]),
+                         ("C", [0, False, 0]),
+                         ("control", {"type": "axis", "n": [0, 0, True]})):
+        with pytest.raises(ModelFormatError, match="not a finite number"):
+            model_from_dict({**good, field: value})
+
+
 def test_save_load(tmp_path):
     path = tmp_path / "model.json"
     m = TwoQubitModel(omega_S=0.0, K=np.eye(3),

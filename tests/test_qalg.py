@@ -15,7 +15,7 @@ from numpy.testing import assert_allclose
 from qindirect import classify, qalg, sampler
 from qindirect.qalg import (ID2, ID4, PAULI_BASIS, PAULI_X_TILDE,
                             PAULI_Y_TILDE, PAULI_Z_TILDE, SIGMA_X, SIGMA_Y,
-                            SIGMA_Z, STRUCTURE, TOL_RANK, _min_eigenvalue,
+                            SIGMA_Z, STRUCTURE, TOL_RANK,
                             bloch, bloch_inverse, check_density, commutator,
                             dagger, frob, from_pauli_coords, mat_exp,
                             partial_trace, pauli, pauli_coords,
@@ -248,29 +248,24 @@ def test_check_density_rejects_one_bad_matrix_in_a_stack(bad, rng):
             bloch(rho)
 
 
-def _hermitian_stack(rng, n):
-    z = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
-    return 0.5 * (z + dagger(z))
-
-
-def test_min_eigenvalue_matches_eigvalsh(rng):
-    h = _hermitian_stack(rng, 500)
-    ref = np.linalg.eigvalsh(h)[:, 0]
-    assert_allclose(_min_eigenvalue(h), ref, rtol=0, atol=1e-14)
-    assert_allclose(_min_eigenvalue(h.reshape(5, 100, 2, 2)),
-                    ref.reshape(5, 100), rtol=0, atol=1e-14)
-    for single, expected in zip(h[:20], ref[:20]):
-        lam = _min_eigenvalue(single)
-        assert lam.shape == ()
-        assert abs(lam - expected) <= 1e-14
-    # like eigvalsh, only the lower triangle is read
-    upper = h.copy()
-    upper[:, 0, 1] = 7.0
-    assert np.array_equal(_min_eigenvalue(upper), _min_eigenvalue(h))
-    # d = 4 keeps the eigensolver
-    z = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
-    h4 = z + dagger(z)
-    assert np.array_equal(_min_eigenvalue(h4), np.linalg.eigvalsh(h4)[:, 0])
+def test_check_density_positivity_matches_eigvalsh(rng):
+    # Hermitian unit-trace matrices with Bloch radius in [0.9, 1.1]: exactly
+    # those whose smallest eigenvalue is at least -1e-10 are accepted
+    p = rng.normal(size=(500, 3))
+    p *= rng.uniform(0.9, 1.1, size=(500, 1)) / np.linalg.norm(p, axis=1,
+                                                              keepdims=True)
+    rho = 0.5 * (ID2 + np.einsum("na,aij->nij", p, np.array(
+        [PAULI_X_TILDE, PAULI_Y_TILDE, PAULI_Z_TILDE])))
+    lam = np.linalg.eigvalsh(rho)[:, 0]
+    keep = abs(lam + 1e-10) > 1e-14
+    assert keep.sum() > 450 and (lam[keep] < -1e-10).any() \
+        and (lam[keep] >= -1e-10).any()
+    for m, lo in zip(rho[keep], lam[keep]):
+        if lo >= -1e-10:
+            check_density(m)
+        else:
+            with pytest.raises(ValueError, match="negative eigenvalue"):
+                check_density(m)
 
 
 def _rotated_diag(rng, p, q):
@@ -286,7 +281,6 @@ def _rotated_diag(rng, p, q):
 ])
 def test_check_density_closed_form_edges_accepted(rng, p, q, lam):
     for rho in (np.diag([p, q]).astype(complex), _rotated_diag(rng, p, q)):
-        assert abs(_min_eigenvalue(rho) - lam) <= 1e-15
         check_density(rho)
         check_density(np.stack([0.5 * ID2, rho]))
 
@@ -294,7 +288,6 @@ def test_check_density_closed_form_edges_accepted(rng, p, q, lam):
 def test_check_density_rejects_eigenvalue_below_threshold(rng):
     for rho in (np.diag([1.0 + 2e-10, -2e-10]).astype(complex),
                 _rotated_diag(rng, 1.0 + 2e-10, -2e-10)):
-        assert abs(_min_eigenvalue(rho) + 2e-10) <= 1e-15
         with pytest.raises(ValueError, match="negative eigenvalue"):
             check_density(rho)
         with pytest.raises(ValueError, match="negative eigenvalue"):

@@ -222,6 +222,39 @@ def test_batched_sample_row_blocks(monkeypatch):
     assert np.abs(sample(cfg) - _point_loop(cfg)).max() <= 1e-14
 
 
+def test_sample_block_checks_every_point():
+    # the start states of a pure accessor and of a target outside the ball
+    state = 0.5 * np.outer([1.0, 0.0, 0.0, 0.5], [1.0, 0.0, 0.0, 1.0]).ravel()
+    outside = 0.5 * np.outer([1.0, 1.5, 0.0, 0.0],
+                             [1.0, 0.0, 0.0, 1.0]).ravel()
+    table = np.zeros((5, 9))
+    assert_allclose(sampler._sample_block(state, table), [[0.0, 0.0, 0.5]] * 5)
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        sampler._sample_block(outside, table)
+    table[3, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        sampler._sample_block(state, table)
+
+
+@pytest.mark.parametrize("lo, hi", [(-1e308, 1e308), (0.0, np.inf),
+                                    (-np.inf, 0.0), (np.nan, 1.0)])
+def test_sample_config_rejects_range_of_non_finite_width(lo, hi):
+    ranges = [DEFAULT_RANGE] * 9
+    ranges[1] = (lo, hi)
+    with pytest.raises(ValueError, match="finite-width"):
+        SampleConfig(s_x=0.0, s_z=0.5, a_z=0.0, angle_ranges=ranges)
+
+
+@pytest.mark.parametrize("mode", ["random", "grid"])
+def test_widest_finite_range_samples(mode):
+    ranges = [DEFAULT_RANGE] * 9
+    ranges[1] = (-1e308, 7e307)  # hi - lo = 1.7e308
+    points = sample(SampleConfig(s_x=0.0, s_z=0.5, a_z=0.0, n=20, mode=mode,
+                                 angle_ranges=ranges))
+    assert np.isfinite(points).all()
+    assert (np.linalg.norm(points, axis=1) <= 0.5 + 1e-12).all()
+
+
 def test_closed_form_broadcasts_row_by_row(rng):
     alphas = rng.uniform(-2 * np.pi, 2 * np.pi, (40, 6))
     stacked = y_closed_form(alphas)
