@@ -21,7 +21,9 @@ repository, with every result line, the benchmark's environment record
 (commit, source digest, Python, numpy, CPU) and the median and quartiles
 of each metric per workload.  The head's file also holds, for every
 end-to-end metric of ``BENCHMARK.json``, the pairs in which the head was
-better.  It edits nothing in the checkouts.  Usage::
+better.  It edits nothing in the checkouts, and it exits with an error
+before any run if either BENCH file already exists, so a record is never
+overwritten.  Usage::
 
     python3 scripts/bench_record.py PARENT HEAD
 """
@@ -147,6 +149,10 @@ def main(argv=None) -> int:
     shas = [head_commit(c) for c in checkouts]
     if shas[0] == shas[1]:
         parser.error("both checkouts are at the same commit")
+    paths = [os.path.join(REPO, f"BENCH_{sha[:12]}.json") for sha in shas]
+    existing = [path for path in paths if os.path.exists(path)]
+    if existing:
+        parser.error(f"refusing to overwrite {', '.join(existing)}")
     records = [{"commit": sha, "runs": [], "cli_sample_seconds": []}
                for sha in shas]
     rounds = [(0, i, seed) for i, seed in enumerate(SEEDS)] + [(1, 0, SEEDS[0])]
@@ -173,7 +179,7 @@ def main(argv=None) -> int:
     records[1]["compared_with"] = shas[0]
     records[1]["comparison"] = compare(records[0]["runs"], records[1]["runs"],
                                        end_to_end)
-    for role, rec in zip(("parent", "head"), records):
+    for role, rec, path in zip(("parent", "head"), records, paths):
         rec["role"] = role
         rec["settings"] = {
             "command": "python3 qbench/run.py --workload W --seed S "
@@ -188,8 +194,7 @@ def main(argv=None) -> int:
         rec["summary"] = summarise(rec["runs"])
         rec["cli_sample_median_s"] = statistics.median(
             rec["cli_sample_seconds"])
-        path = os.path.join(REPO, f"BENCH_{rec['commit'][:12]}.json")
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, "x", encoding="utf-8") as fh:
             json.dump(rec, fh, indent=1, sort_keys=True)
             fh.write("\n")
         print(f"wrote {path}")

@@ -20,13 +20,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qalg import (ID2, PAULI_X_TILDE, PAULI_Z_TILDE, SIGMA_X, SIGMA_Z,
-                   TOL_RANK, check_density, dagger, frob, mat_exp, tensor,
-                   z_rotation)
+from .qalg import (ID2, ID4, PAULI_X_TILDE, PAULI_Z_TILDE, TOL_RANK,
+                   check_density, dagger, frob, state_coords, tensor)
 # Unused here; qbench/selftest.py checks that its tracer rebinds
 # indirect.partial_trace, so the name stays bound in this module.
 from .qalg import partial_trace  # noqa: F401
-from .lieclosure import LieBasis, invariant_space, trace_A_image
+from .lieclosure import LieBasis, invariant_space_coords, trace_A_image
+
+
+def _read_states(*rhos) -> tuple:
+    """(the 2x2 states as complex arrays, their r = Tr(P rho) stacked (n, 4)),
+    checked by one ``state_coords`` read."""
+    rhos = [np.asarray(rho, dtype=complex) for rho in rhos]
+    for rho in rhos:
+        if rho.shape != (2, 2):
+            raise ValueError(f"expected 2x2 density matrices, got shape "
+                             f"{rho.shape}")
+    return rhos, state_coords(np.stack(rhos))
 
 
 @dataclass(frozen=True)
@@ -45,14 +55,15 @@ def gennegat_test(L: LieBasis, rho_S: np.ndarray, rho_A: np.ndarray,
     partial trace over the accessor.  If that image is not all of u(2),
     unitary steering to arbitrary targets is impossible from this pair.
     The converse does not hold: a full image proves nothing.
+
+    The states are read once as r = Tr(P rho); the seed has the Pauli
+    coordinates r_S[a] r_A[b] / 2 on E_ab, so no 4x4 matrix is built.
     """
-    rho_S = np.asarray(rho_S, dtype=complex)
-    rho_A = np.asarray(rho_A, dtype=complex)
-    check_density(rho_S)
-    check_density(rho_A)
-    if frob(rho_S - ID2 / 2) <= 1e-9:
+    _, (r_S, r_A) = _read_states(rho_S, rho_A)
+    # ||rho_S - 1/2||_F = ||r_S - (1, 0, 0, 0)|| / sqrt 2: Tr(P_a P_b) = 2 delta_ab
+    if np.linalg.norm(r_S - (1.0, 0.0, 0.0, 0.0)) / np.sqrt(2.0) <= 1e-9:
         raise ValueError("rho_S maximally mixed: the obstruction is vacuous")
-    V = invariant_space(L, 1j * tensor(rho_S, rho_A), tol)
+    V = invariant_space_coords(L, 0.5 * np.outer(r_S, r_A).ravel(), tol)
     img = trace_A_image(V, tol)
     return GennegatVerdict(v_dim=len(V), trace_image_dim=len(img),
                            uic_excluded=len(img) < 4)
@@ -68,7 +79,7 @@ def _check_su2(X: np.ndarray) -> np.ndarray:
         raise ValueError("expected a 2x2 matrix")
     if frob(X @ dagger(X) - ID2) > 1e-9:
         raise ValueError("matrix is not unitary")
-    if abs(np.linalg.det(X) - 1.0) > 1e-9:
+    if abs(X[0, 0] * X[1, 1] - X[0, 1] * X[1, 0] - 1.0) > 1e-9:  # det X
         raise ValueError("matrix does not have determinant 1")
     return X
 
@@ -90,6 +101,11 @@ def euler_su2(X: np.ndarray) -> tuple:
 
 
 E1 = np.diag([1.0, 0.0]).astype(complex)
+_XZ = tensor(PAULI_X_TILDE, PAULI_Z_TILDE)
+_XZ.setflags(write=False)
+# e^{t sigma_z} (x) 1 = diag(exp(i t s / 2)) with these signs s
+_Z_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
+_Z_SIGNS.setflags(write=False)
 
 
 def pure_uic_steer(rho_S: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -102,12 +118,15 @@ def pure_uic_steer(rho_S: np.ndarray, X: np.ndarray) -> np.ndarray:
     factors are S-side z-rotations (times 1) and the middle factor is
     exp(t i sigma_x (x) sigma_z).  On the accessor ground block the middle
     factor conjugates the target by e^{-(t/2) sigma_x}, hence t = -2 theta
-    realizes the Euler x-rotation by theta.
+    realizes the Euler x-rotation by theta.  With i sigma_x (x) sigma_z =
+    -(i/4) X (x) Z and (X (x) Z)^2 = 1, that factor is
+    cos(theta/2) 1 + i sin(theta/2) X (x) Z; the outer factors are diagonal.
     """
-    check_density(np.asarray(rho_S, dtype=complex))
+    check_density(rho_S)
     t2, theta, t1 = euler_su2(X)
-    mid = mat_exp(-2.0 * theta * 1j * tensor(SIGMA_X, SIGMA_Z))
-    return (tensor(z_rotation(t2), ID2) @ mid @ tensor(z_rotation(t1), ID2))
+    mid = np.cos(0.5 * theta) * ID4 + 1j * np.sin(0.5 * theta) * _XZ
+    left, right = np.exp(0.5j * np.multiply.outer((t2, t1), _Z_SIGNS))
+    return left[:, None] * mid * right
 
 
 # ---------------------------------------------------------------------------
@@ -122,9 +141,16 @@ def swap_op() -> np.ndarray:
                      [0, 0, 0, 1]], dtype=complex)
 
 
+# the fixed factors of the transfer family, shared read-only
+_SWAP = swap_op()
+_X_1 = tensor(PAULI_X_TILDE, ID2)
+_Z_X = tensor(PAULI_Z_TILDE, PAULI_X_TILDE)
+for _factor in (_SWAP, _X_1, _Z_X):
+    _factor.setflags(write=False)
+
+
 def _pure_state_vector(psi: np.ndarray) -> np.ndarray:
-    psi = np.asarray(psi, dtype=complex)
-    check_density(psi)
+    """The state vector of a checked density matrix psi, which must be pure."""
     w, u = np.linalg.eigh(psi)
     if 1.0 - w[-1] > 1e-8:
         raise ValueError("accessor state must be pure")
@@ -147,16 +173,14 @@ def _transfer(rho_S: np.ndarray, psi_A: np.ndarray, phi: float,
     The images of the two e_k (x) v put orthogonal accessor vectors next to
     each t_j, so the target ends in cos^2(phi) |t_1><t_1| +
     sin^2(phi) |t_0><t_0| whatever the spectrum of rho_S.  phi = 0 is SWAP
-    up to local unitaries; phi = pi/4 mixes the target maximally.
+    up to local unitaries; phi = pi/4 mixes the target maximally.  The
+    caller has checked both states.
     """
-    rho_S = np.asarray(rho_S, dtype=complex)
-    check_density(rho_S)
     v = _pure_state_vector(psi_A)
     w = np.column_stack([v, [-np.conj(v[1]), np.conj(v[0])]])
     e = np.linalg.eigh(rho_S)[1]
-    mix = (np.cos(phi) * tensor(PAULI_X_TILDE, ID2)
-           + np.sin(phi) * tensor(PAULI_Z_TILDE, PAULI_X_TILDE))
-    return tensor(t, ID2) @ mix @ dagger(tensor(w, e)) @ swap_op()
+    mix = np.cos(phi) * _X_1 + np.sin(phi) * _Z_X
+    return tensor(t, ID2) @ mix @ dagger(tensor(w, e)) @ _SWAP
 
 
 def fic_mix(rho_S: np.ndarray, psi_A: np.ndarray) -> np.ndarray:
@@ -167,6 +191,7 @@ def fic_mix(rho_S: np.ndarray, psi_A: np.ndarray) -> np.ndarray:
     entangled vector, which kills every target Bloch component regardless
     of the eigenvalues.
     """
+    (rho_S, psi_A), _ = _read_states(rho_S, psi_A)
     return _transfer(rho_S, psi_A, np.pi / 4, ID2)
 
 
@@ -179,8 +204,7 @@ def fic_reach(rho_S: np.ndarray, psi_A: np.ndarray,
     phi = arccos sqrt(lambda) puts weight lambda on t_1 and 1 - lambda on
     t_0.  lambda runs from 1 (phi = 0, SWAP) to 1/2 (phi = pi/4, fic_mix).
     """
-    target = np.asarray(target, dtype=complex)
-    check_density(target)
+    (rho_S, psi_A, target), _ = _read_states(rho_S, psi_A, target)
     w_t, t = np.linalg.eigh(target)
     phi = np.arccos(np.sqrt(np.clip(w_t[-1], 0.5, 1.0)))
     return _transfer(rho_S, psi_A, phi, t)

@@ -10,7 +10,8 @@ invariant under ad_x for x in a set of operators, with one SVD rank decision
 per sweep over the newly found vectors.  ``closure(G)`` uses G as both seeds
 and operators: by the Jacobi identity the right-nested brackets of the
 generators span the algebra they generate.  Matrices are checked and
-converted to coordinates once, at the boundary (``qalg.skew_coords``).
+converted to coordinates once, at the boundary (``qalg.skew_coords``);
+``invariant_space_coords`` takes a seed already in coordinates.
 """
 
 from __future__ import annotations
@@ -18,7 +19,12 @@ from __future__ import annotations
 import numpy as np
 
 from . import qalg
-from .qalg import STRUCTURE, TOL_RANK, skew_coords
+from .qalg import STRUCTURE, TOL_RANK, check_skew_coords, skew_coords
+
+# n -> read-only n x n identity, the first frame of every span search
+_EYE = {n: np.eye(n) for n in (4, 16)}
+for _eye in _EYE.values():
+    _eye.setflags(write=False)
 
 
 class LieBasis:
@@ -45,14 +51,20 @@ def _residual(basis: np.ndarray, W: np.ndarray) -> np.ndarray:
     return W
 
 
+def _unit_rows(c: np.ndarray) -> np.ndarray:
+    """Rows of c scaled to unit norm; a zero row stays zero and adds no
+    direction to any span."""
+    n = np.sqrt((c * c).sum(axis=1, keepdims=True))
+    return c / np.where(n > 0.0, n, 1.0)
+
+
 def _unit_coords(mats, require_traceless: bool, tol: float) -> tuple:
-    """(d, checked coordinates of the nonzero matrices scaled to unit norm)."""
+    """(d, checked coordinates of the matrices scaled to unit norm)."""
     mats = list(mats)
     if not mats:
         return 2, np.zeros((0, 4))
-    c = skew_coords(mats, require_traceless, tol)
-    n = np.sqrt((c * c).sum(axis=1))
-    return np.shape(mats[0])[-1], c[n > 0] / n[n > 0, None]
+    return (np.shape(mats[0])[-1],
+            _unit_rows(skew_coords(mats, require_traceless, tol)))
 
 
 def _split(W: np.ndarray, frame: np.ndarray, tol: float, room: int) -> tuple:
@@ -61,7 +73,8 @@ def _split(W: np.ndarray, frame: np.ndarray, tol: float, room: int) -> tuple:
     complement of the span found so far, so W @ frame.T projects that out.
     """
     Wc = W @ frame.T
-    if room <= 0 or np.linalg.norm(Wc) <= tol:  # bounds every singular value
+    w = Wc.ravel()
+    if room <= 0 or w @ w <= tol * tol:  # ||Wc|| bounds every singular value
         return frame[:0], frame
     # vt must be square to span the rest of the frame; U is never needed
     _, s, vt = np.linalg.svd(Wc, full_matrices=Wc.shape[0] < Wc.shape[1])
@@ -75,7 +88,7 @@ def _ad_invariant(seeds: np.ndarray, ops: np.ndarray, dim: int, tol: float,
     """Smallest subspace containing the unit rows ``seeds``, invariant under ad(ops)."""
     n = dim * dim
     ad = (ops @ STRUCTURE[dim].reshape(n, n * n)).reshape(-1, n, n)  # v @ ad[x] = [x, v]
-    new, frame = _split(seeds, np.eye(n), tol, cap)
+    new, frame = _split(seeds, _EYE[n], tol, cap)
     found = [new]
     while len(new) and n - len(frame) < cap:  # n - len(frame) = dim found so far
         new, frame = _split((new @ ad).reshape(-1, n), frame, tol, cap - n + len(frame))
@@ -90,7 +103,7 @@ def orthonormalize(mats, tol: float = TOL_RANK) -> LieBasis:
     inputs give the empty basis of 2x2 matrices.
     """
     d, c = _unit_coords(mats, require_traceless=True, tol=tol)
-    return LieBasis(d, _split(c, np.eye(d * d), tol, d * d)[0])
+    return LieBasis(d, _split(c, _EYE[d * d], tol, d * d)[0])
 
 
 def contains(basis: LieBasis, M, tol: float = TOL_RANK) -> bool:
@@ -116,13 +129,23 @@ def closure(generators, tol: float = TOL_RANK) -> LieBasis:
 
 
 def invariant_space(L: LieBasis, seed, tol: float = TOL_RANK) -> LieBasis:
-    """Smallest subspace containing seed and invariant under ad of L.
+    """Smallest subspace containing the matrix seed and invariant under ad of L.
 
     The seed may carry a trace (it is typically i times a density matrix),
     so only skew-Hermiticity is required of it.
     """
-    _, c = _unit_coords([seed], require_traceless=False, tol=tol)
-    return _ad_invariant(c, L.coords, L.dim, tol, L.dim ** 2)
+    return invariant_space_coords(L, qalg.pauli_coords(seed), tol)
+
+
+def invariant_space_coords(L: LieBasis, c, tol: float = TOL_RANK) -> LieBasis:
+    """``invariant_space`` for a seed given by its complex Pauli coordinates
+    c = Tr(E_j^dag seed), shape (dim^2,), checked by ``qalg.check_skew_coords``.
+    """
+    c = check_skew_coords(c, require_traceless=False, tol=tol)
+    if c.shape != (L.dim ** 2,):
+        raise ValueError(f"seed coordinates of shape {c.shape} do not fit "
+                         f"{L.dim}x{L.dim} matrices")
+    return _ad_invariant(_unit_rows(c[None]), L.coords, L.dim, tol, L.dim ** 2)
 
 
 def trace_A_image(V: LieBasis, tol: float = TOL_RANK) -> LieBasis:
@@ -134,7 +157,7 @@ def trace_A_image(V: LieBasis, tol: float = TOL_RANK) -> LieBasis:
     if V.dim != 4:
         raise ValueError("trace_A_image expects a basis of 4x4 matrices")
     img = np.sqrt(2.0) * V.coords[:, 0::4]
-    return LieBasis(2, _split(img, np.eye(4), tol, 4)[0])
+    return LieBasis(2, _split(img, _EYE[4], tol, 4)[0])
 
 
 def span_equals(a: LieBasis, b: LieBasis, tol: float = TOL_RANK) -> bool:

@@ -21,7 +21,8 @@ Conventions used throughout the package:
   i sigma_s (x) sigma_a = -E_sa / 2 for s, a in x, y, z.  The package
   writes its su(4) elements in these terms rather than as tensor products.
 * ``STRUCTURE`` holds the brackets F[j, k, l] = <E_l, [E_j, E_k]> of the
-  basis, and ``skew_coords`` decides which matrices lie in u(d).
+  basis, and ``check_skew_coords`` decides which coordinates lie in u(d)
+  (``skew_coords`` for matrices).
 * Everything the package exponentiates is skew-Hermitian (a generator of a
   unitary), so ``mat_exp`` accepts only such matrices and uses a Hermitian
   eigendecomposition.  TOL_RANK is the one global default tolerance.
@@ -93,12 +94,18 @@ def from_pauli_coords(coords, d: int) -> np.ndarray:
 
 
 def skew_coords(mats, require_traceless: bool, tol: float) -> np.ndarray:
-    """Real Pauli coordinates c of skew-Hermitian (..., d, d) matrices M.
+    """Real Pauli coordinates c of skew-Hermitian (..., d, d) matrices M,
+    checked by ``check_skew_coords``."""
+    return check_skew_coords(pauli_coords(mats), require_traceless, tol)
+
+
+def check_skew_coords(c, require_traceless: bool, tol: float) -> np.ndarray:
+    """Re c for complex Pauli coordinates c (..., d^2) of matrices M in u(d).
 
     Raises ValueError unless ||M + M^dag|| = 2 ||Im c|| and, if required,
     |Tr M| = sqrt(d) |c_0| are at most tol * max(1, ||M||) for every M.
     """
-    c = pauli_coords(mats)
+    c = np.asarray(c)
     im2 = (c.imag ** 2).sum(axis=-1)
     bound = tol * tol * np.maximum(1.0, (c.real ** 2).sum(axis=-1) + im2)
     if (4.0 * im2 > bound).any():
@@ -262,14 +269,16 @@ _STATE_READ = _frozen(_STRINGS_1.transpose(0, 2, 1).reshape(4, 4).T)
 
 
 def _read_state(rho):
-    """(rho, its Bloch vectors) for a 2x2 matrix or a (..., 2, 2) stack."""
+    """(rho, r = Tr(P rho), Bloch vectors) for a 2x2 matrix or a (..., 2, 2)
+    stack, checked by ``state_bloch``."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (2, 2):
         raise ValueError(f"expected 2x2 density matrices, got shape {rho.shape}")
     # an inf in the product would raise a RuntimeWarning before the check
     if not np.isfinite(rho).all():
         raise ValueError("density matrix has non-finite entries")
-    return rho, state_bloch(rho.reshape(rho.shape[:-2] + (4,)) @ _STATE_READ)
+    r = rho.reshape(rho.shape[:-2] + (4,)) @ _STATE_READ
+    return rho, r, state_bloch(r)
 
 
 def check_density(rho) -> np.ndarray:
@@ -277,9 +286,14 @@ def check_density(rho) -> np.ndarray:
     return _read_state(rho)[0]
 
 
+def state_coords(rho) -> np.ndarray:
+    """Complex r = Tr(P rho) (..., 4) of a checked 2x2 density matrix or stack."""
+    return _read_state(rho)[1]
+
+
 def bloch(rho) -> np.ndarray:
     """Bloch vectors (..., 3) of a checked 2x2 density matrix or stack."""
-    return _read_state(rho)[1]
+    return _read_state(rho)[2]
 
 
 def bloch_inverse(p) -> np.ndarray:

@@ -10,12 +10,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from qindirect.classify import case_1b_basis
+from qindirect.classify import CASE_DIMS, case_1b_basis
 from qindirect.indirect import (E1, GennegatVerdict, euler_su2, fic_mix,
                                 fic_reach, gennegat_test, pure_uic_steer,
                                 swap_op)
-from qindirect.lieclosure import closure, contains, orthonormalize
-from qindirect.model import generator_set, random_model
+from qindirect.lieclosure import (closure, contains, invariant_space,
+                                  orthonormalize, trace_A_image)
+from qindirect.model import (generator_set, random_model,
+                             random_single_axis_model)
 from qindirect.qalg import (ID2, ID4, SIGMA_X, SIGMA_Z, bloch_inverse,
                             dagger, frob, mat_exp, partial_trace, tensor,
                             z_rotation)
@@ -70,6 +72,91 @@ def test_gennegat_rejects_maximally_mixed_target(rng):
         gennegat_test(L, 2 * ID2, bloch_inverse([0, 0, 0.5]))  # not a state
 
 
+def _matrix_route(L, rho_s, rho_a, tol):
+    """(v_dim, trace_image_dim) from the 4x4 seed matrix i rho_S (x) rho_A."""
+    V = invariant_space(L, 1j * tensor(rho_s, rho_a), tol)
+    return len(V), len(trace_A_image(V, tol))
+
+
+def _random_state(rng, hi=1.0):
+    p = rng.normal(size=3)
+    return bloch_inverse(rng.uniform(0.15, hi) * p / np.linalg.norm(p))
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-9, 1e-6])
+def test_gennegat_matches_matrix_route(tol):
+    # the seed enters as the coordinates r_S (x) r_A / 2 of the states read
+    # once; the verdict must equal the one from the 4x4 seed matrix
+    rng = np.random.default_rng(41)
+    models = [random_model(case, rng) for case in sorted(CASE_DIMS)
+              for _ in range(4)]
+    models += [random_single_axis_model(rng, violate=v)
+               for v in (None, "c1", "c2") for _ in range(3)]
+    images = set()
+    for m in models:
+        L = closure(generator_set(m), tol=tol)
+        pairs = [(_random_state(rng), _random_state(rng)) for _ in range(3)]
+        # a z-axis rho_S gives smaller spaces on the 1c algebras, which
+        # also tell rho_S (x) rho_A from rho_A (x) rho_S
+        z_s = bloch_inverse([0.0, 0.0, rng.uniform(0.2, 1.0)])
+        pairs += [(z_s, bloch_inverse([0.0, 0.0, rng.uniform(-1.0, 1.0)])),
+                  (z_s, _random_state(rng))]
+        for rho_s, rho_a in pairs:
+            v = gennegat_test(L, rho_s, rho_a, tol)
+            assert (v.v_dim, v.trace_image_dim) == _matrix_route(
+                L, rho_s, rho_a, tol)
+            assert v.uic_excluded == (v.trace_image_dim < 4)
+            images.add(v.trace_image_dim)
+    assert len(images) > 1  # both verdicts occur
+
+
+def test_gennegat_maximally_mixed_boundary(rng):
+    # ||rho_S - 1/2||_F = |p| / sqrt 2 sits at 1e-9 for |p| = sqrt(2) 1e-9
+    L = closure(generator_set(random_model("2c", rng)))
+    rho_a = bloch_inverse([0.1, 0.0, 0.5])
+    axis = np.array([0.6, 0.0, 0.8])
+    for scale, mixed in ((0.99, True), (1.01, False)):
+        rho_s = bloch_inverse(scale * np.sqrt(2.0) * 1e-9 * axis)
+        assert (frob(rho_s - ID2 / 2) <= 1e-9) == mixed
+        if mixed:
+            with pytest.raises(ValueError, match="maximally mixed"):
+                gennegat_test(L, rho_s, rho_a)
+        else:
+            assert gennegat_test(L, rho_s, rho_a).v_dim == _matrix_route(
+                L, rho_s, rho_a, 1e-9)[0]
+
+
+def test_gennegat_seed_skew_check_follows_tol(rng):
+    # a non-Hermitian part within TOL_RANK passes the state check; the seed's
+    # skew check then decides at the caller's tol, as for the matrix seed
+    L = closure(generator_set(random_model("2c", rng)))
+    rho_s = bloch_inverse([0.3, 0.2, 0.4]) + 1e-10 * np.array([[0, 1], [-1, 0]])
+    rho_a = bloch_inverse([0.0, -0.5, 0.2])
+    for tol in (1e-12, 1e-9):
+        strict = tol < 1e-10
+        if strict:
+            with pytest.raises(ValueError, match="not skew-Hermitian"):
+                _matrix_route(L, rho_s, rho_a, tol)
+            with pytest.raises(ValueError, match="not skew-Hermitian"):
+                gennegat_test(L, rho_s, rho_a, tol)
+        else:
+            v = gennegat_test(L, rho_s, rho_a, tol)
+            assert (v.v_dim, v.trace_image_dim) == _matrix_route(
+                L, rho_s, rho_a, tol)
+
+
+@pytest.mark.parametrize("rho_a, match", [
+    (2.0 * ID2, "trace"),
+    (np.diag([1.2, -0.2]), "negative eigenvalue"),
+    (np.array([[0.5, 0.4j], [0.4j, 0.5]]), "not Hermitian"),
+    (np.eye(3) / 3, "expected 2x2"),
+])
+def test_gennegat_rejects_non_density_accessor(rng, rho_a, match):
+    L = closure(generator_set(random_model("2c", rng)))
+    with pytest.raises(ValueError, match=match):
+        gennegat_test(L, bloch_inverse([0.3, 0.2, 0.4]), rho_a)
+
+
 # ---------------------------------------------------------------------------
 # Euler factorization of SU(2)
 
@@ -121,6 +208,17 @@ def test_steering_generators_live_in_case_1b_algebra():
     basis = orthonormalize(case_1b_basis())
     assert contains(basis, tensor(SIGMA_Z, ID2))
     assert contains(basis, 1j * tensor(SIGMA_X, SIGMA_Z))
+
+
+@given(st.floats(0.0, np.pi))
+@example(0.0)
+@example(np.pi)
+def test_pure_uic_steer_factor_closed_form(theta):
+    # X = e^{theta sigma_x} has Euler angles (0, theta, 0), so T is the middle
+    # factor cos(theta/2) 1 + i sin(theta/2) X (x) Z alone
+    t = pure_uic_steer(ID2 / 2, mat_exp(theta * SIGMA_X))
+    expected = mat_exp(-2.0 * theta * 1j * tensor(SIGMA_X, SIGMA_Z))
+    assert np.abs(t - expected).max() <= 1e-14
 
 
 def test_pure_uic_steer_rejects_bad_inputs():
@@ -223,3 +321,22 @@ def test_fic_reach_rejects_bad_inputs():
         fic_reach(rho_s, bloch_inverse([0.0, 0.0, 0.5]), rho_s)  # mixed psi_A
     with pytest.raises(ValueError):
         fic_reach(rho_s, _density(np.array([1.0, 0.0])), 2.0 * np.eye(2))
+
+
+_GOOD = (bloch_inverse([0.2, -0.1, 0.4]), _density(np.array([0.6, 0.8j])),
+         bloch_inverse([0.0, 0.3, 0.5]))
+_BAD = {0: (2.0 * ID2, "trace"), 1: (bloch_inverse([0.0, 0.0, 0.5]), "pure"),
+        2: (np.diag([1.2, -0.2]), "negative eigenvalue")}
+
+
+@pytest.mark.parametrize("func, n_args", [(fic_reach, 3), (fic_mix, 2)])
+def test_fic_rejects_each_bad_input(func, n_args):
+    # the states are read in one stacked check; each bad one still fails it,
+    # and a 3x3 matrix in any position fails the shape check first
+    assert func(*_GOOD[:n_args]).shape == (4, 4)
+    for pos in range(n_args):
+        for bad, match in (_BAD[pos], (np.eye(3) / 3, "expected 2x2")):
+            args = list(_GOOD[:n_args])
+            args[pos] = bad
+            with pytest.raises(ValueError, match=match):
+                func(*args)

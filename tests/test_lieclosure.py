@@ -12,14 +12,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qindirect.lieclosure import (LieBasis, closure, contains,
-                                  invariant_space, orthonormalize,
-                                  span_equals, trace_A_image)
+                                  invariant_space, invariant_space_coords,
+                                  orthonormalize, span_equals, trace_A_image)
 from qindirect.model import (FullSU2, SingleAxis, TwoQubitModel,
                              generator_set, random_model,
                              random_single_axis_model)
 from qindirect.qalg import (ID2, PAULI_BASIS, SIGMA_X, SIGMA_Y, SIGMA_Z,
                             STRUCTURE, bloch_inverse, commutator, dagger,
-                            frob, mat_exp, skew_coords, tensor)
+                            frob, mat_exp, pauli_coords, skew_coords, tensor)
 
 SX1 = tensor(SIGMA_X, ID2)
 SY1 = tensor(SIGMA_Y, ID2)
@@ -43,6 +43,13 @@ def test_orthonormalize_collapses_dependent_elements():
     assert len(basis) == 2
     assert contains(basis, SX1 - 3.0 * SY1)
     assert not contains(basis, SZ1)
+
+
+def test_zero_elements_add_no_direction():
+    # a zero row stays zero through the unit scaling and never adds a direction
+    assert len(orthonormalize([0.0 * SX1, SY1, 0.0 * SY1])) == 1
+    assert len(orthonormalize([0.0 * SX1])) == 0
+    assert span_equals(closure([SX1, 0.0 * SZ1, SY1]), closure([SX1, SY1]))
 
 
 def test_orthonormalize_empty_input():
@@ -128,6 +135,20 @@ def test_invariant_space_full_algebra():
     # the traceless part sweeps out all of su(4), plus the fixed i*1 line
     assert len(v) == 16
     assert len(trace_A_image(v)) == 4
+
+
+def test_invariant_space_coords_is_the_matrix_route():
+    gens = [SX1, ONE_A[2], 1j * tensor(SIGMA_Z, SIGMA_Z)]
+    basis = closure(gens)
+    seed = 1j * tensor(bloch_inverse([0.4, 0.0, 0.5]),
+                       bloch_inverse([0.0, 0.3, 0.2]))
+    v = invariant_space_coords(basis, pauli_coords(seed))
+    assert span_equals(v, invariant_space(basis, seed))
+    assert 1 < len(v) < 16
+    with pytest.raises(ValueError, match="do not fit"):
+        invariant_space_coords(basis, pauli_coords(seed[:2, :2]))
+    with pytest.raises(ValueError, match="not skew-Hermitian"):
+        invariant_space_coords(basis, pauli_coords(seed / 1j))
 
 
 def test_trace_image_can_vanish():

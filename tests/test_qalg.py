@@ -16,10 +16,11 @@ from qindirect import classify, qalg, sampler
 from qindirect.qalg import (ID2, ID4, PAULI_BASIS, PAULI_X_TILDE,
                             PAULI_Y_TILDE, PAULI_Z_TILDE, SIGMA_X, SIGMA_Y,
                             SIGMA_Z, STRUCTURE, TOL_RANK,
-                            bloch, bloch_inverse, check_density, commutator,
-                            dagger, frob, from_pauli_coords, mat_exp,
-                            partial_trace, pauli, pauli_coords,
-                            sigma_from_vec, skew_coords, tensor, z_rotation)
+                            bloch, bloch_inverse, check_density,
+                            check_skew_coords, commutator, dagger, frob,
+                            from_pauli_coords, mat_exp, partial_trace, pauli,
+                            pauli_coords, sigma_from_vec, skew_coords,
+                            state_coords, tensor, z_rotation)
 
 st_angle = st.floats(-10.0, 10.0)
 st_coeff = st.floats(-2.0, 2.0)
@@ -188,6 +189,15 @@ def test_skew_coords():
         skew_coords(np.zeros((3, 3)), require_traceless=False, tol=TOL_RANK)
 
 
+def test_check_skew_coords_is_skew_coords_on_coordinates(rng):
+    mats = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
+    skew = 0.5 * (mats - dagger(mats))
+    assert_allclose(check_skew_coords(pauli_coords(skew), False, TOL_RANK),
+                    skew_coords(skew, False, TOL_RANK), rtol=0, atol=0)
+    with pytest.raises(ValueError, match="not skew-Hermitian"):
+        check_skew_coords(pauli_coords(mats), False, TOL_RANK)
+
+
 @given(st_bloch)
 def test_bloch_round_trip(p):
     rho = bloch_inverse(p)
@@ -213,6 +223,19 @@ def test_check_density_rejections():
         check_density(np.ones((2, 3)))
     out = check_density(np.diag([0.25, 0.75]))
     assert out.dtype == complex
+
+
+def test_state_coords_reads_tr_p_rho(rng):
+    rho = _density_stack(rng, 5)
+    r = state_coords(rho)
+    paulis = np.array([ID2, PAULI_X_TILDE, PAULI_Y_TILDE, PAULI_Z_TILDE])
+    expect = np.einsum("aij,nji->na", paulis, rho)
+    assert_allclose(r, expect, rtol=0, atol=1e-15)
+    assert_allclose(r[:, 1:].real, bloch(rho), rtol=0, atol=0)
+    with pytest.raises(ValueError, match="trace"):
+        state_coords(2.0 * np.eye(2))
+    with pytest.raises(ValueError, match="expected 2x2"):
+        state_coords(np.eye(3) / 3)
 
 
 def _density_stack(rng, n):
