@@ -6,10 +6,12 @@ function that runs it, whether its config is required (and, for classify,
 closure and negat, carries the model fields at the top level), the flags it
 takes besides --output, and the config keys it reads.  A config key outside
 that set is an error; for the model commands such keys are passed to
-``model_from_dict``, which rejects any that are not model fields.  Verdicts
-are emitted as sorted-key JSON, with a "tolerances" block from the commands
-that make rank decisions; sample writes its CSV straight to the
-destination.  Exit codes: 0 success (negative verdicts included), 1
+``model_from_dict``, which rejects any that are not model fields.  steer
+and fic run either one explicit case (x_angles or target) or random
+draws, and a key or flag that the chosen mode does not read is an error
+too.  Verdicts are emitted as sorted-key JSON, with a "tolerances" block
+from the commands that make rank decisions; sample writes its CSV straight
+to the destination.  Exit codes: 0 success (negative verdicts included), 1
 malformed config, 2 precondition violations.
 """
 
@@ -201,11 +203,20 @@ def _cmd_negat(model, cfg: dict, args) -> dict:
             "uic_excluded": verdict.uic_excluded, "tolerances": tols}
 
 
+def _unread(cfg: dict, args, keys: tuple, mode: str) -> None:
+    """Reject the config keys and flags among ``keys``: ``mode`` reads none."""
+    given = [k for k in keys if k in cfg or getattr(args, k, None) is not None]
+    if given:
+        raise ModelFormatError(f"{mode} does not read {given}")
+
+
 def _cmd_steer(cfg: dict, args) -> dict:
     if "x_angles" in cfg:
+        _unread(cfg, args, _DRAWS, "steer with x_angles")
         rho_s = _density(cfg, "rho_S", [0.0, 0.0, 0.5])
         x = _su2_from_angles(_floats(cfg["x_angles"], "x_angles", (3,)))
         return {"residual": _steer_residual(rho_s, x)}
+    _unread(cfg, args, ("rho_S",), "steer without x_angles (random draws)")
     draws, seed, rng = _draws(cfg, args, 500)
     worst = max(_steer_residual(_random_density(rng), _random_su2(rng))
                 for _ in range(draws))
@@ -214,9 +225,11 @@ def _cmd_steer(cfg: dict, args) -> dict:
 
 def _cmd_fic(cfg: dict, args) -> dict:
     if "target" in cfg:
+        _unread(cfg, args, _DRAWS, "fic with target")
         return {"residual": _fic_residual(
             _density(cfg, "rho_S", [0.0, 0.0, 0.5]),
             _density(cfg, "psi_A", [0.0, 0.0, 1.0]), _density(cfg, "target"))}
+    _unread(cfg, args, ("rho_S", "psi_A"), "fic without target (random draws)")
     draws, seed, rng = _draws(cfg, args, 100)
     worst = max(_fic_residual(_random_density(rng), _random_pure(rng),
                               _random_density(rng)) for _ in range(draws))
@@ -235,22 +248,12 @@ def _cmd_sample(cfg: dict, args) -> Callable:
         ranges = tuple(tuple(full[name]) for name in _sampler.ANGLE_NAMES)
     elif ranges is not None:
         ranges = tuple(map(tuple, _floats(ranges, "angle_ranges", (9, 2))))
-    if ranges is not None:
-        bad = [name for name, (lo, hi) in zip(_sampler.ANGLE_NAMES, ranges)
-               if not 0.0 <= float(hi) - float(lo) < np.inf]
-        if bad:
-            raise ModelFormatError("angle_ranges: hi < lo or hi - lo not "
-                                   f"finite for {bad}")
-    mode = cfg.get("mode", "random")
-    if mode not in _sampler.MODES:
-        raise ModelFormatError(f"mode must be one of {_sampler.MODES}, "
-                               f"got {mode!r}")
     kwargs = {"s_x": _option(cfg, args, "s_x", 0.0, finite_float),
               "s_z": _option(cfg, args, "s_z", 0.0, finite_float),
               "a_z": _option(cfg, args, "a_z", 0.0, finite_float),
               "n": _option(cfg, args, "n", 729, _positive(_integer)),
               "seed": _option(cfg, args, "seed", 0, _seed),
-              "mode": mode}
+              "mode": cfg.get("mode", "random")}
     if ranges is not None:
         kwargs["angle_ranges"] = ranges
     sc = _sampler.SampleConfig(**kwargs)
@@ -373,10 +376,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         result = _run(COMMANDS[args.command], args)
-    except ModelFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (json.JSONDecodeError, OSError, KeyError, TypeError) as exc:
+    except (ModelFormatError, json.JSONDecodeError, OSError, KeyError,
+            TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -25,7 +25,7 @@ from .qalg import (ID2, ID4, PAULI_X_TILDE, PAULI_Z_TILDE, TOL_RANK,
 # Unused here; qbench/selftest.py checks that its tracer rebinds
 # indirect.partial_trace, so the name stays bound in this module.
 from .qalg import partial_trace  # noqa: F401
-from .lieclosure import LieBasis, invariant_space_coords, trace_A_image
+from .lieclosure import LieBasis, invariant_space, trace_A_image
 
 
 def _read_states(*rhos) -> tuple:
@@ -63,7 +63,7 @@ def gennegat_test(L: LieBasis, rho_S: np.ndarray, rho_A: np.ndarray,
     # ||rho_S - 1/2||_F = ||r_S - (1, 0, 0, 0)|| / sqrt 2: Tr(P_a P_b) = 2 delta_ab
     if np.linalg.norm(r_S - (1.0, 0.0, 0.0, 0.0)) / np.sqrt(2.0) <= 1e-9:
         raise ValueError("rho_S maximally mixed: the obstruction is vacuous")
-    V = invariant_space_coords(L, 0.5 * np.outer(r_S, r_A).ravel(), tol)
+    V = invariant_space(L, 0.5 * np.outer(r_S, r_A).ravel(), tol)
     img = trace_A_image(V, tol)
     return GennegatVerdict(v_dim=len(V), trace_image_dim=len(img),
                            uic_excluded=len(img) < 4)

@@ -11,7 +11,7 @@ per sweep over the newly found vectors.  ``closure(G)`` uses G as both seeds
 and operators: by the Jacobi identity the right-nested brackets of the
 generators span the algebra they generate.  Matrices are checked and
 converted to coordinates once, at the boundary (``qalg.skew_coords``);
-``invariant_space_coords`` takes a seed already in coordinates.
+``invariant_space`` takes its seed already in coordinates.
 """
 
 from __future__ import annotations
@@ -128,18 +128,13 @@ def closure(generators, tol: float = TOL_RANK) -> LieBasis:
     return _ad_invariant(G, G, d, tol, d * d - 1)
 
 
-def invariant_space(L: LieBasis, seed, tol: float = TOL_RANK) -> LieBasis:
-    """Smallest subspace containing the matrix seed and invariant under ad of L.
+def invariant_space(L: LieBasis, c, tol: float = TOL_RANK) -> LieBasis:
+    """Smallest subspace containing the seed and invariant under ad of L.
 
-    The seed may carry a trace (it is typically i times a density matrix),
-    so only skew-Hermiticity is required of it.
-    """
-    return invariant_space_coords(L, qalg.pauli_coords(seed), tol)
-
-
-def invariant_space_coords(L: LieBasis, c, tol: float = TOL_RANK) -> LieBasis:
-    """``invariant_space`` for a seed given by its complex Pauli coordinates
-    c = Tr(E_j^dag seed), shape (dim^2,), checked by ``qalg.check_skew_coords``.
+    The seed is given by its complex Pauli coordinates c = Tr(E_j^dag seed),
+    shape (dim^2,); a matrix seed goes through ``qalg.pauli_coords``.  It may
+    carry a trace (it is typically i times a density matrix), so only
+    skew-Hermiticity is required of it (``qalg.check_skew_coords``).
     """
     c = check_skew_coords(c, require_traceless=False, tol=tol)
     if c.shape != (L.dim ** 2,):

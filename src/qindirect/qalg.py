@@ -35,6 +35,9 @@ import numpy as np
 # Global default tolerance for rank and nonzero decisions.  The rank
 # decisions take overrides; the density check and ``mat_exp`` do not.
 TOL_RANK = 1e-9
+# How far below 0 the smallest eigenvalue of a one-qubit state may lie: the
+# Bloch ball is |p| <= 1 + 2 TOL_EIG, for ``state_bloch`` and ``bloch_inverse``.
+TOL_EIG = 1e-10
 
 PAULI_X_TILDE = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y_TILDE = np.array([[0, 1j], [-1j, 0]], dtype=complex)
@@ -248,7 +251,7 @@ def state_bloch(r) -> np.ndarray:
 
     rho must be finite, Hermitian (sqrt(2) ||Im r|| = ||rho - rho^dag||_F)
     and of unit trace r_0 to TOL_RANK, with (Re r_0 - ||Re r[1:]||)/2 (the
-    smallest eigenvalue of its Hermitian part) at least -1e-10.
+    smallest eigenvalue of its Hermitian part) at least -TOL_EIG.
     """
     r = np.asarray(r)
     if not np.isfinite(r).all():
@@ -259,7 +262,7 @@ def state_bloch(r) -> np.ndarray:
         raise ValueError("density matrix trace differs from 1")
     re = r.real
     p = re[..., 1:]
-    if (0.5 * (re[..., 0] - np.sqrt((p ** 2).sum(axis=-1))) < -1e-10).any():
+    if (0.5 * (re[..., 0] - np.sqrt((p ** 2).sum(axis=-1))) < -TOL_EIG).any():
         raise ValueError("density matrix has a negative eigenvalue")
     return p
 
@@ -297,10 +300,11 @@ def bloch(rho) -> np.ndarray:
 
 
 def bloch_inverse(p) -> np.ndarray:
-    """Density matrix (1/2)(1 + p . tilde_sigma) for |p| <= 1."""
+    """Density matrix (1/2)(1 + p . tilde_sigma) for |p| <= 1, up to the
+    eigenvalue bound TOL_EIG of ``state_bloch``."""
     p = np.asarray(p, dtype=float)
     if p.shape != (3,):
         raise ValueError("expected a real 3-vector")
-    if np.linalg.norm(p) > 1.0 + 1e-9:
+    if 0.5 * (1.0 - np.linalg.norm(p)) < -TOL_EIG:
         raise ValueError(f"Bloch vector has norm {np.linalg.norm(p)} > 1")
     return 0.5 * (ID2 + p[0] * PAULI_X_TILDE + p[1] * PAULI_Y_TILDE + p[2] * PAULI_Z_TILDE)

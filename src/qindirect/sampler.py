@@ -52,6 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import ModelFormatError
 from .qalg import (ID2, SIGMA_X, SIGMA_Z, STRUCTURE, bloch, bloch_inverse,
                    dagger, from_pauli_coords, mat_exp, partial_trace,
                    state_bloch, tensor, z_rotation)
@@ -84,6 +85,19 @@ class SampleConfig:
     mode: str = "random"  # one of MODES
 
     def __post_init__(self):
+        # malformed fields before the preconditions on the state
+        if self.mode not in MODES:
+            raise ModelFormatError(f"mode must be one of {MODES}, "
+                                   f"got {self.mode!r}")
+        ranges = tuple((float(lo), float(hi)) for lo, hi in self.angle_ranges)
+        if len(ranges) != 9:
+            raise ModelFormatError("angle_ranges: need nine finite-width "
+                                   f"intervals, got {len(ranges)}")
+        bad = [name for name, (lo, hi) in zip(ANGLE_NAMES, ranges)
+               if not 0.0 <= hi - lo < np.inf]
+        if bad:
+            raise ModelFormatError(f"angle_ranges: {bad} are not "
+                                   "finite-width intervals with lo <= hi")
         if not np.isfinite([self.s_x, self.s_z, self.a_z]).all():
             raise ValueError("s_x, s_z and a_z must be finite")
         if self.s_x ** 2 + self.s_z ** 2 > 1.0 + 1e-12:
@@ -92,12 +106,6 @@ class SampleConfig:
             raise ValueError("|a_z| must be <= 1")
         if self.n < 1:
             raise ValueError("need at least one sample")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
-        ranges = tuple((float(lo), float(hi)) for lo, hi in self.angle_ranges)
-        if len(ranges) != 9 or any(not 0.0 <= hi - lo < np.inf
-                                   for lo, hi in ranges):
-            raise ValueError("angle_ranges: need nine finite-width intervals")
         object.__setattr__(self, "angle_ranges", ranges)
 
 

@@ -355,6 +355,10 @@ def test_unknown_config_key_is_exit_1(tmp_path, capsys, command, payload,
     ("classify", {**AXIS_CC, "control": {"type": "axis", "n": [0, 0, True]}},
      "axis"),
     ("classify", {**ISING, "tolerances": {"tol_rank": "1e-6"}}, "tol_rank"),
+    # a key that the chosen mode of steer or fic does not read
+    ("steer", {"rho_S": [0, 0, 0.9], "draws": 3}, "rho_S"),
+    ("fic", {"psi_A": [0, 0, 0.2]}, "psi_A"),
+    ("steer", {"x_angles": [0.1, 0.2, 0.3], "draws": 9, "seed": 3}, "draws"),
 ])
 def test_malformed_value_is_exit_1(tmp_path, capsys, command, payload, key):
     cfg = _write(tmp_path, "cfg.json", payload)
@@ -362,6 +366,19 @@ def test_malformed_value_is_exit_1(tmp_path, capsys, command, payload, key):
     assert code == 1
     assert out == ""
     assert key in err
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("steer", {"x_angles": [0.1, 0.2, 0.3]}),
+    ("fic", {"target": [0.0, 0.0, 0.4]}),
+])
+def test_draw_flags_with_an_explicit_case_are_exit_1(tmp_path, capsys,
+                                                      command, payload):
+    cfg = _write(tmp_path, "cfg.json", payload)
+    code, out, err = _run(capsys, command, cfg, "--draws", "9", "--seed", "3")
+    assert code == 1
+    assert out == ""
+    assert "error:" in err and "draws" in err and "seed" in err
 
 
 @pytest.mark.parametrize("command", ["steer", "fic", "verify", "sample"])

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from qindirect import indirect
 from qindirect.classify import CASE_DIMS, case_1b_basis
 from qindirect.indirect import (E1, GennegatVerdict, euler_su2, fic_mix,
                                 fic_reach, gennegat_test, pure_uic_steer,
@@ -19,8 +20,8 @@ from qindirect.lieclosure import (closure, contains, invariant_space,
 from qindirect.model import (generator_set, random_model,
                              random_single_axis_model)
 from qindirect.qalg import (ID2, ID4, SIGMA_X, SIGMA_Z, bloch_inverse,
-                            dagger, frob, mat_exp, partial_trace, tensor,
-                            z_rotation)
+                            dagger, frob, mat_exp, partial_trace,
+                            pauli_coords, tensor, z_rotation)
 
 st_angle = st.floats(-6.0, 6.0)
 st_bloch = st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)).filter(
@@ -74,7 +75,7 @@ def test_gennegat_rejects_maximally_mixed_target(rng):
 
 def _matrix_route(L, rho_s, rho_a, tol):
     """(v_dim, trace_image_dim) from the 4x4 seed matrix i rho_S (x) rho_A."""
-    V = invariant_space(L, 1j * tensor(rho_s, rho_a), tol)
+    V = invariant_space(L, pauli_coords(1j * tensor(rho_s, rho_a)), tol)
     return len(V), len(trace_A_image(V, tol))
 
 
@@ -108,6 +109,21 @@ def test_gennegat_matches_matrix_route(tol):
             assert v.uic_excluded == (v.trace_image_dim < 4)
             images.add(v.trace_image_dim)
     assert len(images) > 1  # both verdicts occur
+
+
+def test_gennegat_makes_one_invariant_space_call(rng, monkeypatch):
+    # wrapped the way a tracer rebinds it, the sweep shows one call per test
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return invariant_space(*args, **kwargs)
+
+    monkeypatch.setattr(indirect, "invariant_space", counted)
+    L = closure(generator_set(random_model("1c", rng)))
+    for n in range(1, 4):
+        gennegat_test(L, _random_state(rng), _random_state(rng))
+        assert len(calls) == n
 
 
 def test_gennegat_maximally_mixed_boundary(rng):

@@ -212,6 +212,14 @@ def test_bloch_inverse_rejects_outside_ball():
         bloch_inverse([1.0, 0.0])
 
 
+def test_bloch_inverse_ball_is_the_state_bloch_ball():
+    # both accept |p| <= 1 + 2e-10, the eigenvalue bound -1e-10 of state_bloch
+    p = np.array([0.6, 0.0, 0.8])
+    check_density(bloch_inverse((1.0 + 1e-10) * p))
+    with pytest.raises(ValueError, match="Bloch vector has norm"):
+        bloch_inverse((1.0 + 5e-10) * p)
+
+
 def test_check_density_rejections():
     with pytest.raises(ValueError):
         check_density(np.array([[1.0, 0.5j], [0.5j, 0.0]]))  # not Hermitian

@@ -15,6 +15,7 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 from qindirect import sampler
+from qindirect.model import ModelFormatError
 from qindirect.qalg import (ID2, ID4, SIGMA_X, SIGMA_Z, dagger, frob,
                             mat_exp, pauli_coords, tensor)
 from qindirect.sampler import (ANGLE_NAMES, DEFAULT_RANGE, SampleConfig,
@@ -242,6 +243,13 @@ def test_sample_config_rejects_range_of_non_finite_width(lo, hi):
     ranges = [DEFAULT_RANGE] * 9
     ranges[1] = (lo, hi)
     with pytest.raises(ValueError, match="finite-width"):
+        SampleConfig(s_x=0.0, s_z=0.5, a_z=0.0, angle_ranges=ranges)
+
+
+def test_sample_config_names_a_reversed_range():
+    ranges = [DEFAULT_RANGE] * 9
+    ranges[ANGLE_NAMES.index("s3")] = (2.0, 1.0)
+    with pytest.raises(ModelFormatError, match="s3"):
         SampleConfig(s_x=0.0, s_z=0.5, a_z=0.0, angle_ranges=ranges)
 
 
