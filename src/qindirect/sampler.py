@@ -20,12 +20,24 @@ per row of the angle table.  Every factor is a conjugation by e^{theta g E_j}
 with E_j a single Pauli string: sz (x) 1 = E_30, i sx (x) sz = -E_13/2,
 i sx (x) sx = -E_11/2 and 1 (x) sx = E_01.  Since [E_j, E_k] = +-E_l or 0,
 that conjugation turns four coordinate planes (x_k, x_l) by the angle
-theta g and leaves the other coordinates alone.  The planes and their
+phi = theta g and leaves the other coordinates alone.  The planes and their
 orientation are read from ``qalg.STRUCTURE[4]`` at import.  The start is
 i rho_S (x) rho_A = sum s_a t_b E_ab / 2 with s = (1, s_x, 0, s_z) and
 t = (1, 0, 0, a_z).  As Tr_A E_a0 = sqrt(2) E_a and Tr_A E_ab = 0 for
 b != 0, ``qalg.state_bloch`` checks and reads Tr(P_a rho') = 2 x_a0, and
 no matrix is built.  The t1 z-rotation acts on S only, before the trace.
+
+Each turn is the half-angle form c = (1 - t^2)/(1 + t^2), s = 2t/(1 + t^2)
+of one tangent t = tan(phi/2), taken for the whole table at once; phi/2 =
+theta (g/2) is exact, since g/2 is a power of two, and c^2 + s^2 = 1 to
+rounding at any angle.  Only 18 of the 32 planes of the eight factors are
+turned.  The start state is zero off its support E_ab, a in {0, 1, 3} and
+b in {0, 3}, and the read-out is x_a0.  A plane is kept when it touches
+a coordinate that the earlier planes can have made nonzero and one that
+the later planes can carry to the read-out (``_live_planes``).  The others
+turn two zeros or change only coordinates that are never read, so
+dropping them leaves every point as it was (an exact zero may change
+sign).
 
 Two oracles follow other routes.  ``reachable_point`` computes one point
 from 4x4 matrices: the closed form ``y_closed_form``, which substitutes the
@@ -49,6 +61,7 @@ point does not depend on s4.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -60,16 +73,20 @@ from .qalg import (ID2, SIGMA_X, SIGMA_Z, STRUCTURE, bloch, bloch_inverse,
 ANGLE_NAMES = ("t1", "t3", "t4", "a1", "a2", "s1", "s2", "s3", "s4")
 DEFAULT_RANGE = (0.0, 4.0 * np.pi)
 MODES = ("random", "grid")  # i.i.d. uniform angles, or grid midpoints
-# rows of the angle table per array pass of ``sample``.  It bounds the
-# temporaries of a large cloud: the (16, rows) coordinates, the cosines and
-# sines of the angles, and the (rows, 4) reduced states.  At 512 rows
-# the largest of them (64 kB) is as large as the (256, 4, 4) complex
-# propagators of the matrix route, and a 729-point call peaks at about the
-# same memory; 1024 rows are faster still but hold about 0.15 MB more
-_BLOCK = 512
+# rows of the angle table per array pass of ``sample``.  The 729-point
+# default runs in one pass; a pass of 4096 rows holds about 1.7 MB of
+# temporaries at its peak (the (16, rows) coordinates and a few (8, rows)
+# tables of tangents, cosines and sines), against the 7.2 MB angle
+# table of a 10^5-point cloud, and takes that cloud fastest
+_BLOCK = 4096
 # rows per formatting step of emit_csv; a step holds under 1 MB of floats,
 # tuple and text, and 10^5 rows take as long as in one step
 _CSV_ROWS = 4096
+
+
+def _is_integer(value) -> bool:
+    """An int or numpy integer; a bool, a float or a string is not."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -98,6 +115,11 @@ class SampleConfig:
         if bad:
             raise ModelFormatError(f"angle_ranges: {bad} are not "
                                    "finite-width intervals with lo <= hi")
+        if not _is_integer(self.n):
+            raise ModelFormatError(f"n must be an integer, got {self.n!r}")
+        if not _is_integer(self.seed) or self.seed < 0:
+            raise ModelFormatError("seed must be an integer of at least 0, "
+                                   f"got {self.seed!r}")
         if not np.isfinite([self.s_x, self.s_z, self.a_z]).all():
             raise ValueError("s_x, s_z and a_z must be finite")
         if self.s_x ** 2 + self.s_z ** 2 > 1.0 + 1e-12:
@@ -226,8 +248,9 @@ _SWEEP = (("s3", _E30, 1.0), ("s2", _E13, -0.5), ("s1", _E30, 1.0),
           ("a2", _E11, -0.5), ("a1", _E01, 1.0), ("t4", _E30, 1.0),
           ("t3", _E13, -0.5), ("t1", _E30, 1.0))
 _SWEEP_COLUMNS = tuple(ANGLE_NAMES.index(name) for name, _, _ in _SWEEP)
-_SWEEP_SCALE = np.array([g for _, _, g in _SWEEP])
-_SWEEP_SCALE.setflags(write=False)
+# g/2 in {1/2, -1/4}: a power of two, so the half angles theta g/2 are exact
+_HALF_SCALE = np.array([g / 2 for _, _, g in _SWEEP])
+_HALF_SCALE.setflags(write=False)
 
 
 def _planes(j: int) -> np.ndarray:
@@ -251,19 +274,80 @@ def _rotate(x, planes, cos, sin) -> None:
     x[l] = sin * xk + cos * xl
 
 
+def _half_angle_turn(half):
+    """cos and sin of 2 half from one tangent t = tan(half).
+
+    c = (1 - t^2)/(1 + t^2) and s = 2t/(1 + t^2) satisfy c^2 + s^2 = 1 to
+    rounding for every finite t, so a turn stays orthogonal at any angle.
+    ``half`` is overwritten: s is computed in its memory.
+    """
+    t = np.tan(half, out=half)
+    d = t * t
+    c = 1.0 - d
+    d += 1.0
+    c /= d
+    t *= 2.0
+    t /= d
+    return c, t
+
+
+# the start state of ``sample``, sum s_a t_b E_ab / 2 with s = (1, s_x, 0,
+# s_z) and t = (1, 0, 0, a_z), is zero off E_ab with a in (0, 1, 3) and b in
+# (0, 3); ``sample`` writes it on exactly these coordinates, in this order
+_START = np.array([4 * a + b for a in (0, 1, 3) for b in (0, 3)])
+_START.setflags(write=False)
+_READ = np.arange(0, 16, 4)  # x_a0, the coordinates Tr_A keeps
+_READ.setflags(write=False)
+
+
+def _live_planes(start, read) -> tuple:
+    """Per factor of _SWEEP, the planes of _PLANES that can move the read-out.
+
+    A coordinate is nonzero before a factor only if it is in ``start`` or
+    an earlier plane joined it to one; it reaches the read-out only if it
+    is in ``read`` or a later plane joins it to one.  A plane is kept when
+    it touches both sets: every other plane turns two zeros, or changes
+    only coordinates that no later plane carries to ``read``, so dropping
+    it leaves the values of the read coordinates as they were (an exact
+    zero may change sign).
+    """
+    planes = [_PLANES[j] for _, j, _ in _SWEEP]
+
+    def reach(seed, order):
+        marks = [np.zeros(16, dtype=bool)]
+        marks[0][seed] = True
+        for p in order:
+            mark = marks[-1].copy()
+            mark[p[mark[p].any(axis=1)]] = True
+            marks.append(mark)
+        return marks
+
+    nonzero = reach(start, planes)  # nonzero[i]: before factor i
+    needed = reach(read, planes[::-1])[::-1]  # needed[i + 1]: after factor i
+    live = []
+    for i, p in enumerate(planes):
+        keep = p[nonzero[i][p].any(axis=1) & needed[i + 1][p].any(axis=1)]
+        keep.setflags(write=False)
+        live.append(keep)
+    return tuple(live)
+
+
+_LIVE = _live_planes(_START, _READ)
+
+
 def _sample_block(state, table) -> np.ndarray:
     """reachable_point for every row (t1, t3, ..., s4) of an angle table.
 
-    ``state`` holds the (16,) Pauli coordinates of i rho_S (x) rho_A.
-    s4 is read and dropped: rho_A is diagonal, so it commutes with
-    e^{s4 sz} (see the module docstring).
+    ``state`` holds the (16,) Pauli coordinates of i rho_S (x) rho_A, zero
+    off _START.  s4 is read and dropped: rho_A is diagonal, so it commutes
+    with e^{s4 sz} (see the module docstring).
     """
-    phi = table[:, _SWEEP_COLUMNS].T * _SWEEP_SCALE[:, None]
-    cos, sin = np.cos(phi), np.sin(phi)
+    half = table[:, _SWEEP_COLUMNS].T * _HALF_SCALE[:, None]
+    cos, sin = _half_angle_turn(half)
     x = np.repeat(state[:, None], len(table), axis=1)
-    for (_, j, _), c, s in zip(_SWEEP, cos, sin):
-        _rotate(x, _PLANES[j], c, s)
-    return state_bloch(2.0 * x[0::4].T)  # Tr(P_a rho') = 2 x_a0
+    for planes, c, s in zip(_LIVE, cos, sin):
+        _rotate(x, planes, c, s)
+    return state_bloch(2.0 * x[_READ].T)  # Tr(P_a rho') = 2 x_a0
 
 
 def sample(cfg: SampleConfig) -> np.ndarray:
@@ -274,8 +358,9 @@ def sample(cfg: SampleConfig) -> np.ndarray:
     from 4x4 matrices, and serves as its oracle.
     """
     angles = _angle_table(cfg)
-    state = 0.5 * np.outer([1.0, cfg.s_x, 0.0, cfg.s_z],
-                           [1.0, 0.0, 0.0, cfg.a_z]).ravel()
+    state = np.zeros(16)  # i rho_S (x) rho_A, on its support _START
+    state[_START] = 0.5 * np.outer([1.0, cfg.s_x, cfg.s_z],
+                                   [1.0, cfg.a_z]).ravel()
     points = np.empty((cfg.n, 3))
     for start in range(0, cfg.n, _BLOCK):
         stop = start + _BLOCK

@@ -407,10 +407,11 @@ def test_shared_tables_are_read_only():
     before = built()
     tables = [*PAULI_BASIS.values(), *qalg._FLAT_BASIS.values(),
               *qalg._DUAL_BASIS.values(), *STRUCTURE.values(),
-              *sampler._PLANES.values(), sampler._SWEEP_SCALE]
+              *sampler._PLANES.values(), *sampler._LIVE, sampler._START,
+              sampler._READ, sampler._HALF_SCALE]
     for table in tables:
         with pytest.raises(ValueError):
-            table[1] *= 2
+            table[-1] *= 2
     for old, new in zip(before, built()):
         assert np.array_equal(old, new)
     # the builders hand out writable copies

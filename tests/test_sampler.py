@@ -204,10 +204,16 @@ def _point_loop(cfg):
     return np.array(out).reshape(-1, 3)
 
 
-@pytest.mark.parametrize("state", REFERENCE_STATES)
+# s_x, s_z and a_z all nonzero: the start state holds every coordinate of
+# the support that the sampler's live planes are derived from
+FULL_SUPPORT_STATE = (0.3, -0.4, 0.7)
+GRID_RANGES = tuple((0.1 * k, 0.1 * k + 2.0 + 0.5 * k) for k in range(9))
+
+
+@pytest.mark.parametrize("state", REFERENCE_STATES + [FULL_SUPPORT_STATE])
 @pytest.mark.parametrize("mode, ranges", [
     ("random", (DEFAULT_RANGE,) * 9),
-    ("grid", tuple((0.1 * k, 0.1 * k + 2.0 + 0.5 * k) for k in range(9))),
+    ("grid", GRID_RANGES),
 ])
 def test_batched_sample_matches_point_loop(state, mode, ranges):
     s_x, s_z, a_z = state
@@ -221,6 +227,54 @@ def test_batched_sample_row_blocks(monkeypatch):
     monkeypatch.setattr(sampler, "_BLOCK", 7)
     cfg = SampleConfig(s_x=0.5, s_z=0.0, a_z=1.0, n=50, seed=2)
     assert np.abs(sample(cfg) - _point_loop(cfg)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("state", REFERENCE_STATES + [FULL_SUPPORT_STATE])
+@pytest.mark.parametrize("mode, ranges", [("random", (DEFAULT_RANGE,) * 9),
+                                          ("grid", GRID_RANGES)])
+def test_live_planes_match_all_planes(state, mode, ranges, monkeypatch):
+    # the sweep over the live planes against the sweep over every plane of
+    # each factor, from a start state written here from the two Bloch
+    # vectors; the values agree exactly (an exact zero may change sign)
+    s_x, s_z, a_z = state
+    cfg = SampleConfig(s_x=s_x, s_z=s_z, a_z=a_z, n=300, seed=8, mode=mode,
+                       angle_ranges=ranges)
+    start = 0.5 * np.outer([1.0, s_x, 0.0, s_z], [1.0, 0.0, 0.0, a_z]).ravel()
+    table = _angle_table(cfg)
+    live = sampler._sample_block(start, table)
+    monkeypatch.setattr(sampler, "_LIVE", tuple(
+        sampler._PLANES[j] for _, j, _ in sampler._SWEEP))
+    assert np.array_equal(live, sampler._sample_block(start, table))
+
+
+st_huge = st.floats(-1e300, 1e300, allow_nan=False)
+st_quarter_turns = st.integers(-10 ** 9, 10 ** 9).map(lambda k: k * np.pi / 2)
+
+
+@given(st.lists(st_huge | st_quarter_turns, min_size=1, max_size=40))
+def test_half_angle_turn_matches_cos_sin(phis):
+    # the sweep's cos and sin of phi from one tangent of phi / 2, on an
+    # array as the sweep passes them, for huge angles and at the zeros and
+    # poles of cos and sin
+    phi = np.array(phis)
+    c, s = sampler._half_angle_turn(phi / 2)
+    assert np.abs(c - np.cos(phi)).max() <= 1e-15
+    assert np.abs(s - np.sin(phi)).max() <= 1e-15
+    assert np.abs(c * c + s * s - 1.0).max() <= 2e-15
+
+
+@pytest.mark.parametrize("n, passes", [(729, 1),
+                                       (100000, -(-100000 // sampler._BLOCK))])
+def test_sample_passes(n, passes, monkeypatch):
+    # the default cloud in one pass, a large one in passes of _BLOCK rows
+    block = sampler._sample_block
+    rows = []
+    monkeypatch.setattr(sampler, "_sample_block",
+                        lambda state, table: rows.append(len(table))
+                        or block(state, table))
+    sample(SampleConfig(s_x=0.5, s_z=0.0, a_z=1.0, n=n, seed=1))
+    assert len(rows) == passes
+    assert sum(rows) == n
 
 
 def test_sample_block_checks_every_point():
@@ -244,6 +298,25 @@ def test_sample_config_rejects_range_of_non_finite_width(lo, hi):
     ranges[1] = (lo, hi)
     with pytest.raises(ValueError, match="finite-width"):
         SampleConfig(s_x=0.0, s_z=0.5, a_z=0.0, angle_ranges=ranges)
+
+
+@pytest.mark.parametrize("n", [2.5, 3.0, True, "4"])
+def test_sample_config_rejects_a_count_that_is_no_integer(n):
+    with pytest.raises(ModelFormatError, match="n must be an integer"):
+        SampleConfig(s_x=0.0, s_z=0.5, a_z=0.0, n=n)
+
+
+@pytest.mark.parametrize("seed", [1.5, -1, 2.0, True])
+def test_sample_config_rejects_a_bad_seed(seed):
+    with pytest.raises(ModelFormatError, match="seed must be an integer"):
+        SampleConfig(s_x=0.0, s_z=0.5, a_z=0.0, seed=seed)
+
+
+def test_sample_config_takes_numpy_integers():
+    cfg = SampleConfig(s_x=0.0, s_z=0.5, a_z=0.0, n=np.int32(5),
+                       seed=np.uint64(3))
+    expect = sample(SampleConfig(s_x=0.0, s_z=0.5, a_z=0.0, n=5, seed=3))
+    assert np.array_equal(sample(cfg), expect)
 
 
 def test_sample_config_names_a_reversed_range():
