@@ -16,8 +16,10 @@ Covers three layers:
 
 Conventions are those of :mod:`qindirect.qalg`; in particular every
 two-site basis element written ``i sigma_a (x) sigma_b`` carries the
-explicit scalar ``i``, and every element is built from the Pauli-string
-basis by the sigma <-> E_ab dictionary stated there.
+explicit scalar ``i``.  Every element is a (16,) row of Pauli coordinates
+from ``qalg.E_AB`` by the sigma <-> E_ab dictionary stated there, a basis
+an (n, 16) array; the suites bracket with ``qalg.bracket`` and measure with
+the Euclidean norm, the Frobenius norm in this orthonormal basis.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import norm
 
-from .qalg import (PAULI_BASIS, TOL_RANK, _rotation_about, _rotation_between,
-                   commutator, frob)
+from .qalg import E_AB, TOL_RANK, _rotation_about, _rotation_between, bracket
 from .lieclosure import closure
 from .model import FullSU2, SingleAxis, TwoQubitModel, generator_set
 
@@ -58,65 +60,65 @@ class Oms0Report:
 
 
 # ---------------------------------------------------------------------------
-# element builders (shared by reference bases and identity suites): lookups
-# in the Pauli-string basis, _E[a, b] = E_ab with index 0 for the identity
+# element builders (shared by reference bases and identity suites): rows
+# of Pauli coordinates, E_AB[a, b] = E_ab with index 0 for the identity
 
 
-_E = PAULI_BASIS[4].reshape(4, 4, 4, 4)
 _AXIS = {"x": 1, "y": 2, "z": 3}
 
 
 def _two(s_ax: str, a_ax: str) -> np.ndarray:
     """i sigma_s (x) sigma_a = -E_sa / 2."""
-    return -0.5 * _E[_AXIS[s_ax], _AXIS[a_ax]]
+    return -0.5 * E_AB[_AXIS[s_ax], _AXIS[a_ax]]
 
 
 def _two_vec(v, a_ax: str) -> np.ndarray:
     """i sigma_v (x) sigma_a for a real S-side vector v."""
-    return -0.5 * np.tensordot(v, _E[1:, _AXIS[a_ax]], axes=1)
+    return -0.5 * np.tensordot(v, E_AB[1:, _AXIS[a_ax]], axes=1)
 
 
 def _one_s(ax: str) -> np.ndarray:
     """sigma_s (x) 1 = E_s0."""
-    return _E[_AXIS[ax], 0].copy()
+    return E_AB[_AXIS[ax], 0].copy()
 
 
 def _one_a(ax: str) -> np.ndarray:
     """1 (x) sigma_a = E_0a."""
-    return _E[0, _AXIS[ax]].copy()
+    return E_AB[0, _AXIS[ax]].copy()
 
 
-def case_1b_basis() -> list:
+def case_1b_basis() -> np.ndarray:
     """span{sigma_z (x) 1, 1 (x) su(2), i sigma_{x,y} (x) su(2)} (10-dim)."""
     out = [_one_s("z")]
     out += [_one_a(ax) for ax in "xyz"]
     out += [_two(s_ax, a_ax) for s_ax in "xy" for a_ax in "xyz"]
-    return out
+    return np.array(out)
 
 
-def case_1c_basis() -> list:
+def case_1c_basis() -> np.ndarray:
     """span{i sigma_z (x) su(2), sigma_z (x) 1, 1 (x) su(2)} (7-dim)."""
     out = [_two("z", ax) for ax in "xyz"]
     out.append(_one_s("z"))
     out += [_one_a(ax) for ax in "xyz"]
-    return out
+    return np.array(out)
 
 
-def case_2a_basis(direction) -> list:
+def case_2a_basis(direction) -> np.ndarray:
     """span{i sigma_u (x) su(2), 1 (x) su(2)} for a fixed S-direction u."""
     u = np.asarray(direction, dtype=float)
     u = u / np.linalg.norm(u)
-    return [_two_vec(u, ax) for ax in "xyz"] + [_one_a(ax) for ax in "xyz"]
+    return np.array([_two_vec(u, ax) for ax in "xyz"]
+                    + [_one_a(ax) for ax in "xyz"])
 
 
-def c2_failure_subalgebra() -> list:
+def c2_failure_subalgebra() -> np.ndarray:
     """The 7-dim subalgebra trapping the closure when C2 fails.
 
     span{1 (x) sz, sz (x) 1, i sy (x) sx, i sx (x) sy, i sy (x) sy,
     i sx (x) sx, i sz (x) sz}, written in normal-form coordinates.
     """
-    return [_one_a("z"), _one_s("z"), _two("y", "x"), _two("x", "y"),
-            _two("y", "y"), _two("x", "x"), _two("z", "z")]
+    return np.array([_one_a("z"), _one_s("z"), _two("y", "x"), _two("x", "y"),
+                     _two("y", "y"), _two("x", "x"), _two("z", "z")])
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +300,7 @@ class IdentityReport:
         return max(self.residuals.values())
 
 
-def _gamma_matrices(alpha: float, omega_A: float) -> dict:
+def _gamma_elements(alpha: float, omega_A: float) -> dict:
     k = alpha ** 2 + 4.0 * omega_A ** 2
     if k < 1e-24:
         raise ValueError("degenerate mixing angle: alpha and omega_A both zero")
@@ -323,28 +325,28 @@ def gamma_suite(alpha: float, gamma: float, beta: float,
     """
     if abs(alpha) < 1e-12:
         raise ValueError("the Gamma construction requires alpha != 0")
-    g = _gamma_matrices(alpha, omega_A)
+    g = _gamma_elements(alpha, omega_A)
     gx, gy, gz = g["gx"], g["gy"], g["gz"]
     rk = np.sqrt(g["k"])
 
     res = {}
     for sign, tag in ((+1, "p"), (-1, "m")):
-        res[f"bracket_{tag}_xy"] = frob(commutator(gx[sign], gy[sign]) - gz[sign])
-        res[f"bracket_{tag}_yz"] = frob(commutator(gy[sign], gz[sign]) - gx[sign])
-        res[f"bracket_{tag}_zx"] = frob(commutator(gz[sign], gx[sign]) - gy[sign])
+        res[f"bracket_{tag}_xy"] = norm(bracket(gx[sign], gy[sign]) - gz[sign])
+        res[f"bracket_{tag}_yz"] = norm(bracket(gy[sign], gz[sign]) - gx[sign])
+        res[f"bracket_{tag}_zx"] = norm(bracket(gz[sign], gx[sign]) - gy[sign])
     for a_name, ga in (("x", gx), ("y", gy), ("z", gz)):
         for b_name, gb in (("x", gx), ("y", gy), ("z", gz)):
-            res[f"cross_{a_name}{b_name}"] = frob(commutator(ga[+1], gb[-1]))
+            res[f"cross_{a_name}{b_name}"] = norm(bracket(ga[+1], gb[-1]))
 
     l1 = _one_a("z")
     l2 = (alpha * _two("x", "x") + gamma * _two("y", "x")
           + beta * _two("y", "y") + omega_A * _one_a("y"))
-    res["l1_expansion"] = frob(l1 + (gy[+1] + gy[-1]))
-    res["l2_expansion"] = frob(l2 - 0.5 * (gamma * (gx[+1] + gx[-1])
+    res["l1_expansion"] = norm(l1 + (gy[+1] + gy[-1]))
+    res["l2_expansion"] = norm(l2 - 0.5 * (gamma * (gx[+1] + gx[-1])
                                            + rk * (gz[-1] - gz[+1])
                                            + beta * (gz[+1] + gz[-1])))
-    res["double_bracket"] = frob(
-        commutator(commutator(l1, l2), l2)
+    res["double_bracket"] = norm(
+        bracket(bracket(l1, l2), l2)
         - 0.25 * ((gamma ** 2 + (beta - rk) ** 2) * gy[+1]
                   + (gamma ** 2 + (beta + rk) ** 2) * gy[-1]))
     return IdentityReport(residuals=res)
@@ -358,15 +360,15 @@ def reduced_pair_closure_dim(alpha: float, gamma: float, beta: float,
     l1 = _one_a("z")
     l2 = (alpha * _two("x", "x") + gamma * _two("y", "x")
           + beta * _two("y", "y") + omega_A * _one_a("y"))
-    return len(closure([l1, l2]))
+    return len(closure(np.array([l1, l2])))
 
 
 def reduced_pair_special_basis(alpha: float, omega_A: float,
-                               flip: bool = False) -> list:
+                               flip: bool = False) -> np.ndarray:
     """The 4-dim algebra at gamma = 0, beta = sqrt(k) (flip: beta = -sqrt(k))."""
-    g = _gamma_matrices(alpha, omega_A)
+    g = _gamma_elements(alpha, omega_A)
     lo, hi = (-1, +1) if not flip else (+1, -1)
-    return [g["gx"][lo], g["gy"][lo], g["gz"][lo], g["gy"][hi]]
+    return np.array([g["gx"][lo], g["gy"][lo], g["gz"][lo], g["gy"][hi]])
 
 
 def appendix_b_suite(x: float, y: float, z: float, alpha: float,
@@ -380,7 +382,7 @@ def appendix_b_suite(x: float, y: float, z: float, alpha: float,
     double bracket); the suite checks the exact forms, which the dimension
     argument downstream needs anyway.
     """
-    g = _gamma_matrices(alpha, omega_A)
+    g = _gamma_elements(alpha, omega_A)
     c, s, k = g["c"], g["s"], g["k"]
     cvec = np.array([x, y, z], dtype=float)
     if abs(np.dot(cvec, cvec) - 1.0) > 1e-9:
@@ -391,13 +393,13 @@ def appendix_b_suite(x: float, y: float, z: float, alpha: float,
     p = _two_vec(cvec, "z")
     gz_p, gz_m = g["gz"][+1], g["gz"][-1]
 
-    q1 = commutator(p, amat)
-    q2 = 4.0 * commutator(p, gz_m)
+    q1 = bracket(p, amat)
+    q2 = 4.0 * bracket(p, gz_m)
     q1_print = (c * (y * _two("x", "z") - x * _two("y", "z"))
                 + (s / 2) * (z * _one_s("x") - x * _one_s("z")))
     q2_print = -y * _one_a("x") + c * x * _one_a("y") - 2 * s * _two_vec(cvec, "x")
 
-    r1 = c * np.tensordot(cvec, _E[1:, 0], axes=1)  # c sigma_cvec (x) 1
+    r1 = c * np.tensordot(cvec, E_AB[1:, 0], axes=1)  # c sigma_cvec (x) 1
     r2 = (c ** 2 * z * _two("z", "z") + s ** 2 * y * _two("y", "z")
           - (s * c / 2) * (y * _one_s("z") + z * _one_s("y")))
     r3 = ((c ** 2 * y / 4) * _one_a("y") - (s * c / 2) * y * _two("x", "x")
@@ -412,31 +414,31 @@ def appendix_b_suite(x: float, y: float, z: float, alpha: float,
           + (s / 2) * _one_a("x"))
 
     res = {
-        "q1": frob(q1 - q1_print),
-        "q2": frob(q2 - q2_print),
+        "q1": norm(q1 - q1_print),
+        "q2": norm(q2 - q2_print),
         # step-2 brackets: new direction plus already-achieved directions
-        "r1": frob(commutator(q1, p)
+        "r1": norm(bracket(q1, p)
                    - (0.25 * amat + (s * y / 2) * p - (z / 4) * r1)),
-        "r2": frob(commutator(q1, amat) - (r2 - p)),
-        "r3": frob(commutator(q1, gz_m) - r3),
-        "r4": frob(commutator(q2, p) - r4),
-        "r5": frob(commutator(q2, zmat) - r5),
-        "r6": frob(commutator(q2, gz_m) - (r6 - s ** 2 * p - s * y * zmat)),
-        "s1": frob(commutator(r4, zmat) - s1),
-        "local_combination": frob(
+        "r2": norm(bracket(q1, amat) - (r2 - p)),
+        "r3": norm(bracket(q1, gz_m) - r3),
+        "r4": norm(bracket(q2, p) - r4),
+        "r5": norm(bracket(q2, zmat) - r5),
+        "r6": norm(bracket(q2, gz_m) - (r6 - s ** 2 * p - s * y * zmat)),
+        "s1": norm(bracket(r4, zmat) - s1),
+        "local_combination": norm(
             2 * s * c * x * y * s1 - 2 * s * y ** 2 * r4
             + (c ** 2 * x ** 2 * y + y ** 3) * r5
             - (y ** 2 * (y ** 2 + c ** 2 * x ** 2 - s ** 2) * _one_a("y")
                + c * x * y * (c ** 2 * x ** 2 + y ** 2 + s ** 2) * _one_a("x"))),
         # single bracket with the interaction term (exact coefficient y/2)
-        "sum_bracket": frob(commutator(gz_p + gz_m, p) - (y / 2) * _one_a("x")),
+        "sum_bracket": norm(bracket(gz_p + gz_m, p) - (y / 2) * _one_a("x")),
         # final double bracket, exact form (printed one drops the
         # y-dependent part and halves the local coefficient)
-        "final_double": frob(
-            (1.0 / np.sqrt(k)) * commutator(
-                8 * omega_A * commutator(gz_p, p) + alpha * x * (gz_p - gz_m), p)
+        "final_double": norm(
+            (1.0 / np.sqrt(k)) * bracket(
+                8 * omega_A * bracket(gz_p, p) + alpha * x * (gz_p - gz_m), p)
             - (0.5 * (x ** 2 + s ** 2 * (y ** 2 + z ** 2)) * _one_a("y")
                - s * y * _two_vec(cvec, "y"))),
-        "pq2": frob(commutator(p, q2) + r4),
+        "pq2": norm(bracket(p, q2) + r4),
     }
     return IdentityReport(residuals=res)

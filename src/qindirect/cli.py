@@ -30,8 +30,9 @@ from . import sampler as _sampler
 from .lieclosure import closure
 from .model import (FullSU2, ModelFormatError, finite_float, generator_set,
                     json_numbers, load_json, model_from_dict)
-from .qalg import (SIGMA_X, TOL_RANK, bloch_inverse, dagger, frob, mat_exp,
-                   partial_trace, tensor, z_rotation)
+from .qalg import (SIGMA_X, TOL_RANK, bloch_inverse, dagger, frob,
+                   from_pauli_coords, mat_exp, partial_trace, tensor,
+                   z_rotation)
 
 
 def _load_config(path) -> dict:
@@ -108,11 +109,6 @@ def _tolerances(cfg: dict, args) -> dict:
                                 _positive(finite_float))}
 
 
-def _serialize_matrix(m: np.ndarray) -> dict:
-    return {"real": np.asarray(m).real.tolist(),
-            "imag": np.asarray(m).imag.tolist()}
-
-
 # ---------------------------------------------------------------------------
 # random draws and contract residuals shared by steer/fic/verify
 
@@ -183,10 +179,14 @@ def _cmd_classify(model, cfg: dict, args) -> dict:
 
 def _cmd_closure(model, cfg: dict, args) -> dict:
     tols = _tolerances(cfg, args)
+    show = cfg.get("basis")
+    if show is not None and not isinstance(show, bool):
+        raise ModelFormatError(f"basis: {show!r} is not true or false")
     basis = closure(generator_set(model), tol=tols["tol_rank"])
     payload = {"dim": len(basis), "tolerances": tols}
-    if cfg.get("basis"):
-        payload["basis"] = [_serialize_matrix(m) for m in basis.mats]
+    if show:
+        payload["basis"] = [{"real": m.real.tolist(), "imag": m.imag.tolist()}
+                            for m in from_pauli_coords(basis, 4)]
     return payload
 
 

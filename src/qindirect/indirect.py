@@ -11,7 +11,8 @@ Three layers, all for the target-plus-accessor pair:
 * free-interaction state transfer: with full controllability, the target
   can be driven from any initial pair to any density matrix with the
   right trace, along a closed-form one-angle family of unitaries running
-  from SWAP to one that maximally mixes the target.
+  from SWAP to one that maximally mixes the target.  These two return
+  group elements, so they work on 2x2 and 4x4 matrices.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .qalg import (ID2, ID4, PAULI_X_TILDE, PAULI_Z_TILDE, TOL_RANK,
 # Unused here; qbench/selftest.py checks that its tracer rebinds
 # indirect.partial_trace, so the name stays bound in this module.
 from .qalg import partial_trace  # noqa: F401
-from .lieclosure import LieBasis, invariant_space, trace_A_image
+from .lieclosure import invariant_space, trace_A_image
 
 
 def _read_states(*rhos) -> tuple:
@@ -46,12 +47,13 @@ class GennegatVerdict:
     uic_excluded: bool
 
 
-def gennegat_test(L: LieBasis, rho_S: np.ndarray, rho_A: np.ndarray,
+def gennegat_test(L: np.ndarray, rho_S: np.ndarray, rho_A: np.ndarray,
                   tol: float = TOL_RANK) -> GennegatVerdict:
     """Necessary test for steering the target from rho_S (x) rho_A.
 
     Builds the smallest ad(L)-invariant subspace V containing
-    i rho_S (x) rho_A and measures the dimension of its image under the
+    i rho_S (x) rho_A, with L the (n, 16) coordinate basis that ``closure``
+    returns, and measures the dimension of its image under the
     partial trace over the accessor.  If that image is not all of u(2),
     unitary steering to arbitrary targets is impossible from this pair.
     The converse does not hold: a full image proves nothing.

@@ -10,6 +10,8 @@ A model is (omega_S, K, C, control):
 * ``C`` defines the accessor drift i H_A = 1 (x) sigma_C.
 * ``control`` is either full su(2) on the accessor (three independent
   directions) or a single fixed axis.
+
+``generator_set`` gives the Lie layer one real (k, 16) coordinate array.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import qalg
-from .qalg import TOL_RANK, _rotation_about, _rotation_between
+from .qalg import E_AB, TOL_RANK, _rotation_about, _rotation_between
 
 
 class ModelFormatError(ValueError):
@@ -84,36 +85,27 @@ class TwoQubitModel:
         self.C.setflags(write=False)
 
 
-# Row r of _DRIFT_MAP is the flattened matrix multiplying parameter r of
+# Row r of _DRIFT_MAP holds the coordinates multiplying parameter r of
 # (omega_S, K[j, s] row-major, C_j): E_z0, -E_sj / 2 and E_0j, by the
-# sigma <-> E_ab dictionary of :mod:`qindirect.qalg`.  Its last three rows
-# are the control directions 1 (x) sigma_j.
-_E = qalg.PAULI_BASIS[4].reshape(4, 4, 16)
-_DRIFT_MAP = np.concatenate([_E[3, :1],
-                             -0.5 * _E[1:, 1:].transpose(1, 0, 2).reshape(9, 16),
-                             _E[0, 1:]])
+# sigma <-> E_ab dictionary of :mod:`qindirect.qalg`.
+_DRIFT_MAP = np.concatenate(
+    [E_AB[3, :1], -0.5 * E_AB[1:, 1:].transpose(1, 0, 2).reshape(9, 16),
+     E_AB[0, 1:]])
 _DRIFT_MAP.setflags(write=False)
-_AXIS_MAP = _DRIFT_MAP[10:]
-_FULL_CONTROLS = tuple(_AXIS_MAP.reshape(3, 4, 4))  # read-only views
 
 
-def generator_set(m: TwoQubitModel) -> list:
-    """Drift i(H_S + H_I + H_A) followed by the control directions.
+def generator_set(m: TwoQubitModel) -> np.ndarray:
+    """Real (k, 16) Pauli coordinates of the drift i(H_S + H_I + H_A),
+    first, and of the control directions after it.
 
-    Built straight from the model's numbers in Pauli coordinates, without
-    tensor products: the drift holds omega_S on E_z0, -K[j, s]/2 on E_sj and
-    C_j on E_0j, and a control direction n holds n_j on E_0j.  The three
-    full-control directions are shared read-only arrays, like a model's K
-    and C.
+    Built straight from the model's numbers, without tensor products: the
+    drift holds omega_S on E_z0, -K[j, s]/2 on E_sj and C_j on E_0j, and a
+    control direction n holds n_j on E_0j.
     """
-    p = np.empty(13)
-    p[0] = m.omega_S
-    p[1:10] = m.K.ravel()
-    p[10:] = m.C
-    drift = (p @ _DRIFT_MAP).reshape(4, 4)
+    drift = np.concatenate([[m.omega_S], m.K.ravel(), m.C]) @ _DRIFT_MAP
     if isinstance(m.control, FullSU2):
-        return [drift, *_FULL_CONTROLS]
-    return [drift, (m.control.n @ _AXIS_MAP).reshape(4, 4)]
+        return np.vstack([drift, E_AB[0, 1:]])  # 1 (x) sigma_j = E_0j
+    return np.vstack([drift, m.control.n @ E_AB[0, 1:]])
 
 
 def ising_model() -> TwoQubitModel:

@@ -15,14 +15,17 @@ Conventions used throughout the package:
   E_ab = (i/sqrt d) P_a (x) P_b with P in (1, tilde_x, tilde_y, tilde_z),
   index 4a + b (one factor for d = 2).  The basis is orthonormal under
   Re Tr(A^dag B); skew-Hermitian matrices have real coordinates and the
-  identity component is coordinate 0.
+  identity component is coordinate 0.  Inside the package an element of
+  u(d) is its (d^2,) row of real coordinates, a set of them a (k, d^2)
+  array; matrices are group elements and states.
 * The skew family in that basis (d = 4, index 0 for the identity factor):
   sigma_s (x) 1 = E_s0, 1 (x) sigma_a = E_0a and
-  i sigma_s (x) sigma_a = -E_sa / 2 for s, a in x, y, z.  The package
-  writes its su(4) elements in these terms rather than as tensor products.
+  i sigma_s (x) sigma_a = -E_sa / 2 for s, a in x, y, z.  ``E_AB[a, b]``
+  is the coordinate row of E_ab, from which ``model`` and ``classify``
+  write their su(4) elements.
 * ``STRUCTURE`` holds the brackets F[j, k, l] = <E_l, [E_j, E_k]> of the
-  basis, and ``check_skew_coords`` decides which coordinates lie in u(d)
-  (``skew_coords`` for matrices).
+  basis and ``bracket`` applies it to coordinates; ``check_skew_coords``
+  decides which coordinates lie in u(d).
 * Everything the package exponentiates is skew-Hermitian (a generator of a
   unitary), so ``mat_exp`` accepts only such matrices and uses a Hermitian
   eigendecomposition.  TOL_RANK is the one global default tolerance.
@@ -72,6 +75,8 @@ PAULI_BASIS = {
 }
 _FLAT_BASIS = {d: _frozen(E.reshape(d * d, d * d)) for d, E in PAULI_BASIS.items()}
 _DUAL_BASIS = {d: _frozen(E.conj().T) for d, E in _FLAT_BASIS.items()}
+# (4, 4, 16): E_AB[a, b] is the coordinate row of E_ab, a unit vector
+E_AB = _frozen(np.eye(16).reshape(4, 4, 16))
 
 
 def _check_pauli_dim(d: int) -> None:
@@ -96,6 +101,15 @@ def from_pauli_coords(coords, d: int) -> np.ndarray:
     return (coords @ _FLAT_BASIS[d]).reshape(coords.shape[:-1] + (d, d))
 
 
+def coords_dim(c) -> int:
+    """d of (..., d^2) Pauli coordinates; ValueError unless d is 2 or 4."""
+    width = np.shape(c)[-1:]
+    if width not in ((4,), (16,)):
+        raise ValueError(f"Pauli coordinates need width 4 or 16, got shape "
+                         f"{np.shape(c)}")
+    return 2 if width == (4,) else 4
+
+
 def skew_coords(mats, require_traceless: bool, tol: float) -> np.ndarray:
     """Real Pauli coordinates c of skew-Hermitian (..., d, d) matrices M,
     checked by ``check_skew_coords``."""
@@ -105,16 +119,17 @@ def skew_coords(mats, require_traceless: bool, tol: float) -> np.ndarray:
 def check_skew_coords(c, require_traceless: bool, tol: float) -> np.ndarray:
     """Re c for complex Pauli coordinates c (..., d^2) of matrices M in u(d).
 
-    Raises ValueError unless ||M + M^dag|| = 2 ||Im c|| and, if required,
-    |Tr M| = sqrt(d) |c_0| are at most tol * max(1, ||M||) for every M.
+    Raises ValueError unless the width passes ``coords_dim``, and unless
+    ||M + M^dag|| = 2 ||Im c|| and, if required, |Tr M| = sqrt(d) |c_0|
+    are at most tol * max(1, ||M||) for every M.
     """
     c = np.asarray(c)
+    d = coords_dim(c)
     im2 = (c.imag ** 2).sum(axis=-1)
     bound = tol * tol * np.maximum(1.0, (c.real ** 2).sum(axis=-1) + im2)
     if (4.0 * im2 > bound).any():
         raise ValueError("input matrix is not skew-Hermitian")
-    if require_traceless and (
-            np.sqrt(c.shape[-1]) * abs(c[..., 0]) ** 2 > bound).any():
+    if require_traceless and (d * abs(c[..., 0]) ** 2 > bound).any():
         raise ValueError("input matrix is not traceless")
     return c.real
 
@@ -126,6 +141,11 @@ def _structure(E: np.ndarray) -> np.ndarray:
 
 # d -> (d^2, d^2, d^2) structure tensor F[j, k, l] = <E_l, [E_j, E_k]>
 STRUCTURE = {d: _structure(E) for d, E in PAULI_BASIS.items()}
+
+
+def bracket(x, y) -> np.ndarray:
+    """Coordinates of [X, Y] from real coordinates (..., d^2) of X and Y."""
+    return np.einsum("...j,...k,jkl->...l", x, y, STRUCTURE[coords_dim(x)])
 
 
 def pauli(axis: str, tilde: bool = False) -> np.ndarray:
@@ -157,16 +177,12 @@ def tensor(A, B) -> np.ndarray:
     return (A[:, None, :, None] * B[None, :, None, :]).reshape(p * r, q * s)
 
 
-def _check_same_dim(A, B):
+def commutator(A, B) -> np.ndarray:
+    """AB - BA of two square matrices; the oracle of ``bracket``."""
     A = np.asarray(A, dtype=complex)
     B = np.asarray(B, dtype=complex)
     if A.shape != B.shape or A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"dimension mismatch: {A.shape} vs {B.shape}")
-    return A, B
-
-
-def commutator(A, B) -> np.ndarray:
-    A, B = _check_same_dim(A, B)
     return A @ B - B @ A
 
 

@@ -373,7 +373,8 @@ def emit_csv(points, destination, seed: int | None = None) -> None:
 
     17 significant digits per coordinate (lossless float round trip),
     LF line endings.  Each block of _CSV_ROWS rows is formatted by one
-    ``%`` operation, so the text of one block at a time is held.
+    ``%`` operation, so the text of one block at a time is held.  Adding
+    0.0 writes -0.0 as 0 and leaves every other value as it is.
     """
     points = np.asarray(points, dtype=float)
 
@@ -382,7 +383,7 @@ def emit_csv(points, destination, seed: int | None = None) -> None:
             fh.write(f"# seed={seed}\n")
         fh.write("x,y,z\n")
         for start in range(0, len(points), _CSV_ROWS):
-            flat = points[start:start + _CSV_ROWS].ravel().tolist()
+            flat = (points[start:start + _CSV_ROWS] + 0.0).ravel().tolist()
             fh.write("%.17g,%.17g,%.17g\n" * (len(flat) // 3) % tuple(flat))
 
     if hasattr(destination, "write"):

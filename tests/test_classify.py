@@ -22,7 +22,7 @@ from qindirect.lieclosure import closure, contains, orthonormalize, span_equals
 from qindirect.model import (SingleAxis, TwoQubitModel, generator_set,
                              ising_model, random_model,
                              random_single_axis_model)
-from qindirect.qalg import ID2, pauli, tensor
+from qindirect.qalg import ID2, TOL_RANK, pauli, skew_coords, tensor
 
 st_unit3 = st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)).filter(
     lambda v: 0.1 < np.linalg.norm(v) <= 1.0).map(
@@ -55,9 +55,10 @@ def test_reference_bases_are_subalgebras():
     for build, dim in ((case_1b_basis, 10), (case_1c_basis, 7),
                        (lambda: case_2a_basis([0.0, 1.0, 1.0]), 6),
                        (c2_failure_subalgebra, 7)):
-        mats = build()
-        assert len(orthonormalize(mats)) == dim
-        assert len(closure(mats)) == dim  # closed under brackets
+        rows = build()
+        assert rows.shape == (dim, 16)
+        assert len(orthonormalize(rows)) == dim
+        assert len(closure(rows)) == dim  # closed under brackets
 
 
 def test_ising_is_case_1b():
@@ -298,7 +299,8 @@ def test_reduced_pair_special_basis_spans_closure():
     rk = np.sqrt(alpha ** 2 + 4 * omega_a ** 2)
     for flip in (False, True):
         beta = -rk if flip else rk
-        L = closure(list(_l1_l2(alpha, 0.0, beta, omega_a)))
+        L = closure(skew_coords(np.array(_l1_l2(alpha, 0.0, beta, omega_a)),
+                                require_traceless=True, tol=TOL_RANK))
         special = orthonormalize(reduced_pair_special_basis(alpha, omega_a,
                                                             flip=flip))
         assert span_equals(L, special)

@@ -93,6 +93,22 @@ def test_closure_with_basis(tmp_path, capsys):
     first = payload["basis"][0]
     assert np.asarray(first["real"]).shape == (4, 4)
     assert np.asarray(first["imag"]).shape == (4, 4)
+    # the coordinates come back as skew-Hermitian, traceless matrices,
+    # orthonormal under Re Tr(A^dag B)
+    mats = np.array([np.asarray(b["real"]) + 1j * np.asarray(b["imag"])
+                     for b in payload["basis"]])
+    assert np.abs(mats + mats.conj().transpose(0, 2, 1)).max() <= 1e-12
+    assert np.abs(np.trace(mats, axis1=1, axis2=2)).max() <= 1e-12
+    gram = np.einsum("kij,lij->kl", mats.conj(), mats).real
+    assert np.abs(gram - np.eye(10)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("extra", [{}, {"basis": None}, {"basis": False}])
+def test_closure_without_basis(tmp_path, capsys, extra):
+    cfg = _write(tmp_path, "ising.json", {**ISING, **extra})
+    code, out, _ = _run(capsys, "closure", cfg)
+    assert code == 0
+    assert set(json.loads(out)) == {"dim", "tolerances"}
 
 
 def test_negat_excludes_case_1c(tmp_path, capsys):
@@ -359,6 +375,10 @@ def test_unknown_config_key_is_exit_1(tmp_path, capsys, command, payload,
     ("steer", {"rho_S": [0, 0, 0.9], "draws": 3}, "rho_S"),
     ("fic", {"psi_A": [0, 0, 0.2]}, "psi_A"),
     ("steer", {"x_angles": [0.1, 0.2, 0.3], "draws": 9, "seed": 3}, "draws"),
+    # the basis switch is a JSON boolean
+    ("closure", {**ISING, "basis": "false"}, "basis"),
+    ("closure", {**ISING, "basis": 1}, "basis"),
+    ("closure", {**ISING, "basis": [0]}, "basis"),
 ])
 def test_malformed_value_is_exit_1(tmp_path, capsys, command, payload, key):
     cfg = _write(tmp_path, "cfg.json", payload)

@@ -222,8 +222,8 @@ def test_pure_uic_steer_contract(p, x):
 def test_steering_generators_live_in_case_1b_algebra():
     # the three factors exponentiate sigma_z (x) 1 and i sigma_x (x) sigma_z
     basis = orthonormalize(case_1b_basis())
-    assert contains(basis, tensor(SIGMA_Z, ID2))
-    assert contains(basis, 1j * tensor(SIGMA_X, SIGMA_Z))
+    assert contains(basis, pauli_coords(tensor(SIGMA_Z, ID2)))
+    assert contains(basis, pauli_coords(1j * tensor(SIGMA_X, SIGMA_Z)))
 
 
 @given(st.floats(0.0, np.pi))

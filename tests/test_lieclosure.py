@@ -4,22 +4,24 @@ Dimension facts used as oracles are classical: su(2) acting on one factor
 closes at 3, the standard coupled generator set closes at 15 = dim su(4),
 and closure dimensions are invariant under a unitary change of frame.  The
 Pauli-coordinate layer is checked against matrix commutators, and the
-coordinate closure against a brute-force closure in matrix form.
+coordinate closure against a brute-force closure in matrix form.  The tests
+write their elements as matrices and convert at the call: ``skew_coords``
+or ``pauli_coords`` on inputs, ``from_pauli_coords`` on outputs.
 """
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qindirect.lieclosure import (LieBasis, closure, contains,
-                                  invariant_space, orthonormalize,
-                                  span_equals, trace_A_image)
+from qindirect.lieclosure import (closure, contains, invariant_space,
+                                  orthonormalize, span_equals, trace_A_image)
 from qindirect.model import (FullSU2, SingleAxis, TwoQubitModel,
                              generator_set, random_model,
                              random_single_axis_model)
 from qindirect.qalg import (ID2, PAULI_BASIS, SIGMA_X, SIGMA_Y, SIGMA_Z,
-                            STRUCTURE, bloch_inverse, commutator, dagger,
-                            frob, mat_exp, pauli_coords, skew_coords, tensor)
+                            STRUCTURE, TOL_RANK, bloch_inverse, commutator,
+                            dagger, frob, from_pauli_coords, mat_exp,
+                            pauli_coords, skew_coords, tensor)
 
 SX1 = tensor(SIGMA_X, ID2)
 SY1 = tensor(SIGMA_Y, ID2)
@@ -27,6 +29,12 @@ SZ1 = tensor(SIGMA_Z, ID2)
 ONE_A = [tensor(ID2, s) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)]
 
 st_angles = st.tuples(*[st.floats(-3.0, 3.0)] * 6)
+
+
+def _rows(mats):
+    """(k, d^2) real coordinates of skew-Hermitian matrices; the trace is
+    kept, so the traceless check is the one under test."""
+    return skew_coords(np.asarray(mats), require_traceless=False, tol=TOL_RANK)
 
 
 def _random_su4(angles):
@@ -39,68 +47,81 @@ def _random_su4(angles):
 
 
 def test_orthonormalize_collapses_dependent_elements():
-    basis = orthonormalize([SX1, 2.0 * SX1, SY1])
+    basis = orthonormalize(_rows([SX1, 2.0 * SX1, SY1]))
     assert len(basis) == 2
-    assert contains(basis, SX1 - 3.0 * SY1)
-    assert not contains(basis, SZ1)
+    assert contains(basis, pauli_coords(SX1 - 3.0 * SY1))
+    assert not contains(basis, pauli_coords(SZ1))
 
 
 def test_zero_elements_add_no_direction():
     # a zero row stays zero through the unit scaling and never adds a direction
-    assert len(orthonormalize([0.0 * SX1, SY1, 0.0 * SY1])) == 1
-    assert len(orthonormalize([0.0 * SX1])) == 0
-    assert span_equals(closure([SX1, 0.0 * SZ1, SY1]), closure([SX1, SY1]))
+    assert len(orthonormalize(_rows([0.0 * SX1, SY1, 0.0 * SY1]))) == 1
+    assert len(orthonormalize(_rows([0.0 * SX1]))) == 0
+    assert span_equals(closure(_rows([SX1, 0.0 * SZ1, SY1])),
+                       closure(_rows([SX1, SY1])))
 
 
 def test_orthonormalize_empty_input():
-    basis = orthonormalize([])
-    assert basis.dim == 2
-    assert basis.coords.shape == (0, 4)
+    for build in (orthonormalize, closure):
+        basis = build(np.zeros((0, 4)))
+        assert basis.shape == (0, 4)
 
 
 def test_orthonormalize_requires_traceless():
-    with pytest.raises(ValueError):
-        orthonormalize([1j * np.eye(4)])  # skew-Hermitian but traceful
+    with pytest.raises(ValueError, match="not traceless"):
+        orthonormalize(_rows([1j * np.eye(4)]))  # skew-Hermitian but traceful
 
 
 def test_orthonormalize_requires_skew():
-    with pytest.raises(ValueError):
-        orthonormalize([tensor(np.diag([1.0, -1.0]), ID2)])  # Hermitian
+    hermitian = tensor(np.diag([1.0, -1.0]), ID2)
+    with pytest.raises(ValueError, match="not skew-Hermitian"):
+        _rows([hermitian])
+    # complex coordinates pass the same check inside
+    with pytest.raises(ValueError, match="not skew-Hermitian"):
+        orthonormalize(pauli_coords([hermitian]))
+
+
+@pytest.mark.parametrize("build", [closure, orthonormalize])
+@pytest.mark.parametrize("bad, match", [
+    (np.eye(4)[:1], "not traceless"),  # a nonzero identity coordinate
+    (np.eye(16)[[3, 0]], "not traceless"),
+    (np.zeros((2, 9)), "width 4 or 16"),
+    (np.zeros((1, 8)), "width 4 or 16"),
+    (np.eye(16)[5], "2-D"),
+    (np.zeros((1, 1, 16)), "2-D"),
+])
+def test_generators_must_be_traceless_rows_of_width_4_or_16(build, bad,
+                                                            match):
+    with pytest.raises(ValueError, match=match):
+        build(bad)
 
 
 def test_contains_respects_tolerance():
-    basis = orthonormalize([SX1, SY1])
-    assert contains(basis, 0.25 * SX1 + 1e-13 * SZ1)
-    assert not contains(basis, SX1 + 1e-6 * SZ1)
-
-
-def test_lie_basis_iteration():
-    basis = orthonormalize([SX1, SY1])
-    mats = list(basis)
-    assert len(mats) == len(basis) == 2
-    assert mats[0].shape == (4, 4)
+    basis = orthonormalize(_rows([SX1, SY1]))
+    assert contains(basis, pauli_coords(0.25 * SX1 + 1e-13 * SZ1))
+    assert not contains(basis, pauli_coords(SX1 + 1e-6 * SZ1))
 
 
 def test_closure_one_sided_su2():
-    basis = closure([SX1, SY1])
+    basis = closure(_rows([SX1, SY1]))
     assert len(basis) == 3
-    assert contains(basis, SZ1)  # generated by the bracket
-    assert not contains(basis, ONE_A[0])
+    assert contains(basis, pauli_coords(SZ1))  # generated by the bracket
+    assert not contains(basis, pauli_coords(ONE_A[0]))
 
 
 def test_closure_single_generator():
-    assert len(closure([SX1])) == 1  # [X, X] = 0
+    assert len(closure(_rows([SX1]))) == 1  # [X, X] = 0
 
 
 def test_closure_full_su4():
     gens = [SX1, SY1, ONE_A[0], ONE_A[1], 1j * tensor(SIGMA_Z, SIGMA_Z)]
-    assert len(closure(gens)) == 15
+    assert len(closure(_rows(gens))) == 15
 
 
 def test_closure_scale_invariant():
     gens = [SX1, SY1, 1j * tensor(SIGMA_Z, SIGMA_Z)]
-    d1 = len(closure(gens))
-    d2 = len(closure([7.0 * g for g in gens[::-1]]))
+    d1 = len(closure(_rows(gens)))
+    d2 = len(closure(_rows([7.0 * g for g in gens[::-1]])))
     assert d1 == d2
 
 
@@ -110,14 +131,14 @@ def test_closure_dim_frame_invariant(angles):
     u = _random_su4(angles)
     gens = [SX1, SY1, 1j * tensor(SIGMA_Z, SIGMA_Z)]
     rotated = [u @ g @ dagger(u) for g in gens]
-    assert len(closure(rotated)) == len(closure(gens))
+    assert len(closure(_rows(rotated))) == len(closure(_rows(gens)))
 
 
 def test_invariant_space_one_sided_rotation():
     # su(2) on the S side rotates the S Bloch vector of the seed; the
     # identity components ride along untouched, so V is 4-dimensional and
     # its trace image is all of u(2).
-    basis = closure([SX1, SY1])
+    basis = closure(_rows([SX1, SY1]))
     rho_s = bloch_inverse([0.0, 0.0, 0.8])
     rho_a = bloch_inverse([0.3, 0.0, 0.1])
     v = invariant_space(basis, pauli_coords(1j * tensor(rho_s, rho_a)))
@@ -128,7 +149,7 @@ def test_invariant_space_one_sided_rotation():
 
 def test_invariant_space_full_algebra():
     gens = [SX1, SY1, ONE_A[0], ONE_A[1], 1j * tensor(SIGMA_Z, SIGMA_Z)]
-    basis = closure(gens)
+    basis = closure(_rows(gens))
     rho_s = bloch_inverse([0.0, 0.0, 0.5])
     rho_a = bloch_inverse([0.0, 0.0, 0.2])
     v = invariant_space(basis, pauli_coords(1j * tensor(rho_s, rho_a)))
@@ -139,11 +160,11 @@ def test_invariant_space_full_algebra():
 
 def test_invariant_space_checks_its_seed():
     gens = [SX1, ONE_A[2], 1j * tensor(SIGMA_Z, SIGMA_Z)]
-    basis = closure(gens)
+    basis = closure(_rows(gens))
     seed = 1j * tensor(bloch_inverse([0.4, 0.0, 0.5]),
                        bloch_inverse([0.0, 0.3, 0.2]))
     v = invariant_space(basis, pauli_coords(seed))
-    assert contains(v, seed)
+    assert contains(v, pauli_coords(seed))
     assert 1 < len(v) < 16
     with pytest.raises(ValueError, match="do not fit"):
         invariant_space(basis, pauli_coords(seed[:2, :2]))
@@ -152,24 +173,27 @@ def test_invariant_space_checks_its_seed():
 
 
 def test_trace_image_can_vanish():
-    v = orthonormalize([1j * tensor(SIGMA_Z, SIGMA_Z)])
+    v = orthonormalize(_rows([1j * tensor(SIGMA_Z, SIGMA_Z)]))
     assert len(trace_A_image(v)) == 0
-    assert isinstance(v, LieBasis)
+    assert isinstance(v, np.ndarray) and v.shape == (1, 16)
+    with pytest.raises(ValueError, match="4x4"):
+        trace_A_image(closure(_rows([SIGMA_X, SIGMA_Y])))
 
 
 def test_span_equals():
-    a = orthonormalize([SX1, SY1])
-    b = orthonormalize([SX1 + SY1, SX1 - SY1])
-    c = orthonormalize([SX1, SZ1])
+    a = orthonormalize(_rows([SX1, SY1]))
+    b = orthonormalize(_rows([SX1 + SY1, SX1 - SY1]))
+    c = orthonormalize(_rows([SX1, SZ1]))
     assert span_equals(a, b)
     assert span_equals(b, a)
     assert not span_equals(a, c)
-    assert not span_equals(a, orthonormalize([SX1]))
+    assert not span_equals(a, orthonormalize(_rows([SX1])))
 
 
 def test_closure_generators_must_share_dim():
+    # rows of different widths make no 2-D array
     with pytest.raises(ValueError):
-        closure([SX1, SIGMA_X])
+        closure([pauli_coords(SX1).real, pauli_coords(SIGMA_X).real])
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +214,10 @@ def test_coords_round_trip(d, rng):
     z = rng.normal(size=(5, d, d)) + 1j * rng.normal(size=(5, d, d))
     skew = z - z.conj().transpose(0, 2, 1)
     skew -= np.trace(skew, axis1=1, axis2=2)[:, None, None] * np.eye(d) / d
-    mats = LieBasis(d, skew_coords(skew, require_traceless=True,
-                                   tol=1e-9)).mats
+    coords = skew_coords(skew, require_traceless=True, tol=1e-9)
+    mats = from_pauli_coords(coords, d)
     assert np.abs(mats - skew).max() < 1e-14
-    assert len(orthonormalize(skew)) == min(5, d * d - 1)
+    assert len(orthonormalize(coords)) == min(5, d * d - 1)
 
 
 def _oracle_dim(gens, tol=1e-6):
@@ -240,7 +264,7 @@ GEN_SETS = [[SX1, SY1, 1j * tensor(SIGMA_Z, SIGMA_Z)],
 def test_closure_matches_matrix_oracle_rotated(angles, gens):
     u = _random_su4(angles)
     rotated = [u @ g @ dagger(u) for g in gens]
-    assert len(closure(rotated)) == _oracle_dim(rotated)
+    assert len(closure(_rows(rotated))) == _oracle_dim(rotated)
 
 
 @settings(max_examples=25)
@@ -254,7 +278,7 @@ def test_closure_matches_matrix_oracle_models(seed, kind):
     else:
         m = random_model(kind, rng)
     gens = generator_set(m)
-    assert len(closure(gens)) == _oracle_dim(gens)
+    assert len(closure(gens)) == _oracle_dim(from_pauli_coords(gens, 4))
 
 
 # Models on which a per-vector Gram-Schmidt closure at tol 1e-9 returned 15

@@ -3,8 +3,10 @@
 The K -> i H_I element map is frozen entry by entry: row j of K couples
 the accessor-side sigma_j, the column index is the target-side component,
 and every coupling term carries the explicit scalar i.  ``generator_set``
-is checked against an oracle written with tensor products of the skew
-Paulis, which does not read the Pauli-string basis that it uses.
+returns real Pauli coordinates; they are turned into matrices by
+``from_pauli_coords`` and checked against an oracle written with tensor
+products of the skew Paulis, which does not read the coordinate table that
+``generator_set`` uses.
 """
 
 import json
@@ -21,8 +23,8 @@ from qindirect.model import (FullSU2, ModelFormatError, SingleAxis,
                              load_model, model_from_dict, model_to_dict,
                              random_model, random_single_axis_model,
                              save_model)
-from qindirect.qalg import (ID2, TOL_RANK, dagger, frob, pauli,
-                            sigma_from_vec, skew_coords, tensor)
+from qindirect.qalg import (ID2, TOL_RANK, dagger, frob, from_pauli_coords,
+                            pauli, sigma_from_vec, skew_coords, tensor)
 
 st_k = hnp.arrays(np.float64, (3, 3), elements=st.floats(-1.0, 1.0))
 
@@ -30,6 +32,11 @@ st_k = hnp.arrays(np.float64, (3, 3), elements=st.floats(-1.0, 1.0))
 def _model(K, omega=0.7, C=(0.1, 0.2, 0.3)):
     return TwoQubitModel(omega_S=omega, K=np.asarray(K, dtype=float),
                          C=np.asarray(C, dtype=float))
+
+
+def _generator_mats(m):
+    """generator_set(m) as a (k, 4, 4) stack of matrices."""
+    return from_pauli_coords(generator_set(m), 4)
 
 
 def _kron_generators(m):
@@ -100,7 +107,7 @@ def test_interaction_element_map():
         for k in range(3):
             K = np.zeros((3, 3))
             K[j, k] = 1.0
-            drift = generator_set(_model(K, omega=0.0, C=np.zeros(3)))[0]
+            drift = _generator_mats(_model(K, omega=0.0, C=np.zeros(3)))[0]
             expect = 1j * tensor(pauli(axes[k]), pauli(axes[j]))
             assert frob(drift - expect) < 1e-15, (j, k)
 
@@ -108,7 +115,7 @@ def test_interaction_element_map():
 def test_hamiltonians_hermitian_and_controls_skew():
     # H = -i x (drift) is Hermitian exactly when the drift is skew-Hermitian
     m = _model(np.eye(3), omega=0.3, C=(0.4, -0.2, 0.9))
-    gens = generator_set(m)
+    gens = _generator_mats(m)
     assert len(gens) == 4
     for g in gens:
         assert frob(g + dagger(g)) < 1e-12
@@ -120,7 +127,10 @@ def test_hamiltonians_hermitian_and_controls_skew():
 
 def test_generator_set_layout():
     m = ising_model()
-    gens = generator_set(m)
+    coords = generator_set(m)
+    # one real array of coordinates, drift row first
+    assert coords.shape == (4, 16) and coords.dtype == np.float64
+    gens = from_pauli_coords(coords, 4)
     assert len(gens) == 4
     # omega_S sigma_z (x) 1 + i sigma_y (x) sigma_y, then 1 (x) sigma_{x,y,z}
     drift = tensor(pauli("z"), ID2) + 1j * tensor(pauli("y"), pauli("y"))
@@ -141,7 +151,7 @@ def test_generator_set_matches_hamiltonians(K, C, omega, axis):
     control = FullSU2() if axis is None else SingleAxis(n=axis)
     m = TwoQubitModel(omega_S=omega, K=K, C=C, control=control)
     expect = _kron_generators(m)
-    gens = generator_set(m)
+    gens = _generator_mats(m)
     assert len(gens) == len(expect)
     for g, e in zip(gens, expect):
         assert np.abs(g - e).max() <= 1e-14
@@ -152,7 +162,7 @@ def test_interaction_additive_in_K(k1, k2):
     assume(np.abs(k1).max() > 1e-6 and np.abs(k2).max() > 1e-6)
     assume(np.abs(k1 + k2).max() > 1e-6)
     # at omega_S = 0 and C = 0 the drift is i H_I alone
-    g1, g2, g12 = (generator_set(_model(k, omega=0.0, C=np.zeros(3)))[0]
+    g1, g2, g12 = (_generator_mats(_model(k, omega=0.0, C=np.zeros(3)))[0]
                    for k in (k1, k2, k1 + k2))
     assert frob(g12 - g1 - g2) < 1e-12
 

@@ -12,11 +12,11 @@ from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
-from qindirect import classify, qalg, sampler
-from qindirect.qalg import (ID2, ID4, PAULI_BASIS, PAULI_X_TILDE,
+from qindirect import classify, model, qalg, sampler
+from qindirect.qalg import (E_AB, ID2, ID4, PAULI_BASIS, PAULI_X_TILDE,
                             PAULI_Y_TILDE, PAULI_Z_TILDE, SIGMA_X, SIGMA_Y,
                             SIGMA_Z, STRUCTURE, TOL_RANK,
-                            bloch, bloch_inverse, check_density,
+                            bloch, bloch_inverse, bracket, check_density,
                             check_skew_coords, commutator, dagger, frob,
                             from_pauli_coords, mat_exp, partial_trace, pauli,
                             pauli_coords, sigma_from_vec, skew_coords,
@@ -402,11 +402,13 @@ def test_shared_tables_are_read_only():
 
     def built():
         return (classify._one_a("x"), from_pauli_coords(e1, 4),
-                pauli_coords(PAULI_BASIS[4][7] + ID4))
+                pauli_coords(PAULI_BASIS[4][7] + ID4),
+                model.generator_set(model.ising_model()))
 
     before = built()
     tables = [*PAULI_BASIS.values(), *qalg._FLAT_BASIS.values(),
-              *qalg._DUAL_BASIS.values(), *STRUCTURE.values(),
+              *qalg._DUAL_BASIS.values(), *STRUCTURE.values(), E_AB,
+              model._DRIFT_MAP,
               *sampler._PLANES.values(), *sampler._LIVE, sampler._START,
               sampler._READ, sampler._HALF_SCALE]
     for table in tables:
@@ -418,6 +420,44 @@ def test_shared_tables_are_read_only():
     out = classify._one_a("x")
     out *= 2
     assert np.array_equal(classify._one_a("x"), before[0])
+    gens = model.generator_set(model.ising_model())
+    gens *= 2
+    assert np.array_equal(model.generator_set(model.ising_model()), before[3])
+
+
+def test_e_ab_rows_are_the_coordinates_of_the_basis():
+    assert_allclose(from_pauli_coords(E_AB, 4),
+                    PAULI_BASIS[4].reshape(4, 4, 4, 4), rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_bracket_matches_commutator(d, rng):
+    # random (3, 5, d^2) stacks of real coordinates, and a broadcast row
+    x = rng.normal(size=(3, 5, d * d))
+    y = rng.normal(size=(3, 5, d * d))
+    got = bracket(x, y)
+    assert got.shape == x.shape
+    X, Y = from_pauli_coords(x, d), from_pauli_coords(y, d)
+    for i in np.ndindex(x.shape[:-1]):
+        expect = pauli_coords(commutator(X[i], Y[i])).real
+        assert_allclose(got[i], expect, rtol=0, atol=1e-13)
+    assert_allclose(bracket(y, x), -got, rtol=0, atol=1e-13)
+    assert_allclose(bracket(x[0, 0], y), bracket(x[:1, :1], y), rtol=0,
+                    atol=1e-13)
+
+
+def test_bracket_rejects_bad_widths():
+    for x, y in ((np.ones(9), np.ones(9)), (np.ones((2, 8)), np.ones((2, 8)))):
+        with pytest.raises(ValueError, match="width 4 or 16"):
+            bracket(x, y)
+    with pytest.raises(ValueError):
+        bracket(np.ones(4), np.ones(16))
+
+
+def test_check_skew_coords_rejects_bad_widths():
+    for bad in (np.zeros(9), np.zeros((2, 8)), np.float64(0.0)):
+        with pytest.raises(ValueError, match="width 4 or 16"):
+            check_skew_coords(bad, require_traceless=False, tol=TOL_RANK)
 
 
 def test_pauli_coords_rejects_bad_shapes():

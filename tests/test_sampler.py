@@ -405,11 +405,12 @@ def test_csv_round_trip_memory_and_file(tmp_path):
 
 
 def _emit_rows(points, seed):
-    """emit_csv's output written one row at a time, as the oracle."""
+    """emit_csv's output written one row at a time, as the oracle; a zero
+    is written as 0 whatever its sign."""
     text = "" if seed is None else f"# seed={seed}\n"
     text += "x,y,z\n"
     for p in points:
-        text += "%.17g,%.17g,%.17g\n" % (p[0], p[1], p[2])
+        text += "%.17g,%.17g,%.17g\n" % (p[0] + 0.0, p[1] + 0.0, p[2] + 0.0)
     return text
 
 
@@ -427,10 +428,24 @@ def test_emit_csv_matches_row_format():
         assert buf.getvalue() == _emit_rows(points, seed)
         back = parse_csv(io.StringIO(buf.getvalue()))
         assert np.array_equal(back, points)
-        assert np.array_equal(np.signbit(back), np.signbit(points))
+        # the sign survives on every value but zero
+        assert np.array_equal(np.signbit(back), np.signbit(points + 0.0))
     buf = io.StringIO()
     emit_csv(special.tolist(), buf)  # nested lists are accepted too
     assert buf.getvalue() == _emit_rows(special, None)
+
+
+def test_emit_csv_writes_no_negative_zero():
+    # this cloud has exact -0.0 z-coordinates; the text writes each as 0
+    pts = sample(SampleConfig(s_x=0.5, s_z=0.0, a_z=0.0, n=729, seed=3))
+    assert np.count_nonzero((pts == 0.0) & np.signbit(pts)) > 0
+    buf = io.StringIO()
+    emit_csv(pts, buf, seed=3)
+    fields = [f for line in buf.getvalue().splitlines()[2:]
+              for f in line.split(",")]
+    assert len(fields) == 3 * 729
+    assert "-0" not in fields
+    assert np.array_equal(parse_csv(io.StringIO(buf.getvalue())), pts)
 
 
 def test_parse_csv_skips_comments_and_blanks():
