@@ -7,8 +7,7 @@ Covers three layers:
   against the numeric closure;
 * single-axis control with omega_S = 0: the two-condition complete
   controllability test (C1: det K != 0; C2: drift components perpendicular
-  to the control axis survive), evaluated both coordinate-free and in
-  normal-form coordinates;
+  to the control axis survive), in closed form and in no chosen frame;
 * the ladder of matrix identities behind the single-axis proof (the
   Gamma pair of commuting su(2)'s and the appendix bracket chain), exposed
   as residual suites so they can be re-verified numerically at any
@@ -165,7 +164,7 @@ def strong_uic(m: TwoQubitModel) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# normal form for single-axis control
+# single-axis control: the normal form, and C1/C2 in closed form on floats
 
 
 @dataclass(frozen=True)
@@ -220,10 +219,6 @@ def normal_form(m: TwoQubitModel) -> NormalForm:
 
     k_nf = k1 @ r_s.T
     c_nf = r_a @ m.C
-    scale = np.abs(k_nf).max()
-    for i, j in ((0, 2), (1, 0), (1, 2)):
-        if abs(k_nf[i, j]) > 1e-9 * max(scale, 1.0):
-            raise AssertionError("normal-form rotation failed to zero K entries")
     model = TwoQubitModel(omega_S=0.0, K=k_nf, C=c_nf, control=SingleAxis(n=ez))
     return NormalForm(alpha=k_nf[0, 0], gamma=k_nf[0, 1], beta=k_nf[1, 1],
                       x=k_nf[2, 0], y=k_nf[2, 1], z=k_nf[2, 2],
@@ -231,59 +226,62 @@ def normal_form(m: TwoQubitModel) -> NormalForm:
                       r_a=r_a, r_s=r_s, model=model)
 
 
-def drift_perp_components(m: TwoQubitModel) -> tuple:
-    """The two drift components perpendicular to the control axis.
+def _dot(u, v) -> float:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
-    The interaction row coupled to the control axis, K^T n (an S-side
-    vector, resolved against the rows coupled to the perpendicular axes),
-    and the accessor drift vector C projected off the axis n.  Returns
-    (p1, p2) as R^3 vectors in the row units of K, so ||p1||^2 + ||p2||^2
-    matches the coordinate form omega_A^2 + x^2 + y^2 whenever det K != 0.
-    """
+
+def _perp_drift(m: TwoQubitModel, tol: float) -> tuple:
+    """(det K, ||K||_F^2, p1, p2) as ``oms0_check`` states them, with
+    u1, u2 the branchless frame of Duff et al. (2017) about n."""
     if not isinstance(m.control, SingleAxis):
         raise ValueError("perpendicular components require single-axis control")
-    n = m.control.n  # stored unit length
-    p2 = m.C - np.dot(m.C, n) * n
-    # K^T n lives on the S side: resolve it against the span of the rows
-    # coupled to axes perpendicular to n, the S-side image of "perp to n"
-    ref = np.eye(3)[0] if abs(n[0]) < 0.9 else np.eye(3)[1]
-    u1 = np.cross(n, ref)
-    u1 = u1 / np.linalg.norm(u1)
-    u2 = np.cross(n, u1)
-    basis = np.array([m.K.T @ u1, m.K.T @ u2]).T
-    coef, *_ = np.linalg.lstsq(basis, m.K.T @ n, rcond=None)
-    p1 = basis @ coef
-    return p1, p2
+    n = x, y, z = m.control.n.tolist()
+    s = 1.0 if z >= 0.0 else -1.0
+    a = -1.0 / (s + z)
+    u1 = (1.0 + s * x * x * a, s * x * y * a, -s * x)
+    u2 = (x * y * a, s + y * y * a, -y)
+    cols = m.K.T.tolist()
+    r1, r2, c = ([_dot(col, u) for col in cols] for u in (u1, u2, n))
+    w = (r1[1] * r2[2] - r1[2] * r2[1], r1[2] * r2[0] - r1[0] * r2[2],
+         r1[0] * r2[1] - r1[1] * r2[0])
+    det, w2, k2 = _dot(c, w), _dot(w, w), sum(map(_dot, cols, cols))
+    if w2 > (tol * k2) ** 2:
+        p1 = [f - det / w2 * g for f, g in zip(c, w)]
+    else:
+        # on a line, (c.r_i) r_i summed is sum ||r_i||^2 times c's projection
+        m2 = _dot(r1, r1) + _dot(r2, r2)
+        m2 = m2 if m2 > tol * tol * k2 else float("inf")
+        p1 = [(_dot(c, r1) * f + _dot(c, r2) * g) / m2 for f, g in zip(r1, r2)]
+    C = m.C.tolist()
+    t = _dot(C, n)
+    return det, k2, p1, [f - t * g for f, g in zip(C, n)]
+
+
+def drift_perp_components(m: TwoQubitModel) -> tuple:
+    """(p1, p2) of ``oms0_check`` as R^3 vectors: K^T n projected onto the
+    rows coupled to the axes perpendicular to n, and C projected off n."""
+    return tuple(np.array(p) for p in _perp_drift(m, TOL_RANK)[2:])
 
 
 def oms0_check(m: TwoQubitModel, tol_rank: float = TOL_RANK) -> Oms0Report:
     """Complete-controllability test for single-axis control at omega_S = 0.
 
-    C1: det K != 0. C2: the drift components perpendicular to the control
-    axis do not all vanish. The authoritative magnitudes come from the
-    normal form (det = alpha*beta*z, c2 = omega_A^2 + x^2 + y^2); the
-    coordinate-free projection is evaluated as a cross-check and must agree
-    whenever C1 holds (it resolves against a degenerate row span otherwise).
-    Both decisions compare against the model's own scale (|det K| against
-    ||K||_F^3, c2 against ||K||_F^2 + ||C||^2), so an overall rescaling of
-    K and C leaves the verdict unchanged.
+    C1: det K != 0; C2: the drift components perpendicular to the control
+    axis do not all vanish.  In no chosen frame: with u1, u2 orthonormal,
+    u1 x u2 = n, r_i = K^T u_i and w = r1 x r2, det K = K^T n . w and
+    c2 = ||C - (C.n) n||^2 + ||K^T n||^2 - (det K)^2 / ||w||^2 (the normal
+    form's omega_A^2 + x^2 + y^2).  Once ||w|| <= tol_rank ||K||_F^2 (C1
+    fails) r1, r2 are parallel or zero, and K^T n is projected onto their
+    line (onto 0 below tol_rank ||K||_F) instead.  |det K| is compared
+    against ||K||_F^3 and c2 against ||K||_F^2 + ||C||^2.
     """
-    nf = normal_form(m)
-    det_k = float(np.linalg.det(m.K))
-    k_norm = np.linalg.norm(m.K)
-    c1 = abs(det_k) > tol_rank * k_norm ** 3
-    c2_magnitude = nf.omega_A ** 2 + nf.x ** 2 + nf.y ** 2
-    c2 = c2_magnitude > 1e-12 * (k_norm ** 2 + np.dot(m.C, m.C))
-
-    det_nf = nf.alpha * nf.beta * nf.z
-    if abs(det_nf - det_k) > 1e-9 * k_norm ** 3:
-        raise AssertionError("normal-form determinant mismatch")
-    if c1:
-        p1, p2 = drift_perp_components(m)
-        raw = float(np.dot(p1, p1) + np.dot(p2, p2))
-        if abs(raw - c2_magnitude) > 1e-9 * max(1.0, c2_magnitude):
-            raise AssertionError("coordinate-free C2 disagrees with normal form")
-    return Oms0Report(c1=c1, c2=c2, cc=c1 and c2, det_K=det_k,
+    if abs(m.omega_S) > TOL_RANK:
+        raise ValueError("the single-axis test assumes omega_S = 0")
+    det, k2, p1, p2 = _perp_drift(m, tol_rank)
+    c1 = abs(det) > tol_rank * k2 ** 1.5
+    c2_magnitude = _dot(p1, p1) + _dot(p2, p2)
+    c2 = c2_magnitude > 1e-12 * (k2 + float(m.C @ m.C))
+    return Oms0Report(c1=c1, c2=c2, cc=c1 and c2, det_K=det,
                       c2_magnitude=c2_magnitude)
 
 

@@ -121,13 +121,14 @@ def check_skew_coords(c, require_traceless: bool, tol: float) -> np.ndarray:
 
     Raises ValueError unless the width passes ``coords_dim``, and unless
     ||M + M^dag|| = 2 ||Im c|| and, if required, |Tr M| = sqrt(d) |c_0|
-    are at most tol * max(1, ||M||) for every M.
+    are at most tol * max(1, ||M||) for every M (a real c has Im c = 0).
     """
     c = np.asarray(c)
     d = coords_dim(c)
-    im2 = (c.imag ** 2).sum(axis=-1)
+    skew = np.iscomplexobj(c)
+    im2 = (c.imag ** 2).sum(axis=-1) if skew else 0.0
     bound = tol * tol * np.maximum(1.0, (c.real ** 2).sum(axis=-1) + im2)
-    if (4.0 * im2 > bound).any():
+    if skew and (4.0 * im2 > bound).any():
         raise ValueError("input matrix is not skew-Hermitian")
     if require_traceless and (d * abs(c[..., 0]) ** 2 > bound).any():
         raise ValueError("input matrix is not traceless")

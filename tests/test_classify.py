@@ -268,6 +268,105 @@ def test_drift_perp_components_magnitude():
         drift_perp_components(ising_model())
 
 
+# the sigma_x- and sigma_y-coupled rows are parallel (w = 0): C1 fails, and
+# K^T n has no component in span{0.5 e_y, e_y}; the second frame is the
+# first turned by pi/2 about the S-side y axis, K -> K R_y^T
+PARALLEL_ROWS_K = [[0.0, 0.5, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]
+PARALLEL_ROWS_K_TURNED = [[0.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -1.0]]
+
+
+def _scale(m):
+    return np.sum(m.K ** 2) + np.dot(m.C, m.C)
+
+
+def _parallel_rows_model(rng, trapped):
+    """A model whose rows coupled to the axes perpendicular to n are
+    parallel (or one of them zero), in a random frame; ``trapped`` puts
+    C along n and K^T n perpendicular to the rows, so C2 fails too."""
+    v = rng.normal(size=3)
+    c = rng.normal(size=3)
+    C = rng.uniform(-1, 1, 3)
+    if trapped:
+        c -= np.dot(c, v) / np.dot(v, v) * v
+        C[:2] = 0.0
+    s1, s2 = rng.choice([0.0, 1.0], p=[0.2, 0.8]) * rng.uniform(-1, 1, 2)
+    return _frame_turn(_axis_model([s1 * v, s2 * v, c], C), rng)
+
+
+def _frame_turn(m, rng):
+    """K -> R_A K R_S^T, C -> R_A C, n -> R_A n for random rotations."""
+    r_a = _rotation_about(rng.normal(size=3), rng.uniform(0, 2 * np.pi))
+    r_s = _rotation_about(rng.normal(size=3), rng.uniform(0, 2 * np.pi))
+    return TwoQubitModel(omega_S=0.0, K=r_a @ m.K @ r_s.T, C=r_a @ m.C,
+                         control=SingleAxis(n=r_a @ m.control.n))
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([None, "c2"]))
+def test_oms0_closed_form_matches_normal_form(seed, violate):
+    # C1 holds on both kinds, where the normal form is unique
+    m = random_single_axis_model(np.random.default_rng(seed), violate=violate)
+    rep = oms0_check(m)
+    nf = normal_form(m)
+    assert rep.c1 and rep.c2 == (violate is None)
+    k_nf = nf.model.K
+    assert_allclose([k_nf[0, 2], k_nf[1, 0], k_nf[1, 2]], 0.0,
+                    atol=1e-9 * np.abs(k_nf).max())
+    nf_c2 = nf.omega_A ** 2 + nf.x ** 2 + nf.y ** 2
+    assert rep.c2_magnitude == pytest.approx(nf_c2, rel=1e-9,
+                                             abs=1e-12 * _scale(m))
+    k3 = np.linalg.norm(m.K) ** 3
+    assert abs(rep.det_K) == pytest.approx(abs(nf.alpha * nf.beta * nf.z),
+                                           abs=1e-9 * k3)
+    assert rep.det_K == pytest.approx(np.linalg.det(m.K), abs=1e-12 * k3)
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([None, "c1", "c2", "parallel", "parallel-trapped"]))
+def test_oms0_is_frame_free(seed, kind):
+    rng = np.random.default_rng(seed)
+    if kind in ("parallel", "parallel-trapped"):
+        m = _parallel_rows_model(rng, trapped=kind == "parallel-trapped")
+    else:
+        m = random_single_axis_model(rng, violate=kind)
+    base = oms0_check(m)
+    for _ in range(3):
+        rep = oms0_check(_frame_turn(m, rng))
+        assert (rep.c1, rep.c2) == (base.c1, base.c2), kind
+        assert rep.c2_magnitude == pytest.approx(
+            base.c2_magnitude, rel=1e-9, abs=1e-12 * _scale(m)), kind
+    if kind == "parallel-trapped":
+        assert not base.c2 and not base.cc
+
+
+def test_oms0_parallel_rows_pinned():
+    # the normal form resolves K^T n = e_x against the xy plane here (c2
+    # true, magnitude 1) and against the yz plane after the turn (c2 false)
+    reps = [oms0_check(_axis_model(K, [0.0, 0.0, 0.7]))
+            for K in (PARALLEL_ROWS_K, PARALLEL_ROWS_K_TURNED)]
+    for rep in reps:
+        assert not rep.c1 and not rep.c2 and not rep.cc
+        assert rep.c2_magnitude == 0.0
+        assert rep.det_K == 0.0
+    for K in (PARALLEL_ROWS_K, PARALLEL_ROWS_K_TURNED):
+        assert len(closure(generator_set(_axis_model(K, [0.0, 0.0, 0.7])))) == 4
+
+
+def test_oms0_report_holds_python_scalars():
+    rep = oms0_check(random_single_axis_model(np.random.default_rng(3)))
+    assert [type(v) for v in (rep.c1, rep.c2, rep.cc)] == [bool] * 3
+    assert [type(v) for v in (rep.det_K, rep.c2_magnitude)] == [float] * 2
+
+
+def test_oms0_check_preconditions():
+    with pytest.raises(ValueError, match="single-axis control"):
+        oms0_check(random_model("2c", np.random.default_rng(0)))
+    with pytest.raises(ValueError, match="omega_S = 0"):
+        oms0_check(TwoQubitModel(omega_S=1.0, K=np.eye(3), C=[0.0, 1.0, 0.0],
+                                 control=SingleAxis(n=[0, 0, 1])))
+
+
 # ---------------------------------------------------------------------------
 # identity suites
 

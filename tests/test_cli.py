@@ -76,6 +76,31 @@ def test_classify_single_axis(tmp_path, capsys):
     assert payload["c2_magnitude"] == pytest.approx(1.0)
 
 
+def test_classify_parallel_rows_same_json_in_both_frames(tmp_path, capsys):
+    # K^T n lies outside the line of the parallel sigma_x- and
+    # sigma_y-coupled rows; turning the S frame must not change the report
+    outs = []
+    for K in ([[0, 0.5, 0], [0, 1, 0], [1, 0, 0]],
+              [[0, 0.5, 0], [0, 1, 0], [0, 0, -1]]):
+        cfg = _write(tmp_path, "parallel.json", {**AXIS_CC, "K": K,
+                                                 "C": [0.0, 0.0, 0.7]})
+        code, out, _ = _run(capsys, "classify", cfg)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    payload = json.loads(outs[0])
+    assert payload["c2"] is False and payload["cc"] is False
+    assert payload["c2_magnitude"] == 0.0
+
+
+def test_classify_single_axis_with_target_field_is_exit_2(tmp_path, capsys):
+    cfg = _write(tmp_path, "axis.json", {**AXIS_CC, "omega_S": 1.0})
+    code, out, err = _run(capsys, "classify", cfg)
+    assert code == 2
+    assert out == ""
+    assert "precondition violated" in err
+
+
 def test_classify_tolerance_override(tmp_path, capsys):
     cfg = _write(tmp_path, "ising.json", ISING)
     code, out, _ = _run(capsys, "classify", cfg, "--tol-rank", "1e-6")

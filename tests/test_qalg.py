@@ -466,3 +466,26 @@ def test_pauli_coords_rejects_bad_shapes():
             pauli_coords(bad)
     with pytest.raises(ValueError):
         from_pauli_coords(np.ones(9), 3)
+
+
+def test_check_skew_coords_decides_real_input_as_its_complex_copy(rng):
+    # a real row has no Hermitian part, so the real branch keeps only the
+    # trace test, at the bound the complex check uses
+    rows = rng.normal(size=(6, 16))
+    rows[:, 0] = 0.0
+    rows[1, 0] = 1e-8  # traceful beyond tol * ||row||
+    rows[2, 0] = 1e-12  # within it
+    for traceless in (False, True):
+        for keep in ([0, 2, 3], [1, 4, 5]):
+            c = rows[keep]
+            try:
+                want = check_skew_coords(c + 0j, traceless, TOL_RANK)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=str(exc)):
+                    check_skew_coords(c, traceless, TOL_RANK)
+            else:
+                got = check_skew_coords(c, traceless, TOL_RANK)
+                assert got.dtype == np.float64
+                assert_allclose(got, want, rtol=0, atol=0)
+    with pytest.raises(ValueError, match="not traceless"):
+        check_skew_coords(rows, True, TOL_RANK)
