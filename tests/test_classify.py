@@ -341,16 +341,14 @@ def test_oms0_is_frame_free(seed, kind):
 
 
 def test_oms0_parallel_rows_pinned():
-    # the normal form resolves K^T n = e_x against the xy plane here (c2
-    # true, magnitude 1) and against the yz plane after the turn (c2 false)
-    reps = [oms0_check(_axis_model(K, [0.0, 0.0, 0.7]))
-            for K in (PARALLEL_ROWS_K, PARALLEL_ROWS_K_TURNED)]
-    for rep in reps:
-        assert not rep.c1 and not rep.c2 and not rep.cc
-        assert rep.c2_magnitude == 0.0
-        assert rep.det_K == 0.0
+    # the normal form resolved K^T n against the xy plane in the first
+    # frame (c2 true, magnitude 1) and the yz plane in the second (c2 false)
     for K in (PARALLEL_ROWS_K, PARALLEL_ROWS_K_TURNED):
-        assert len(closure(generator_set(_axis_model(K, [0.0, 0.0, 0.7])))) == 4
+        m = _axis_model(K, [0.0, 0.0, 0.7])
+        rep = oms0_check(m)
+        assert not rep.c1 and not rep.c2 and not rep.cc
+        assert rep.c2_magnitude == 0.0 and rep.det_K == 0.0
+        assert len(closure(generator_set(m))) == 4
 
 
 def test_oms0_report_holds_python_scalars():
