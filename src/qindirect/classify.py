@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import norm
 
-from .qalg import E_AB, TOL_RANK, _rotation_about, _rotation_between, bracket
+from .qalg import E_AB, TOL_RANK, bracket, frame
 from .lieclosure import closure
 from .model import FullSU2, SingleAxis, TwoQubitModel, generator_set
 
@@ -190,36 +190,20 @@ class NormalForm:
 
 
 def normal_form(m: TwoQubitModel) -> NormalForm:
-    if not isinstance(m.control, SingleAxis):
-        raise ValueError("normal form requires single-axis control")
-    if abs(m.omega_S) > TOL_RANK:
-        raise ValueError("normal form assumes a degenerate target (omega_S = 0)")
-    ex, ey, ez = np.eye(3)
-
-    r_a = _rotation_between(m.control.n, ez)
-    c1 = r_a @ m.C
-    w_a = float(np.hypot(c1[0], c1[1]))
-    if w_a > 1e-12:
-        r_a = _rotation_about(ez, np.pi / 2 - np.arctan2(c1[1], c1[0])) @ r_a
+    """r_a from ``frame(n, C)`` (n -> e_z, C_perp -> e_y), r_s from
+    ``frame(b, a)`` of r_a K (b -> e_y, a_perp -> e_x); a zero or parallel
+    input leaves a direction free, and ``frame`` completes it."""
+    _single_axis(m, float(np.sum(m.K ** 2) + m.C @ m.C))
+    f = frame(m.control.n, m.C)
+    r_a = np.array([-f[2], f[1], f[0]])
     k1 = r_a @ m.K
-    a, b, c = k1
-
-    if np.linalg.norm(b) > 1e-12:
-        r_s = _rotation_between(b / np.linalg.norm(b), ey)
-        a1 = r_s @ a
-        if np.hypot(a1[0], a1[2]) > 1e-12:
-            # residual freedom about e_y kills the z-component of row a
-            r_s = _rotation_about(ey, np.arctan2(a1[2], a1[0])) @ r_s
-    elif np.linalg.norm(a) > 1e-12:
-        r_s = _rotation_between(a / np.linalg.norm(a), ex)
-    elif np.linalg.norm(c) > 1e-12:
-        r_s = _rotation_between(c / np.linalg.norm(c), ez)
-    else:
-        r_s = np.eye(3)
+    g = frame(k1[1], k1[0])
+    r_s = np.array([g[1], g[0], -g[2]])
 
     k_nf = k1 @ r_s.T
     c_nf = r_a @ m.C
-    model = TwoQubitModel(omega_S=0.0, K=k_nf, C=c_nf, control=SingleAxis(n=ez))
+    model = TwoQubitModel(omega_S=0.0, K=k_nf, C=c_nf,
+                          control=SingleAxis(n=np.array([0.0, 0.0, 1.0])))
     return NormalForm(alpha=k_nf[0, 0], gamma=k_nf[0, 1], beta=k_nf[1, 1],
                       x=k_nf[2, 0], y=k_nf[2, 1], z=k_nf[2, 2],
                       omega_A=float(c_nf[1]), c_axis=float(c_nf[2]),
@@ -230,21 +214,33 @@ def _dot(u, v) -> float:
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def _perp_drift(m: TwoQubitModel, tol: float) -> tuple:
-    """(det K, ||K||_F^2, p1, p2) as ``oms0_check`` states them, with
-    u1, u2 the branchless frame of Duff et al. (2017) about n."""
+def _single_axis(m: TwoQubitModel, s2: float) -> None:
+    """The preconditions of the single-axis test: single-axis control, and
+    omega_S = 0 relative to the drift, |omega_S| <= TOL_RANK sqrt(s2) with
+    s2 = ||K||_F^2 + ||C||^2, so that a scale of the model keeps the answer."""
     if not isinstance(m.control, SingleAxis):
-        raise ValueError("perpendicular components require single-axis control")
+        raise ValueError("the single-axis test requires single-axis control")
+    if m.omega_S * m.omega_S > TOL_RANK * TOL_RANK * s2:
+        raise ValueError("the single-axis test assumes omega_S = 0")
+
+
+def _perp_drift(m: TwoQubitModel, tol: float) -> tuple:
+    """(det K, ||K||_F^2, ||K||_F^2 + ||C||^2, p1, p2) as ``oms0_check``
+    states them, with u1, u2 the branchless frame of Duff et al. (2017)
+    about n, after the ``_single_axis`` check."""
+    cols, C = m.K.T.tolist(), m.C.tolist()
+    k2 = sum(map(_dot, cols, cols))
+    s2 = k2 + _dot(C, C)
+    _single_axis(m, s2)
     n = x, y, z = m.control.n.tolist()
     s = 1.0 if z >= 0.0 else -1.0
     a = -1.0 / (s + z)
     u1 = (1.0 + s * x * x * a, s * x * y * a, -s * x)
     u2 = (x * y * a, s + y * y * a, -y)
-    cols = m.K.T.tolist()
     r1, r2, c = ([_dot(col, u) for col in cols] for u in (u1, u2, n))
     w = (r1[1] * r2[2] - r1[2] * r2[1], r1[2] * r2[0] - r1[0] * r2[2],
          r1[0] * r2[1] - r1[1] * r2[0])
-    det, w2, k2 = _dot(c, w), _dot(w, w), sum(map(_dot, cols, cols))
+    det, w2 = _dot(c, w), _dot(w, w)
     if w2 > (tol * k2) ** 2:
         p1 = [f - det / w2 * g for f, g in zip(c, w)]
     else:
@@ -252,15 +248,14 @@ def _perp_drift(m: TwoQubitModel, tol: float) -> tuple:
         m2 = _dot(r1, r1) + _dot(r2, r2)
         m2 = m2 if m2 > tol * tol * k2 else float("inf")
         p1 = [(_dot(c, r1) * f + _dot(c, r2) * g) / m2 for f, g in zip(r1, r2)]
-    C = m.C.tolist()
     t = _dot(C, n)
-    return det, k2, p1, [f - t * g for f, g in zip(C, n)]
+    return det, k2, s2, p1, [f - t * g for f, g in zip(C, n)]
 
 
 def drift_perp_components(m: TwoQubitModel) -> tuple:
     """(p1, p2) of ``oms0_check`` as R^3 vectors: K^T n projected onto the
     rows coupled to the axes perpendicular to n, and C projected off n."""
-    return tuple(np.array(p) for p in _perp_drift(m, TOL_RANK)[2:])
+    return tuple(np.array(p) for p in _perp_drift(m, TOL_RANK)[3:])
 
 
 def oms0_check(m: TwoQubitModel, tol_rank: float = TOL_RANK) -> Oms0Report:
@@ -273,14 +268,14 @@ def oms0_check(m: TwoQubitModel, tol_rank: float = TOL_RANK) -> Oms0Report:
     form's omega_A^2 + x^2 + y^2).  Once ||w|| <= tol_rank ||K||_F^2 (C1
     fails) r1, r2 are parallel or zero, and K^T n is projected onto their
     line (onto 0 below tol_rank ||K||_F) instead.  |det K| is compared
-    against ||K||_F^3 and c2 against ||K||_F^2 + ||C||^2.
+    against ||K||_F^3 and c2 against ||K||_F^2 + ||C||^2.  The model must
+    have single-axis control and |omega_S| <= TOL_RANK
+    sqrt(||K||_F^2 + ||C||^2); otherwise ValueError.
     """
-    if abs(m.omega_S) > TOL_RANK:
-        raise ValueError("the single-axis test assumes omega_S = 0")
-    det, k2, p1, p2 = _perp_drift(m, tol_rank)
+    det, k2, s2, p1, p2 = _perp_drift(m, tol_rank)
     c1 = abs(det) > tol_rank * k2 ** 1.5
     c2_magnitude = _dot(p1, p1) + _dot(p2, p2)
-    c2 = c2_magnitude > 1e-12 * (k2 + float(m.C @ m.C))
+    c2 = c2_magnitude > 1e-12 * s2
     return Oms0Report(c1=c1, c2=c2, cc=c1 and c2, det_K=det,
                       c2_magnitude=c2_magnitude)
 
@@ -313,6 +308,17 @@ def _gamma_elements(alpha: float, omega_A: float) -> dict:
     return {"k": k, "c": c, "s": s, "gx": gx, "gy": gy, "gz": gz}
 
 
+def _reduced_pair(alpha: float, gamma: float, beta: float,
+                  omega_A: float) -> tuple:
+    """L1 = 1 (x) sz and L2 = alpha i sx (x) sx + gamma i sy (x) sx
+    + beta i sy (x) sy + omega_A 1 (x) sy; the Gamma basis needs alpha != 0."""
+    if abs(alpha) < 1e-12:
+        raise ValueError("the Gamma construction requires alpha != 0")
+    l2 = (alpha * _two("x", "x") + gamma * _two("y", "x")
+          + beta * _two("y", "y") + omega_A * _one_a("y"))
+    return _one_a("z"), l2
+
+
 def gamma_suite(alpha: float, gamma: float, beta: float,
                 omega_A: float) -> IdentityReport:
     """Residuals of the commuting-pair identities behind the single-axis proof.
@@ -321,8 +327,7 @@ def gamma_suite(alpha: float, gamma: float, beta: float,
     families, the expansions of the generators L1 = 1 (x) sigma_z and L2 in
     the Gamma basis, and the double bracket [[L1, L2], L2].
     """
-    if abs(alpha) < 1e-12:
-        raise ValueError("the Gamma construction requires alpha != 0")
+    l1, l2 = _reduced_pair(alpha, gamma, beta, omega_A)
     g = _gamma_elements(alpha, omega_A)
     gx, gy, gz = g["gx"], g["gy"], g["gz"]
     rk = np.sqrt(g["k"])
@@ -336,9 +341,6 @@ def gamma_suite(alpha: float, gamma: float, beta: float,
         for b_name, gb in (("x", gx), ("y", gy), ("z", gz)):
             res[f"cross_{a_name}{b_name}"] = norm(bracket(ga[+1], gb[-1]))
 
-    l1 = _one_a("z")
-    l2 = (alpha * _two("x", "x") + gamma * _two("y", "x")
-          + beta * _two("y", "y") + omega_A * _one_a("y"))
     res["l1_expansion"] = norm(l1 + (gy[+1] + gy[-1]))
     res["l2_expansion"] = norm(l2 - 0.5 * (gamma * (gx[+1] + gx[-1])
                                            + rk * (gz[-1] - gz[+1])
@@ -353,12 +355,7 @@ def gamma_suite(alpha: float, gamma: float, beta: float,
 def reduced_pair_closure_dim(alpha: float, gamma: float, beta: float,
                              omega_A: float) -> int:
     """dim of the algebra generated by {L1, L2} alone (4 or 6)."""
-    if abs(alpha) < 1e-12:
-        raise ValueError("the Gamma construction requires alpha != 0")
-    l1 = _one_a("z")
-    l2 = (alpha * _two("x", "x") + gamma * _two("y", "x")
-          + beta * _two("y", "y") + omega_A * _one_a("y"))
-    return len(closure(np.array([l1, l2])))
+    return len(closure(np.array(_reduced_pair(alpha, gamma, beta, omega_A))))
 
 
 def reduced_pair_special_basis(alpha: float, omega_A: float,

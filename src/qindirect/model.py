@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qalg import E_AB, TOL_RANK, _rotation_about, _rotation_between
+from .qalg import E_AB, TOL_RANK, frame
 
 
 class ModelFormatError(ValueError):
@@ -283,8 +283,9 @@ def random_single_axis_model(rng: np.random.Generator,
 
     ``violate`` forces a condition failure: "c1" zeroes det K, "c2" builds a
     model whose accessor drift and sigma_z coupling row vanish in the frame
-    where the control axis is e_z, then hides the structure behind random
-    rotations of both qubits.
+    where the control axis is e_z, then hides the structure behind
+    Haar-random rotations of both qubits (the ``frame`` of two Gaussian
+    vectors).
     """
     if violate is None:
         return TwoQubitModel(omega_S=0.0, K=_nonzero(rng, (3, 3)),
@@ -309,9 +310,7 @@ def random_single_axis_model(rng: np.random.Generator,
     else:
         raise ValueError(f"unknown violation {violate!r}")
 
-    r_a = _rotation_between(np.array([0.0, 0.0, 1.0]), _unit(rng))
-    r_a = r_a @ _rotation_about(np.array([0.0, 0.0, 1.0]), rng.uniform(0, 2 * np.pi))
-    r_s = _rotation_about(_unit(rng), rng.uniform(0, 2 * np.pi))
+    r_a, r_s = (frame(*rng.normal(size=(2, 3))) for _ in range(2))
     # frame change: K -> R_A K R_S^T, C -> R_A C, n -> R_A e_z
     return TwoQubitModel(omega_S=0.0, K=r_a @ K @ r_s.T, C=r_a @ C,
                          control=SingleAxis(n=r_a @ np.array([0.0, 0.0, 1.0])))

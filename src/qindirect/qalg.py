@@ -235,31 +235,17 @@ def z_rotation(angle: float) -> np.ndarray:
     return np.diag([np.exp(0.5j * angle), np.exp(-0.5j * angle)])
 
 
-def _rotation_about(axis, angle: float) -> np.ndarray:
-    """Real 3x3 rotation by ``angle`` about ``axis`` (Rodrigues formula)."""
-    k = np.asarray(axis, dtype=float)
-    k = k / np.linalg.norm(k)
-    kx = np.array([[0.0, -k[2], k[1]],
-                   [k[2], 0.0, -k[0]],
-                   [-k[1], k[0], 0.0]])
-    return np.eye(3) + np.sin(angle) * kx + (1.0 - np.cos(angle)) * (kx @ kx)
+def frame(u, v) -> np.ndarray:
+    """Proper 3x3 rotation whose rows are e1 along u, e2 along the part of v
+    perpendicular to u, and e3 = e1 x e2, with u . e1 >= 0 and v . e2 >= 0.
 
-
-def _rotation_between(u, v) -> np.ndarray:
-    """Rotation mapping unit vector u onto unit vector v."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    c = float(np.dot(u, v))
-    w = np.cross(u, v)
-    s = np.linalg.norm(w)
-    if s < 1e-15:
-        if c > 0:
-            return np.eye(3)
-        # antiparallel: rotate by pi about any axis perpendicular to u
-        ref = np.array([1.0, 0.0, 0.0]) if abs(u[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-        perp = np.cross(u, ref)
-        return _rotation_about(perp, np.pi)
-    return _rotation_about(w / s, np.arctan2(s, c))
+    One complete Householder QR of the columns (u, v): it returns an
+    orthonormal frame for zero or parallel inputs too, completing e1 and e2
+    where u or v leaves them free.
+    """
+    q, r = np.linalg.qr(np.column_stack([u, v]), mode="complete")
+    e1, e2 = (q[:, :2] * np.where(np.diag(r) < 0.0, -1.0, 1.0)).T
+    return np.array([e1, e2, np.cross(e1, e2)])
 
 
 def state_bloch(r) -> np.ndarray:

@@ -16,13 +16,12 @@ from qindirect.classify import (CASE_DIMS, appendix_b_suite, c2_failure_subalgeb
                                 cross_validate, drift_perp_components,
                                 gamma_suite, normal_form, oms0_check,
                                 predict_case, reduced_pair_closure_dim,
-                                reduced_pair_special_basis, strong_uic,
-                                _rotation_about, _rotation_between)
+                                reduced_pair_special_basis, strong_uic)
 from qindirect.lieclosure import closure, contains, orthonormalize, span_equals
 from qindirect.model import (SingleAxis, TwoQubitModel, generator_set,
                              ising_model, random_model,
                              random_single_axis_model)
-from qindirect.qalg import ID2, TOL_RANK, pauli, skew_coords, tensor
+from qindirect.qalg import ID2, TOL_RANK, frame, pauli, skew_coords, tensor
 
 st_unit3 = st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)).filter(
     lambda v: 0.1 < np.linalg.norm(v) <= 1.0).map(
@@ -228,8 +227,7 @@ def test_oms0_rotation_invariance(rng):
                     [0.1, 0.6, -0.3])
     base = oms0_check(m)
     for _ in range(10):
-        r_a = _rotation_about(rng.normal(size=3), rng.uniform(0, 2 * np.pi))
-        r_s = _rotation_about(rng.normal(size=3), rng.uniform(0, 2 * np.pi))
+        r_a, r_s = (frame(*rng.normal(size=(2, 3))) for _ in range(2))
         rot = TwoQubitModel(omega_S=0.0, K=r_a @ m.K @ r_s.T, C=r_a @ m.C,
                             control=SingleAxis(n=r_a @ m.control.n))
         rep = oms0_check(rot)
@@ -295,10 +293,32 @@ def _parallel_rows_model(rng, trapped):
 
 def _frame_turn(m, rng):
     """K -> R_A K R_S^T, C -> R_A C, n -> R_A n for random rotations."""
-    r_a = _rotation_about(rng.normal(size=3), rng.uniform(0, 2 * np.pi))
-    r_s = _rotation_about(rng.normal(size=3), rng.uniform(0, 2 * np.pi))
+    r_a, r_s = (frame(*rng.normal(size=(2, 3))) for _ in range(2))
     return TwoQubitModel(omega_S=0.0, K=r_a @ m.K @ r_s.T, C=r_a @ m.C,
                          control=SingleAxis(n=r_a @ m.control.n))
+
+
+@pytest.mark.parametrize("K, C", [
+    # b = 0
+    ([[1.0, 0.3, 0.2], [0.0, 0.0, 0.0], [0.2, -0.4, 0.9]], [0.0, 0.7, 0.1]),
+    # only row c nonzero
+    ([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.2, -0.4, 0.9]], [0.3, 0.7, 0.1]),
+    (PARALLEL_ROWS_K, [0.0, 0.0, 0.7]),
+    # C along n
+    ([[1.0, 0.3, 0.0], [0.2, 0.5, 0.0], [0.2, -0.4, 0.9]], [0.0, 0.0, 0.7]),
+])
+def test_normal_form_degenerate_inputs(K, C, rng):
+    for m in (_axis_model(K, C), _frame_turn(_axis_model(K, C), rng)):
+        nf = normal_form(m)
+        for r in (nf.r_a, nf.r_s):
+            assert_allclose(r @ r.T, np.eye(3), atol=1e-14)
+            assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-14)
+        assert_allclose(nf.r_a @ m.control.n, [0, 0, 1], atol=1e-14)
+        assert_allclose(nf.model.K, nf.r_a @ m.K @ nf.r_s.T, atol=1e-14)
+        k_nf = nf.model.K
+        assert_allclose([k_nf[0, 2], k_nf[1, 0], k_nf[1, 2], nf.model.C[0]],
+                        0.0, atol=1e-14)
+        assert min(nf.alpha, nf.beta, nf.omega_A) >= 0.0
 
 
 @settings(max_examples=200)
@@ -365,6 +385,25 @@ def test_oms0_check_preconditions():
                                  control=SingleAxis(n=[0, 0, 1])))
 
 
+def test_single_axis_precondition_is_relative():
+    # omega_S = 0 is judged against sqrt(||K||_F^2 + ||C||^2), so a scale of
+    # the model keeps both the report and the refusal
+    def scaled(omega, s):
+        return TwoQubitModel(omega_S=s * omega, K=s * np.eye(3),
+                             C=[0.0, s, 0.0], control=SingleAxis(n=[0, 0, 1]))
+
+    small, large = (oms0_check(scaled(1e-14, s)) for s in (1.0, 1e6))
+    assert (small.c1, small.c2, small.cc) == (large.c1, large.c2, large.cc)
+    assert small.cc
+    assert large.det_K == pytest.approx(1e18 * small.det_K)
+    assert large.c2_magnitude == pytest.approx(1e12 * small.c2_magnitude)
+    for s in (1.0, 1e6):
+        for check in (oms0_check, normal_form, drift_perp_components):
+            check(scaled(1e-14, s))
+            with pytest.raises(ValueError, match="omega_S = 0"):
+                check(scaled(1e-3, s))
+
+
 # ---------------------------------------------------------------------------
 # identity suites
 
@@ -414,14 +453,3 @@ def test_appendix_b_suite_residuals(v, alpha, omega_a):
 def test_appendix_b_suite_requires_unit_vector():
     with pytest.raises(ValueError):
         appendix_b_suite(1.0, 1.0, 0.0, 0.5, 0.5)
-
-
-def test_rotation_helpers():
-    r = _rotation_between([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
-    assert_allclose(r @ [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], atol=1e-12)
-    # antiparallel input needs the fallback axis
-    r = _rotation_between([0.0, 0.0, 1.0], [0.0, 0.0, -1.0])
-    assert_allclose(r @ [0.0, 0.0, 1.0], [0.0, 0.0, -1.0], atol=1e-12)
-    assert np.linalg.det(r) == pytest.approx(1.0)
-    r = _rotation_about([0.0, 0.0, 1.0], np.pi / 2)
-    assert_allclose(r @ [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], atol=1e-12)

@@ -17,8 +17,8 @@ from qindirect.qalg import (E_AB, ID2, ID4, PAULI_BASIS, PAULI_X_TILDE,
                             PAULI_Y_TILDE, PAULI_Z_TILDE, SIGMA_X, SIGMA_Y,
                             SIGMA_Z, STRUCTURE, TOL_RANK,
                             bloch, bloch_inverse, bracket, check_density,
-                            check_skew_coords, commutator, dagger, frob,
-                            from_pauli_coords, mat_exp, partial_trace, pauli,
+                            check_skew_coords, commutator, dagger, frame,
+                            frob, from_pauli_coords, mat_exp, partial_trace, pauli,
                             pauli_coords, sigma_from_vec, skew_coords,
                             state_coords, tensor, z_rotation)
 
@@ -163,6 +163,22 @@ def test_exp_sigma_z_phases(t):
     assert_allclose(mat_exp(t * SIGMA_Z), expect,
                     atol=1e-12)
     assert_allclose(z_rotation(t), expect, atol=1e-15)
+
+
+def test_frame(rng):
+    e_x, e_y, e_z = np.eye(3)
+    cases = [(rng.normal(size=3), rng.normal(size=3)),
+             (np.zeros(3), np.zeros(3)), (np.zeros(3), e_y), (e_x, np.zeros(3)),
+             (e_z, 2 * e_z), (e_z, -3 * e_z), (-e_x, e_x + e_y)]
+    for u, v in cases:
+        f = frame(u, v)
+        assert_allclose(f @ f.T, np.eye(3), atol=1e-15)
+        assert np.linalg.det(f) == pytest.approx(1.0, abs=1e-15)
+        fu, fv = f @ u, f @ v
+        # u = |u| e1 and v lies in the e1-e2 half plane with v . e2 >= 0
+        assert_allclose(fu, [np.linalg.norm(u), 0.0, 0.0], atol=1e-15)
+        assert fv[1] >= 0.0 and abs(fv[2]) <= 1e-15
+    assert_allclose(frame(-e_x, e_x + e_y), [-e_x, e_y, -e_z], atol=1e-15)
 
 
 def test_skew_coords():
