@@ -129,8 +129,9 @@ def predict_case(m: TwoQubitModel, tol: float = TOL_RANK) -> CaseLabel:
     if not isinstance(m.control, FullSU2):
         raise ValueError("case prediction requires full accessor control")
     w = abs(m.omega_S)
-    d = np.abs(m.K[:, :2]).max()  # D, the first two columns of K
-    f = np.abs(m.K[:, 2]).max()  # F, the third
+    rows = m.K.tolist()
+    d = max(abs(k) for row in rows for k in row[:2])  # D, columns 1-2 of K
+    f = max(abs(row[2]) for row in rows)  # F, the third
     checked = [w, d, f]
     if w > tol:
         if d <= tol and f <= tol:

@@ -11,9 +11,15 @@ built or read here.
 
 One routine finds the smallest subspace that contains some seeds and is
 invariant under ad_x for x in a set of operators, with one SVD rank decision
-per sweep over the newly found vectors.  ``closure(G)`` uses G as both seeds
-and operators: by the Jacobi identity the right-nested brackets of the
-generators span the algebra they generate.
+per sweep over the newly found vectors.  It starts from a frame, an
+orthonormal basis of the directions the subspace may take, and stops when a
+sweep adds nothing or the frame is used up.  ``closure(G)`` seeds it with the
+generators and their pairwise brackets, G u [G, G], in one rank decision,
+and then brackets every found direction with G: by the Jacobi identity the
+right-nested brackets of the generators span the algebra they generate.  Its
+generators are traceless, so its frame is the d^2 - 1 traceless directions
+and its rows come out exactly traceless.  ``invariant_space`` seeds it with
+one element that may carry a trace, and its frame is all d^2 directions.
 """
 
 from __future__ import annotations
@@ -22,10 +28,16 @@ import numpy as np
 
 from .qalg import STRUCTURE, TOL_RANK, check_skew_coords, coords_dim
 
-# n -> read-only n x n identity, the first frame of every span search
+# n -> read-only n x n identity, the first frame of every span search; row 0
+# is the identity coordinate, so _EYE[n][1:] is the traceless frame
 _EYE = {n: np.eye(n) for n in (4, 16)}
 for _eye in _EYE.values():
     _eye.setflags(write=False)
+# k -> read-only index pair (x, y) of the k(k-1)/2 pairs x < y of k generators
+_PAIRS = {k: np.triu_indices(k, 1) for k in range(17)}
+for _pair in _PAIRS.values():
+    for _index in _pair:
+        _index.setflags(write=False)
 
 
 def _residual(basis: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -34,55 +46,74 @@ def _residual(basis: np.ndarray, W: np.ndarray) -> np.ndarray:
     return W
 
 
-def _unit_rows(c: np.ndarray) -> np.ndarray:
-    """Rows of c scaled to unit norm; a zero row stays zero and adds no
-    direction to any span."""
-    n = np.sqrt((c * c).sum(axis=1, keepdims=True))
-    return c / np.where(n > 0.0, n, 1.0)
+def _unit_rows(c: np.ndarray, n2=None) -> np.ndarray:
+    """Rows of c scaled to unit norm, given or from their squared norms n2
+    (k, 1); a zero row stays zero and adds no direction to any span."""
+    if n2 is None:
+        n2 = (c * c).sum(axis=1, keepdims=True)
+    return c / np.sqrt(np.where(n2 > 0.0, n2, 1.0))
 
 
 def _generators(G, tol: float) -> np.ndarray:
-    """Rows of the 2-D array G, checked by ``check_skew_coords``, at unit norm."""
-    if np.ndim(G) != 2:
-        raise ValueError(f"generators must be a 2-D array, got shape {np.shape(G)}")
-    return _unit_rows(check_skew_coords(G, require_traceless=True, tol=tol))
+    """Rows of the 2-D array G at unit norm, checked traceless (and, for
+    complex input, skew) at the bound of ``check_skew_coords``."""
+    G = np.asarray(G)
+    if G.ndim != 2:
+        raise ValueError(f"generators must be a 2-D array, got shape {G.shape}")
+    if np.iscomplexobj(G):
+        G = check_skew_coords(G, require_traceless=True, tol=tol)
+        return _unit_rows(G)
+    d = coords_dim(G)
+    n2 = (G * G).sum(axis=1, keepdims=True)
+    # the traceless test of check_skew_coords; a real G has no Hermitian part
+    if (d * G[:, :1] ** 2 > tol * tol * np.maximum(1.0, n2)).any():
+        raise ValueError("input matrix is not traceless")
+    return _unit_rows(G, n2)
 
 
-def _split(W: np.ndarray, frame: np.ndarray, tol: float, room: int) -> tuple:
+def _ad(ops: np.ndarray) -> np.ndarray:
+    """(k, n, n) stack with v @ ad[x] = [ops[x], v]."""
+    n = ops.shape[1]
+    F = STRUCTURE[coords_dim(ops)].reshape(n, n * n)
+    return (ops @ F).reshape(-1, n, n)
+
+
+def _split(W: np.ndarray, frame: np.ndarray, tol: float) -> tuple:
     """Split span(frame) into the directions of W with singular value > tol
-    (at most ``room``) and the rest.  ``frame`` is an orthonormal basis of the
-    complement of the span found so far, so W @ frame.T projects that out.
+    and the rest.  ``frame`` is an orthonormal basis of the directions not
+    yet found, so W @ frame.T keeps the part of W that is new.
     """
     Wc = W @ frame.T
     w = Wc.ravel()
-    if room <= 0 or w @ w <= tol * tol:  # ||Wc|| bounds every singular value
+    if w @ w <= tol * tol:  # ||Wc|| bounds every singular value
         return frame[:0], frame
     # vt must be square to span the rest of the frame; U is never needed
     _, s, vt = np.linalg.svd(Wc, full_matrices=Wc.shape[0] < Wc.shape[1])
     rotated = vt @ frame
-    r = min(np.count_nonzero(s > tol), room)
+    r = np.count_nonzero(s > tol)
     return rotated[:r], rotated[r:]
 
 
-def _ad_invariant(seeds: np.ndarray, ops: np.ndarray, tol: float,
-                  cap: int) -> np.ndarray:
-    """Smallest subspace containing the unit rows ``seeds``, invariant under ad(ops)."""
-    n = seeds.shape[1]
-    F = STRUCTURE[coords_dim(seeds)].reshape(n, n * n)
-    ad = (ops @ F).reshape(-1, n, n)  # v @ ad[x] = [x, v]
-    new, frame = _split(seeds, _EYE[n], tol, cap)
+def _ad_invariant(seeds: np.ndarray, ad: np.ndarray, frame: np.ndarray,
+                  tol: float) -> np.ndarray:
+    """Smallest subspace of span(frame) containing the rows ``seeds`` and
+    invariant under the maps v -> v @ ad[x].  Stops when a sweep adds nothing
+    or the frame is used up."""
+    new, frame = _split(seeds, frame, tol)
     found = [new]
-    while len(new) and n - len(frame) < cap:  # n - len(frame) = dim found so far
-        new, frame = _split((new @ ad).reshape(-1, n), frame, tol, cap - n + len(frame))
+    while len(new) and len(frame):
+        new, frame = _split((new @ ad).reshape(-1, new.shape[1]), frame, tol)
         found.append(new)
     return np.concatenate(found)
 
 
 def orthonormalize(G, tol: float = TOL_RANK) -> np.ndarray:
     """Orthonormal (n, d^2) basis of the span of the traceless rows of
-    G (k, d^2), scaled to unit norm first; near-dependent rows are dropped."""
+    G (k, d^2), scaled to unit norm first; near-dependent rows are dropped.
+    The basis is found in the traceless frame, so its rows are exactly
+    traceless."""
     G = _generators(G, tol)
-    return _split(G, _EYE[G.shape[1]], tol, G.shape[1])[0]
+    return _split(G, _EYE[G.shape[1]][1:], tol)[0]
 
 
 def contains(basis: np.ndarray, c, tol: float = TOL_RANK) -> bool:
@@ -100,10 +131,19 @@ def contains(basis: np.ndarray, c, tol: float = TOL_RANK) -> bool:
 
 def closure(G, tol: float = TOL_RANK) -> np.ndarray:
     """Orthonormal (n, d^2) basis of the smallest bracket-closed real
-    subspace containing the rows of G (k, d^2).  Stops when a sweep adds
-    nothing or the dimension reaches d^2 - 1 (the whole of su(d))."""
+    subspace containing the rows of G (k, d^2).
+
+    The first rank decision takes G and its pairwise brackets [g_x, g_y],
+    x < y, together; each later sweep brackets the directions found by the
+    one before with G.  It stops when a sweep adds nothing or the traceless
+    frame is used up (dimension d^2 - 1, the whole of su(d)).
+    """
     G = _generators(G, tol)
-    return _ad_invariant(G, G, tol, G.shape[1] - 1)
+    k, n = G.shape
+    ad = _ad(G)
+    pairs = _PAIRS[k] if k in _PAIRS else np.triu_indices(k, 1)
+    seeds = np.concatenate([G, (G @ ad)[pairs]])  # (G @ ad)[x, y] = [g_x, g_y]
+    return _ad_invariant(seeds, ad, _EYE[n][1:], tol)
 
 
 def invariant_space(L: np.ndarray, c, tol: float = TOL_RANK) -> np.ndarray:
@@ -119,7 +159,7 @@ def invariant_space(L: np.ndarray, c, tol: float = TOL_RANK) -> np.ndarray:
     if c.shape != L.shape[1:]:
         raise ValueError(f"seed coordinates of shape {c.shape} do not fit "
                          f"a basis of shape {L.shape}")
-    return _ad_invariant(_unit_rows(c[None]), L, tol, len(c))
+    return _ad_invariant(_unit_rows(c[None]), _ad(L), _EYE[len(c)], tol)
 
 
 def trace_A_image(V: np.ndarray, tol: float = TOL_RANK) -> np.ndarray:
@@ -132,7 +172,7 @@ def trace_A_image(V: np.ndarray, tol: float = TOL_RANK) -> np.ndarray:
         raise ValueError(f"trace_A_image expects coordinates of 4x4 "
                          f"matrices, got shape {V.shape}")
     img = np.sqrt(2.0) * V[:, 0::4]
-    return _split(img, _EYE[4], tol, 4)[0]
+    return _split(img, _EYE[4], tol)[0]
 
 
 def span_equals(a: np.ndarray, b: np.ndarray, tol: float = TOL_RANK) -> bool:

@@ -104,8 +104,8 @@ def generator_set(m: TwoQubitModel) -> np.ndarray:
     """
     drift = np.concatenate([[m.omega_S], m.K.ravel(), m.C]) @ _DRIFT_MAP
     if isinstance(m.control, FullSU2):
-        return np.vstack([drift, E_AB[0, 1:]])  # 1 (x) sigma_j = E_0j
-    return np.vstack([drift, m.control.n @ E_AB[0, 1:]])
+        return np.concatenate([drift[None], E_AB[0, 1:]])  # 1 (x) sigma_j = E_0j
+    return np.concatenate([drift[None], m.control.n[None] @ E_AB[0, 1:]])
 
 
 def ising_model() -> TwoQubitModel:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from qindirect import lieclosure
 from qindirect.lieclosure import (closure, contains, invariant_space,
                                   orthonormalize, span_equals, trace_A_image)
 from qindirect.model import (FullSU2, SingleAxis, TwoQubitModel,
@@ -318,3 +319,117 @@ def test_closure_near_dependent_brackets(omega, K, C, n):
     m = TwoQubitModel(omega_S=omega, K=np.array(K), C=np.array(C),
                       control=control)
     assert len(closure(generator_set(m))) == 10
+
+
+# ---------------------------------------------------------------------------
+# the first rank decision over G u [G, G], and the traceless frame
+
+
+def _random_unitary(rng, d):
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diag(r) / abs(np.diag(r)))
+
+
+def _random_generators(rng, d, k):
+    """k traceless skew-Hermitian d x d matrices, each a random combination
+    of the same few basis elements in a random frame, so that the closure
+    dimension varies from draw to draw."""
+    size = rng.integers(1, min(d * d - 1, 6), endpoint=True)
+    support = rng.choice(np.arange(1, d * d), size=size, replace=False)
+    coef = rng.normal(size=(k, len(support)))
+    u = _random_unitary(rng, d)
+    return [u @ np.tensordot(c, PAULI_BASIS[d][support], 1) @ dagger(u)
+            for c in coef]
+
+
+def _commuting_partner(g):
+    """g^3 minus its trace part: skew-Hermitian, traceless, commutes with g."""
+    c = g @ g @ g
+    return c - np.trace(c) * np.eye(len(g)) / len(g)
+
+
+TWISTS = [None, "duplicate", "zero", "commuting", "complex"]
+
+
+@pytest.mark.parametrize("d", [2, 4])
+@pytest.mark.parametrize("twist", TWISTS)
+def test_closure_matches_matrix_oracle_random_sets(d, twist):
+    rng = np.random.default_rng([d, TWISTS.index(twist)])
+    for k in range(1, 6):
+        for _ in range(4):
+            gens = _random_generators(rng, d, k)
+            if twist == "duplicate":
+                gens.append(-3.0 * gens[0])
+            elif twist == "zero":
+                gens.append(0.0 * gens[0])
+            elif twist == "commuting":
+                gens.append(_commuting_partner(gens[0]))
+            rows = _rows(gens)
+            if twist == "complex":  # a Hermitian part well inside tol
+                rows = rows.astype(complex)
+                rows[-1] += 1e-11j * rng.normal(size=d * d)
+            L = closure(rows)
+            assert len(L) == _oracle_dim(gens), (k, twist)
+            assert (L[:, 0] == 0.0).all()  # exactly traceless
+            assert (orthonormalize(rows)[:, 0] == 0.0).all()
+            assert np.abs(L @ L.T - np.eye(len(L))).max() <= 1e-12
+
+
+def test_closure_ends_when_frame_is_used_up(monkeypatch):
+    calls = []  # (frame rows in, directions found, frame rows left)
+    split = lieclosure._split
+
+    def recorded(W, frame, tol):
+        new, rest = split(W, frame, tol)
+        calls.append((len(frame), len(new), len(rest)))
+        return new, rest
+
+    monkeypatch.setattr(lieclosure, "_split", recorded)
+    gens = [SX1, SY1, ONE_A[0], ONE_A[1], 1j * tensor(SIGMA_Z, SIGMA_Z)]
+    assert len(closure(_rows(gens))) == 15
+    assert calls[0][0] == 15  # the traceless frame
+    assert calls[-1][1] > 0 and calls[-1][2] == 0  # no sweep after the last
+    assert all(rest > 0 for _, _, rest in calls[:-1])
+
+
+# ---------------------------------------------------------------------------
+# LAPACK calls per closure
+
+
+def _count_svd(monkeypatch):
+    calls = [0]
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+@pytest.mark.parametrize("case, svds", [("1a", 2), ("1b", 2), ("1c", 2),
+                                        ("2a", 1), ("2b", 2), ("2c", 2)])
+def test_closure_svd_count_full_control(monkeypatch, case, svds):
+    m = random_model(case, np.random.default_rng(1))
+    calls = _count_svd(monkeypatch)
+    closure(generator_set(m))
+    assert calls[0] == svds
+
+
+@pytest.mark.parametrize("violate", [None, "c1", "c2"])
+def test_closure_svd_count_single_axis(monkeypatch, violate):
+    m = random_single_axis_model(np.random.default_rng(1), violate=violate)
+    calls = _count_svd(monkeypatch)
+    closure(generator_set(m))
+    assert calls[0] <= 5
+
+
+@pytest.mark.parametrize("case", ["1a", "1c", "2a"])
+def test_invariant_space_svd_count(monkeypatch, case):
+    L = closure(generator_set(random_model(case, np.random.default_rng(1))))
+    rho_s = bloch_inverse([0.3, 0.2, 0.4])
+    rho_a = bloch_inverse([0.1, 0.0, 0.2])
+    calls = _count_svd(monkeypatch)
+    invariant_space(L, pauli_coords(1j * tensor(rho_s, rho_a)))
+    assert calls[0] == 3
