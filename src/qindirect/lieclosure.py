@@ -24,6 +24,8 @@ one element that may carry a trace, and its frame is all d^2 directions.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .qalg import STRUCTURE, TOL_RANK, check_skew_coords, coords_dim
@@ -33,11 +35,15 @@ from .qalg import STRUCTURE, TOL_RANK, check_skew_coords, coords_dim
 _EYE = {n: np.eye(n) for n in (4, 16)}
 for _eye in _EYE.values():
     _eye.setflags(write=False)
-# k -> read-only index pair (x, y) of the k(k-1)/2 pairs x < y of k generators
-_PAIRS = {k: np.triu_indices(k, 1) for k in range(17)}
-for _pair in _PAIRS.values():
-    for _index in _pair:
-        _index.setflags(write=False)
+
+
+@functools.lru_cache(maxsize=None)
+def _pairs(k: int) -> tuple:
+    """Read-only index arrays (x, y) of the k(k-1)/2 pairs x < y."""
+    pairs = np.triu_indices(k, 1)
+    for index in pairs:
+        index.setflags(write=False)
+    return pairs
 
 
 def _residual(basis: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -46,29 +52,18 @@ def _residual(basis: np.ndarray, W: np.ndarray) -> np.ndarray:
     return W
 
 
-def _unit_rows(c: np.ndarray, n2=None) -> np.ndarray:
-    """Rows of c scaled to unit norm, given or from their squared norms n2
-    (k, 1); a zero row stays zero and adds no direction to any span."""
-    if n2 is None:
-        n2 = (c * c).sum(axis=1, keepdims=True)
-    return c / np.sqrt(np.where(n2 > 0.0, n2, 1.0))
+def _unit_rows(c: np.ndarray) -> np.ndarray:
+    """Rows of c scaled to unit norm; a zero row stays zero and adds no
+    direction to any span."""
+    n = np.sqrt((c * c).sum(axis=1, keepdims=True))
+    return c / np.where(n > 0.0, n, 1.0)
 
 
 def _generators(G, tol: float) -> np.ndarray:
-    """Rows of the 2-D array G at unit norm, checked traceless (and, for
-    complex input, skew) at the bound of ``check_skew_coords``."""
-    G = np.asarray(G)
-    if G.ndim != 2:
-        raise ValueError(f"generators must be a 2-D array, got shape {G.shape}")
-    if np.iscomplexobj(G):
-        G = check_skew_coords(G, require_traceless=True, tol=tol)
-        return _unit_rows(G)
-    d = coords_dim(G)
-    n2 = (G * G).sum(axis=1, keepdims=True)
-    # the traceless test of check_skew_coords; a real G has no Hermitian part
-    if (d * G[:, :1] ** 2 > tol * tol * np.maximum(1.0, n2)).any():
-        raise ValueError("input matrix is not traceless")
-    return _unit_rows(G, n2)
+    """Rows of the 2-D array G, checked by ``check_skew_coords``, at unit norm."""
+    if np.ndim(G) != 2:
+        raise ValueError(f"generators must be a 2-D array, got shape {np.shape(G)}")
+    return _unit_rows(check_skew_coords(G, require_traceless=True, tol=tol))
 
 
 def _ad(ops: np.ndarray) -> np.ndarray:
@@ -141,8 +136,7 @@ def closure(G, tol: float = TOL_RANK) -> np.ndarray:
     G = _generators(G, tol)
     k, n = G.shape
     ad = _ad(G)
-    pairs = _PAIRS[k] if k in _PAIRS else np.triu_indices(k, 1)
-    seeds = np.concatenate([G, (G @ ad)[pairs]])  # (G @ ad)[x, y] = [g_x, g_y]
+    seeds = np.concatenate([G, (G @ ad)[_pairs(k)]])  # (G @ ad)[x, y] = [g_x, g_y]
     return _ad_invariant(seeds, ad, _EYE[n][1:], tol)
 
 

@@ -375,6 +375,14 @@ def test_closure_matches_matrix_oracle_random_sets(d, twist):
             assert np.abs(L @ L.T - np.eye(len(L))).max() <= 1e-12
 
 
+@pytest.mark.parametrize("k", [1, 2, 4, 20])
+def test_pairs_are_the_read_only_upper_triangle(k):
+    x, y = lieclosure._pairs(k)
+    assert [(int(a), int(b)) for a, b in zip(x, y)] == [
+        (a, b) for a in range(k) for b in range(a + 1, k)]
+    assert not x.flags.writeable and not y.flags.writeable
+
+
 def test_closure_ends_when_frame_is_used_up(monkeypatch):
     calls = []  # (frame rows in, directions found, frame rows left)
     split = lieclosure._split
@@ -417,12 +425,12 @@ def test_closure_svd_count_full_control(monkeypatch, case, svds):
     assert calls[0] == svds
 
 
-@pytest.mark.parametrize("violate", [None, "c1", "c2"])
-def test_closure_svd_count_single_axis(monkeypatch, violate):
+@pytest.mark.parametrize("violate, svds", [(None, 5), ("c1", 4), ("c2", 4)])
+def test_closure_svd_count_single_axis(monkeypatch, violate, svds):
     m = random_single_axis_model(np.random.default_rng(1), violate=violate)
     calls = _count_svd(monkeypatch)
     closure(generator_set(m))
-    assert calls[0] <= 5
+    assert calls[0] == svds
 
 
 @pytest.mark.parametrize("case", ["1a", "1c", "2a"])
