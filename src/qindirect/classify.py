@@ -173,8 +173,7 @@ class NormalForm:
     """Single-axis model rotated so n = e_z, C_perp = omega_A e_y, b = beta e_y.
 
     K becomes [[alpha, gamma, 0], [0, beta, 0], [x, y, z]] with
-    alpha, beta, omega_A >= 0; c_axis is the drift component along the
-    control axis (absorbable into the control, kept for completeness).
+    alpha, beta, omega_A >= 0.
     """
 
     alpha: float
@@ -184,7 +183,6 @@ class NormalForm:
     y: float
     z: float
     omega_A: float
-    c_axis: float
     r_a: np.ndarray
     r_s: np.ndarray
     model: TwoQubitModel
@@ -207,8 +205,7 @@ def normal_form(m: TwoQubitModel) -> NormalForm:
                           control=SingleAxis(n=np.array([0.0, 0.0, 1.0])))
     return NormalForm(alpha=k_nf[0, 0], gamma=k_nf[0, 1], beta=k_nf[1, 1],
                       x=k_nf[2, 0], y=k_nf[2, 1], z=k_nf[2, 2],
-                      omega_A=float(c_nf[1]), c_axis=float(c_nf[2]),
-                      r_a=r_a, r_s=r_s, model=model)
+                      omega_A=float(c_nf[1]), r_a=r_a, r_s=r_s, model=model)
 
 
 def _dot(u, v) -> float:

@@ -10,9 +10,9 @@ that set is an error; for the model commands such keys are passed to
 and fic run either one explicit case (x_angles or target) or random
 draws, and a key or flag that the chosen mode does not read is an error
 too.  Verdicts are emitted as sorted-key JSON, with a "tolerances" block
-from the commands that make rank decisions; sample writes its CSV straight
-to the destination.  Exit codes: 0 success (negative verdicts included), 1
-malformed config, 2 precondition violations.
+from the commands that make rank decisions; ``_emit`` opens the one output
+file, and sample writes its CSV there.  Exit codes: 0 success (negative
+verdicts included), 1 malformed config, 2 precondition violations.
 """
 
 from __future__ import annotations
@@ -251,8 +251,8 @@ def _cmd_sample(cfg: dict, args) -> Callable:
     kwargs = {"s_x": _option(cfg, args, "s_x", 0.0, finite_float),
               "s_z": _option(cfg, args, "s_z", 0.0, finite_float),
               "a_z": _option(cfg, args, "a_z", 0.0, finite_float),
-              "n": _option(cfg, args, "n", 729, _positive(_integer)),
-              "seed": _option(cfg, args, "seed", 0, _seed),
+              "n": _option(cfg, args, "n", 729, _integer),
+              "seed": _option(cfg, args, "seed", 0, _integer),
               "mode": cfg.get("mode", "random")}
     if ranges is not None:
         kwargs["angle_ranges"] = ranges
@@ -364,7 +364,7 @@ def _json_writer(payload: dict) -> Callable:
 
 
 def _emit(write: Callable, output_path) -> None:
-    """Call write(fh) on the --output file, or on stdout."""
+    """Call write(fh) on the --output file (utf-8, LF), or on stdout."""
     if output_path:
         with open(output_path, "w", encoding="utf-8", newline="\n") as fh:
             write(fh)

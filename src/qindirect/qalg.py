@@ -303,11 +303,13 @@ def bloch(rho) -> np.ndarray:
 
 
 def bloch_inverse(p) -> np.ndarray:
-    """Density matrix (1/2)(1 + p . tilde_sigma) for |p| <= 1, up to the
-    eigenvalue bound TOL_EIG of ``state_bloch``."""
+    """Density matrix (1/2)(1 + p . tilde_sigma) for a finite p with
+    |p| <= 1, up to the eigenvalue bound TOL_EIG of ``state_bloch``."""
     p = np.asarray(p, dtype=float)
     if p.shape != (3,):
         raise ValueError("expected a real 3-vector")
-    if 0.5 * (1.0 - np.linalg.norm(p)) < -TOL_EIG:
-        raise ValueError(f"Bloch vector has norm {np.linalg.norm(p)} > 1")
+    with np.errstate(over="ignore"):  # a norm past the float range is inf
+        norm = np.linalg.norm(p)
+    if not 0.5 * (1.0 - norm) >= -TOL_EIG:  # a nan norm fails too
+        raise ValueError(f"Bloch vector has norm {norm} > 1")
     return 0.5 * (ID2 + p[0] * PAULI_X_TILDE + p[1] * PAULI_Y_TILDE + p[2] * PAULI_Z_TILDE)

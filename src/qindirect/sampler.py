@@ -91,7 +91,12 @@ def _is_integer(value) -> bool:
 
 @dataclass(frozen=True)
 class SampleConfig:
-    """Initial state, sample count, and angle distribution for one run."""
+    """Initial state, sample count, and angle distribution for one run.
+
+    A malformed field raises ModelFormatError.  rho_S and rho_A go through
+    ``qalg.state_bloch``, the check of every point: by Ky Fan a point can
+    fail it only if both lie past the unit ball.
+    """
 
     s_x: float
     s_z: float
@@ -115,19 +120,17 @@ class SampleConfig:
         if bad:
             raise ModelFormatError(f"angle_ranges: {bad} are not "
                                    "finite-width intervals with lo <= hi")
-        if not _is_integer(self.n):
-            raise ModelFormatError(f"n must be an integer, got {self.n!r}")
+        if not _is_integer(self.n) or self.n < 1:
+            raise ModelFormatError("n must be an integer of at least 1, "
+                                   f"got {self.n!r}")
         if not _is_integer(self.seed) or self.seed < 0:
             raise ModelFormatError("seed must be an integer of at least 0, "
                                    f"got {self.seed!r}")
-        if not np.isfinite([self.s_x, self.s_z, self.a_z]).all():
-            raise ValueError("s_x, s_z and a_z must be finite")
-        if self.s_x ** 2 + self.s_z ** 2 > 1.0 + 1e-12:
-            raise ValueError("initial S Bloch vector leaves the ball")
-        if abs(self.a_z) > 1.0 + 1e-12:
-            raise ValueError("|a_z| must be <= 1")
-        if self.n < 1:
-            raise ValueError("need at least one sample")
+        # r = Tr(P rho) of rho_S and rho_A: the check of every output point;
+        # a coordinate past 1e154 squares to inf, which fails it all the same
+        with np.errstate(over="ignore"):
+            state_bloch(np.array([[1.0, self.s_x, 0.0, self.s_z],
+                                  [1.0, 0.0, 0.0, self.a_z]]))
         object.__setattr__(self, "angle_ranges", ranges)
 
 
@@ -369,7 +372,8 @@ def sample(cfg: SampleConfig) -> np.ndarray:
 
 
 def emit_csv(points, destination, seed: int | None = None) -> None:
-    """Write points as CSV: optional "# seed=<n>" comment, header, rows.
+    """Write points as CSV to the open text handle ``destination``:
+    optional "# seed=<n>" comment, header, rows.
 
     17 significant digits per coordinate (lossless float round trip),
     LF line endings.  Each block of _CSV_ROWS rows is formatted by one
@@ -377,20 +381,13 @@ def emit_csv(points, destination, seed: int | None = None) -> None:
     0.0 writes -0.0 as 0 and leaves every other value as it is.
     """
     points = np.asarray(points, dtype=float)
-
-    def _write(fh):
-        if seed is not None:
-            fh.write(f"# seed={seed}\n")
-        fh.write("x,y,z\n")
-        for start in range(0, len(points), _CSV_ROWS):
-            flat = (points[start:start + _CSV_ROWS] + 0.0).ravel().tolist()
-            fh.write("%.17g,%.17g,%.17g\n" * (len(flat) // 3) % tuple(flat))
-
-    if hasattr(destination, "write"):
-        _write(destination)
-    else:
-        with open(destination, "w", encoding="utf-8", newline="\n") as fh:
-            _write(fh)
+    write = destination.write
+    if seed is not None:
+        write(f"# seed={seed}\n")
+    write("x,y,z\n")
+    for start in range(0, len(points), _CSV_ROWS):
+        flat = (points[start:start + _CSV_ROWS] + 0.0).ravel().tolist()
+        write("%.17g,%.17g,%.17g\n" * (len(flat) // 3) % tuple(flat))
 
 
 def parse_csv(source) -> np.ndarray:

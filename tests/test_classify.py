@@ -183,7 +183,7 @@ def test_normal_form_identity_when_already_reduced():
     assert nf.z == pytest.approx(1.0)
     assert nf.gamma == pytest.approx(0.0, abs=1e-12)
     assert nf.omega_A == pytest.approx(0.7)
-    assert nf.c_axis == pytest.approx(0.2)
+    assert nf.model.C[2] == pytest.approx(0.2)  # the drift along the axis
 
 
 # ---------------------------------------------------------------------------
@@ -453,3 +453,8 @@ def test_appendix_b_suite_residuals(v, alpha, omega_a):
 def test_appendix_b_suite_requires_unit_vector():
     with pytest.raises(ValueError):
         appendix_b_suite(1.0, 1.0, 0.0, 0.5, 0.5)
+
+
+def test_appendix_b_suite_rejects_a_degenerate_mixing_angle():
+    with pytest.raises(ValueError, match="degenerate mixing angle"):
+        appendix_b_suite(0.0, 0.0, 1.0, 0.0, 0.0)

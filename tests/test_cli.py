@@ -12,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -479,3 +480,27 @@ def test_bloch_vector_outside_ball_is_exit_2(tmp_path, capsys):
     code, _, err = _run(capsys, "fic", cfg)
     assert code == 2
     assert "precondition" in err
+
+
+# 1e200: s_x^2 overflows a float, and the state check still reads it as
+# outside, with no overflow warning
+@pytest.mark.parametrize("excess, code", [(1e-11, 0), (5e-10, 2), (1e200, 2)])
+@pytest.mark.parametrize("qubit", ["S", "A"])
+def test_sample_and_negat_share_the_bloch_ball(tmp_path, capsys, excess,
+                                               code, qubit):
+    # one Bloch vector of norm 1 + excess, as rho_S (s_x) or rho_A (a_z)
+    norm = 1.0 + excess
+    if qubit == "S":
+        sample_cfg = {**SAMPLE, "s_x": norm, "s_z": 0.0}
+        negat_cfg = {**NEGAT, "rho_S": [norm, 0.0, 0.0]}
+    else:
+        sample_cfg = {**SAMPLE, "s_z": 0.0, "a_z": norm}
+        negat_cfg = {**NEGAT, "rho_A": [0.0, 0.0, norm]}
+    for command, payload in (("sample", sample_cfg), ("negat", negat_cfg)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, out, err = _run(capsys, command,
+                                 _write(tmp_path, "cfg.json", payload))
+        assert got == code, (command, err)
+        assert (out == "") == (code == 2)
+        assert ("precondition" in err) == (code == 2)

@@ -103,6 +103,12 @@ def test_contains_respects_tolerance():
     assert not contains(basis, pauli_coords(SX1 + 1e-6 * SZ1))
 
 
+def test_contains_the_zero_element():
+    basis = orthonormalize(_rows([SX1]))
+    assert contains(basis, np.zeros(16))
+    assert contains(basis[:0], 0)  # in every span, the empty one too
+
+
 def test_closure_one_sided_su2():
     basis = closure(_rows([SX1, SY1]))
     assert len(basis) == 3

@@ -156,6 +156,11 @@ def test_mat_exp_skew_rejects_non_skew():
         mat_exp(np.zeros((3, 3)))  # only 2x2 and 4x4 have Pauli coordinates
 
 
+def test_mat_exp_rejects_a_stack():
+    with pytest.raises(ValueError, match="one matrix"):
+        mat_exp(np.zeros((2, 2, 2)))
+
+
 @given(st_angle)
 def test_exp_sigma_z_phases(t):
     # the convention anchor: exp(t sigma_z) = diag(e^{it/2}, e^{-it/2})
@@ -234,6 +239,13 @@ def test_bloch_inverse_ball_is_the_state_bloch_ball():
     check_density(bloch_inverse((1.0 + 1e-10) * p))
     with pytest.raises(ValueError, match="Bloch vector has norm"):
         bloch_inverse((1.0 + 5e-10) * p)
+
+
+@pytest.mark.parametrize("p", [[np.nan, 0.0, 0.0], [0.0, np.inf, 0.0],
+                               [0.1, 0.2, -np.inf]])
+def test_bloch_inverse_rejects_non_finite(p):
+    with pytest.raises(ValueError, match="Bloch vector has norm"):
+        bloch_inverse(p)
 
 
 def test_check_density_rejections():

@@ -306,6 +306,33 @@ def test_sample_config_rejects_a_count_that_is_no_integer(n):
         SampleConfig(s_x=0.0, s_z=0.5, a_z=0.0, n=n)
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_sample_config_rejects_a_count_below_one(n):
+    with pytest.raises(ModelFormatError, match="integer of at least 1"):
+        SampleConfig(s_x=0.0, s_z=0.5, a_z=0.0, n=n)
+
+
+def test_sample_config_checks_its_states_as_sample_checks_points():
+    # the ball of qalg.state_bloch, |p| <= 1 + 2 TOL_EIG, for both qubits
+    edge = 1.0 + 1.9e-10
+    SampleConfig(s_x=edge, s_z=0.0, a_z=-edge)
+    for state in ({"s_x": 0.0, "s_z": 1.0 + 5e-10, "a_z": 0.0},
+                  {"s_x": 0.0, "s_z": 0.0, "a_z": 1.0 + 5e-10}):
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            SampleConfig(**state)
+    # Ky Fan: with one start state in the unit ball every point passes;
+    # the s2 factor turns S about x by an angle that depends on A's z,
+    # which carries s_z a_z into y, past the ball when both are past it
+    ranges = [(0.0, 0.0)] * 9
+    ranges[ANGLE_NAMES.index("s2")] = DEFAULT_RANGE
+    points = sample(SampleConfig(s_x=0.0, s_z=edge, a_z=1.0, n=200,
+                                 angle_ranges=ranges))
+    assert np.linalg.norm(points, axis=1).max() <= edge + 1e-15
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        sample(SampleConfig(s_x=0.0, s_z=edge, a_z=edge, n=200,
+                            angle_ranges=ranges))
+
+
 @pytest.mark.parametrize("seed", [1.5, -1, 2.0, True])
 def test_sample_config_rejects_a_bad_seed(seed):
     with pytest.raises(ModelFormatError, match="seed must be an integer"):
@@ -399,7 +426,8 @@ def test_csv_round_trip_memory_and_file(tmp_path):
     assert np.array_equal(back, pts)  # 17 significant digits are lossless
 
     path = tmp_path / "cloud.csv"
-    emit_csv(pts, path)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        emit_csv(pts, fh)
     assert not path.read_text().startswith("#")  # no seed comment by default
     assert np.array_equal(parse_csv(path), pts)
 
