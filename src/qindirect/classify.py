@@ -23,6 +23,7 @@ the Euclidean norm, the Frobenius norm in this orthonormal basis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -239,7 +240,7 @@ def _perp_drift(m: TwoQubitModel, tol: float) -> tuple:
     w = (r1[1] * r2[2] - r1[2] * r2[1], r1[2] * r2[0] - r1[0] * r2[2],
          r1[0] * r2[1] - r1[1] * r2[0])
     det, w2 = _dot(c, w), _dot(w, w)
-    if w2 > (tol * k2) ** 2:
+    if w2 > (tol * k2) * (tol * k2):  # inf past the float range; ** raises
         p1 = [f - det / w2 * g for f, g in zip(c, w)]
     else:
         # on a line, (c.r_i) r_i summed is sum ||r_i||^2 times c's projection
@@ -271,7 +272,7 @@ def oms0_check(m: TwoQubitModel, tol_rank: float = TOL_RANK) -> Oms0Report:
     sqrt(||K||_F^2 + ||C||^2); otherwise ValueError.
     """
     det, k2, s2, p1, p2 = _perp_drift(m, tol_rank)
-    c1 = abs(det) > tol_rank * k2 ** 1.5
+    c1 = abs(det) > tol_rank * k2 * math.sqrt(k2)
     c2_magnitude = _dot(p1, p1) + _dot(p2, p2)
     c2 = c2_magnitude > 1e-12 * s2
     return Oms0Report(c1=c1, c2=c2, cc=c1 and c2, det_K=det,

@@ -186,7 +186,7 @@ def _cmd_closure(model, cfg: dict, args) -> dict:
     payload = {"dim": len(basis), "tolerances": tols}
     if show:
         payload["basis"] = [{"real": m.real.tolist(), "imag": m.imag.tolist()}
-                            for m in from_pauli_coords(basis, 4)]
+                            for m in from_pauli_coords(basis)]
     return payload
 
 

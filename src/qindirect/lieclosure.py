@@ -28,11 +28,12 @@ import functools
 
 import numpy as np
 
-from .qalg import STRUCTURE, TOL_RANK, check_skew_coords, coords_dim
+from .qalg import (PAULI_BASIS, STRUCTURE, TOL_RANK, check_skew_coords,
+                   coords_dim)
 
-# n -> read-only n x n identity, the first frame of every span search; row 0
-# is the identity coordinate, so _EYE[n][1:] is the traceless frame
-_EYE = {n: np.eye(n) for n in (4, 16)}
+# d^2 -> read-only d^2 x d^2 identity, the first frame of every span search;
+# row 0 is the identity coordinate, so _EYE[d * d][1:] is the traceless frame
+_EYE = {d * d: np.eye(d * d) for d in PAULI_BASIS}
 for _eye in _EYE.values():
     _eye.setflags(write=False)
 

@@ -25,6 +25,11 @@ import numpy as np
 from .qalg import E_AB, TOL_RANK, frame
 
 
+# Largest magnitude of a model number: the highest power in any verdict,
+# ||K^T u1 x K^T u2||^2 <= 81 max|K|^4 of oms0_check, is finite up to 1e75.
+MAX_MAGNITUDE = 1e75
+
+
 class ModelFormatError(ValueError):
     """Raised for malformed model files or dictionaries."""
 
@@ -44,8 +49,9 @@ class SingleAxis:
         n = np.asarray(self.n, dtype=float)
         if n.shape != (3,):
             raise ModelFormatError("control axis must be a real 3-vector")
-        if not np.isfinite(n).all():
-            raise ModelFormatError("control axis must be finite numbers")
+        if not (abs(n) <= MAX_MAGNITUDE).all():  # nan fails too
+            raise ModelFormatError("control axis must be finite numbers of "
+                                   f"magnitude at most {MAX_MAGNITUDE:g}")
         nrm = np.linalg.norm(n)
         if nrm < TOL_RANK:
             raise ModelFormatError("control axis must be nonzero")
@@ -55,8 +61,8 @@ class SingleAxis:
 
 @dataclass(frozen=True)
 class TwoQubitModel:
-    """A validated model: finite numbers, K of shape 3x3 and nonzero, C of
-    length 3, and a FullSU2 or SingleAxis control."""
+    """A validated model: numbers of magnitude at most MAX_MAGNITUDE, K 3x3
+    and nonzero, C of length 3, and a FullSU2 or SingleAxis control."""
 
     omega_S: float
     K: np.ndarray
@@ -72,9 +78,10 @@ class TwoQubitModel:
         if C.shape != (3,):
             raise ModelFormatError("C must be a real 3-vector")
         k_max = np.abs(K).max()  # nan or inf exactly when K has such an entry
-        if not (math.isfinite(k_max) and np.isfinite(C).all()):
-            raise ModelFormatError("K and C must be finite numbers")
-        if k_max < TOL_RANK:
+        if not np.max([k_max, abs(omega), *abs(C)]) <= MAX_MAGNITUDE:
+            raise ModelFormatError("omega_S, K and C must be finite numbers "
+                                   f"of magnitude at most {MAX_MAGNITUDE:g}")
+        if k_max < TOL_RANK:  # the floor; MAX_MAGNITUDE is the ceiling
             raise ModelFormatError("K must be nonzero (trivial interaction)")
         if not isinstance(self.control, (FullSU2, SingleAxis)):
             raise ModelFormatError(f"unknown control type {self.control!r}")

@@ -33,6 +33,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Global default tolerance for rank and nonzero decisions.  The rank
@@ -75,13 +77,19 @@ PAULI_BASIS = {
 }
 _FLAT_BASIS = {d: _frozen(E.reshape(d * d, d * d)) for d, E in PAULI_BASIS.items()}
 _DUAL_BASIS = {d: _frozen(E.conj().T) for d, E in _FLAT_BASIS.items()}
+_DIM_OF_WIDTH = {(d * d,): d for d in PAULI_BASIS}  # shape[-1:] -> d
 # (4, 4, 16): E_AB[a, b] is the coordinate row of E_ab, a unit vector
 E_AB = _frozen(np.eye(16).reshape(4, 4, 16))
 
 
-def _check_pauli_dim(d: int) -> None:
-    if d not in PAULI_BASIS:
-        raise ValueError(f"Pauli coordinates need 2x2 or 4x4 matrices, got d={d}")
+def coords_dim(c) -> int:
+    """d of (..., d^2) Pauli coordinates; ValueError for d not in PAULI_BASIS."""
+    d = _DIM_OF_WIDTH.get(np.shape(c)[-1:])
+    if d is None:
+        widths = " or ".join(str(w) for (w,) in _DIM_OF_WIDTH)
+        raise ValueError(f"Pauli coordinates need width {widths}, got shape "
+                         f"{np.shape(c)}")
+    return d
 
 
 def pauli_coords(mats) -> np.ndarray:
@@ -89,25 +97,15 @@ def pauli_coords(mats) -> np.ndarray:
     mats = np.asarray(mats, dtype=complex)
     if mats.ndim < 2 or mats.shape[-2] != mats.shape[-1]:
         raise ValueError(f"expected square matrices, got shape {mats.shape}")
-    d = mats.shape[-1]
-    _check_pauli_dim(d)
-    return mats.reshape(mats.shape[:-2] + (d * d,)) @ _DUAL_BASIS[d]
+    flat = mats.reshape(mats.shape[:-2] + (mats.shape[-1] ** 2,))
+    return flat @ _DUAL_BASIS[coords_dim(flat)]
 
 
-def from_pauli_coords(coords, d: int) -> np.ndarray:
+def from_pauli_coords(coords) -> np.ndarray:
     """Inverse of ``pauli_coords``: (..., d^2) coordinates to (..., d, d) matrices."""
     coords = np.asarray(coords)
-    _check_pauli_dim(d)
+    d = coords_dim(coords)
     return (coords @ _FLAT_BASIS[d]).reshape(coords.shape[:-1] + (d, d))
-
-
-def coords_dim(c) -> int:
-    """d of (..., d^2) Pauli coordinates; ValueError unless d is 2 or 4."""
-    width = np.shape(c)[-1:]
-    if width not in ((4,), (16,)):
-        raise ValueError(f"Pauli coordinates need width 4 or 16, got shape "
-                         f"{np.shape(c)}")
-    return 2 if width == (4,) else 4
 
 
 def skew_coords(mats, require_traceless: bool, tol: float) -> np.ndarray:
@@ -119,12 +117,17 @@ def skew_coords(mats, require_traceless: bool, tol: float) -> np.ndarray:
 def check_skew_coords(c, require_traceless: bool, tol: float) -> np.ndarray:
     """Re c for complex Pauli coordinates c (..., d^2) of matrices M in u(d).
 
-    Raises ValueError unless the width passes ``coords_dim``, and unless
-    ||M + M^dag|| = 2 ||Im c|| and, if required, |Tr M| = sqrt(d) |c_0|
-    are at most tol * max(1, ||M||) for every M (a real c has Im c = 0).
+    Raises ValueError unless the width passes ``coords_dim``, the sum of
+    ||M||^2 over all M is finite (so no caller scales a nonzero M by an
+    infinite norm), and ||M + M^dag|| = 2 ||Im c|| and, if required,
+    |Tr M| = sqrt(d) |c_0| are at most tol * max(1, ||M||) for every M (a
+    real c has Im c = 0).
     """
     c = np.asarray(c)
     d = coords_dim(c)
+    # vdot, unlike ** below, gives inf past the float range with no warning
+    if not math.isfinite(np.vdot(c, c).real):
+        raise ValueError("input matrix has a non-finite squared norm")
     skew = np.iscomplexobj(c)
     im2 = (c.imag ** 2).sum(axis=-1) if skew else 0.0
     bound = tol * tol * np.maximum(1.0, (c.real ** 2).sum(axis=-1) + im2)
@@ -257,8 +260,7 @@ def state_bloch(r) -> np.ndarray:
     smallest eigenvalue of its Hermitian part) at least -TOL_EIG.
     """
     r = np.asarray(r)
-    if not np.isfinite(r).all():
-        raise ValueError("density matrix has non-finite entries")
+    _check_bounded(r)
     if (2.0 * (r.imag ** 2).sum(axis=-1) > TOL_RANK ** 2).any():
         raise ValueError("density matrix is not Hermitian to tolerance")
     if (abs(r[..., 0] - 1.0) > TOL_RANK).any():
@@ -268,6 +270,15 @@ def state_bloch(r) -> np.ndarray:
     if (0.5 * (re[..., 0] - np.sqrt((p ** 2).sum(axis=-1))) < -TOL_EIG).any():
         raise ValueError("density matrix has a negative eigenvalue")
     return p
+
+
+def _check_bounded(x) -> None:
+    """ValueError unless sum |x|^2 <= 1e300 (nan fails): no state is near
+    (sum |r|^2 = 2 Tr(rho^2) <= 2), no square in the state checks overflows
+    below it, and vdot, unlike **, gives inf with no overflow warning."""
+    v = x.ravel("K")  # a view in memory order, also of a transposed block
+    if not np.vdot(v, v).real <= 1e300:
+        raise ValueError("density matrix has non-finite or huge entries")
 
 
 # Tr(P_a rho) = vec(rho) . vec(P_a^T) for each P_a: one product
@@ -280,9 +291,7 @@ def _read_state(rho):
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (2, 2):
         raise ValueError(f"expected 2x2 density matrices, got shape {rho.shape}")
-    # an inf in the product would raise a RuntimeWarning before the check
-    if not np.isfinite(rho).all():
-        raise ValueError("density matrix has non-finite entries")
+    _check_bounded(rho)  # so that the product cannot overflow
     r = rho.reshape(rho.shape[:-2] + (4,)) @ _STATE_READ
     return rho, r, state_bloch(r)
 
@@ -308,8 +317,7 @@ def bloch_inverse(p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.shape != (3,):
         raise ValueError("expected a real 3-vector")
-    with np.errstate(over="ignore"):  # a norm past the float range is inf
-        norm = np.linalg.norm(p)
+    norm = math.sqrt(np.vdot(p, p))  # inf past the float range, no warning
     if not 0.5 * (1.0 - norm) >= -TOL_EIG:  # a nan norm fails too
         raise ValueError(f"Bloch vector has norm {norm} > 1")
     return 0.5 * (ID2 + p[0] * PAULI_X_TILDE + p[1] * PAULI_Y_TILDE + p[2] * PAULI_Z_TILDE)

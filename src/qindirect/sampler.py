@@ -39,9 +39,9 @@ turn two zeros or change only coordinates that are never read, so
 dropping them leaves every point as it was (an exact zero may change
 sign).
 
-Two oracles follow other routes.  ``reachable_point`` computes one point
-from 4x4 matrices: the closed form ``y_closed_form``, which substitutes the
-half/quarter angles
+Two oracles follow other routes.  ``reachable_point`` maps one angle row
+through 4x4 matrices: the closed form ``y_closed_form``, which substitutes
+the half/quarter angles
 
     alpha = (-t3/4, t4/2, a1/2, -a2/4, s1/2, -s2/4)
 
@@ -126,11 +126,9 @@ class SampleConfig:
         if not _is_integer(self.seed) or self.seed < 0:
             raise ModelFormatError("seed must be an integer of at least 0, "
                                    f"got {self.seed!r}")
-        # r = Tr(P rho) of rho_S and rho_A: the check of every output point;
-        # a coordinate past 1e154 squares to inf, which fails it all the same
-        with np.errstate(over="ignore"):
-            state_bloch(np.array([[1.0, self.s_x, 0.0, self.s_z],
-                                  [1.0, 0.0, 0.0, self.a_z]]))
+        # r = Tr(P rho) of rho_S and rho_A: the check of every output point
+        state_bloch(np.array([[1.0, self.s_x, 0.0, self.s_z],
+                              [1.0, 0.0, 0.0, self.a_z]]))
         object.__setattr__(self, "angle_ranges", ranges)
 
 
@@ -199,20 +197,20 @@ def y_closed_form(alphas) -> np.ndarray:
     coef = np.stack([blk[j] for j in range(4) for blk in (c0, cx, cy, cz)],
                     axis=-1)
     coef *= -2j
-    return from_pauli_coords(coef, 4)
+    return from_pauli_coords(coef)
 
 
-def reachable_point(cfg: SampleConfig, alphas, outer) -> np.ndarray:
-    """Bloch vector of the target after one sampled propagator.
+def reachable_point(cfg: SampleConfig, row) -> np.ndarray:
+    """Bloch vector of the target for one angle-table row (t1, t3, ..., s4).
 
-    ``outer`` is (t1, s3, s4): the final S-side z-rotation and the two
-    initial-state z-rotations absorbed next to Y.
+    t1 is the final S-side z-rotation and s3, s4 are the two initial-state
+    z-rotations absorbed next to Y; ``kak_to_alphas`` gives Y the other six.
     """
-    t1, s3, s4 = outer
+    t1, t3, t4, a1, a2, s1, s2, s3, s4 = row
     rho_s = bloch_inverse([cfg.s_x, 0.0, cfg.s_z])
     rho_a = bloch_inverse([0.0, 0.0, cfg.a_z])
     z3, z4 = z_rotation(s3), z_rotation(s4)
-    y = y_closed_form(alphas)
+    y = y_closed_form(kak_to_alphas(t3, t4, a1, a2, s1, s2))
     omega = y @ tensor(z3 @ rho_s @ dagger(z3),
                        z4 @ rho_a @ dagger(z4)) @ dagger(y)
     z1 = z_rotation(t1)
@@ -391,14 +389,10 @@ def emit_csv(points, destination, seed: int | None = None) -> None:
 
 
 def parse_csv(source) -> np.ndarray:
-    """Inverse of emit_csv; '#' comment lines and the header are skipped."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
+    """Inverse of emit_csv, read from the open text handle ``source``; '#'
+    comment lines and the header are skipped."""
     rows = []
-    for line in text.splitlines():
+    for line in source.read().splitlines():
         line = line.strip()
         if not line or line.startswith("#") or line == "x,y,z":
             continue

@@ -109,6 +109,33 @@ def test_classify_tolerance_override(tmp_path, capsys):
     assert json.loads(out)["tolerances"]["tol_rank"] == 1e-6
 
 
+def test_classify_single_axis_with_a_huge_tolerance(tmp_path, capsys):
+    # (tol_rank ||K||_F^2) ** 2 raised OverflowError; the verdict at a
+    # tolerance past every magnitude is C1 false, in valid JSON
+    cfg = _write(tmp_path, "axis.json", AXIS_CC)
+    code, out, err = _run(capsys, "classify", cfg, "--tol-rank", "1e200")
+    assert (code, err) == (0, "")
+    payload = json.loads(out, parse_constant=pytest.fail)
+    assert (payload["c1"], payload["c2"], payload["cc"]) == (False, True,
+                                                             False)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("model", [
+    # the closure zeroed the drift row: computed_dim 3, agree false
+    {"omega_S": 1.0, "K": (1e155 * np.eye(3)).tolist(), "C": [0, 0, 0],
+     "control": {"type": "full"}},
+    # OverflowError traceback at 1e100; "det_K": Infinity at 1e200
+    *({**AXIS_CC, "K": (big * np.eye(3)).tolist(), "C": [0.0, big, 0.0]}
+      for big in (1e100, 1e200)),
+])
+def test_model_number_past_the_bound_is_exit_1(tmp_path, capsys, model):
+    code, out, err = _run(capsys, "classify", _write(tmp_path, "m.json", model))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "at most 1e+75" in err
+
+
 def test_closure_with_basis(tmp_path, capsys):
     cfg = _write(tmp_path, "ising.json", {**ISING, "basis": True})
     code, out, _ = _run(capsys, "closure", cfg)

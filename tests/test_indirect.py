@@ -345,6 +345,20 @@ _BAD = {0: (2.0 * ID2, "trace"), 1: (bloch_inverse([0.0, 0.0, 0.5]), "pure"),
         2: (np.diag([1.2, -0.2]), "negative eigenvalue")}
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("big", [1e200, 1e308])
+def test_state_reads_reject_huge_entries_without_a_warning(rng, big):
+    huge = np.array([[0.5, big], [big, 0.5]])
+    L = closure(generator_set(random_model("2c", rng)))
+    with pytest.raises(ValueError, match="huge"):
+        gennegat_test(L, bloch_inverse([0.3, 0.2, 0.4]), huge)
+    for pos in range(3):
+        args = list(_GOOD)
+        args[pos] = huge
+        with pytest.raises(ValueError, match="huge"):
+            fic_reach(*args)
+
+
 @pytest.mark.parametrize("func, n_args", [(fic_reach, 3), (fic_mix, 2)])
 def test_fic_rejects_each_bad_input(func, n_args):
     # the states are read in one stacked check; each bad one still fails it,

@@ -90,11 +90,19 @@ def test_orthonormalize_requires_skew():
     (np.zeros((1, 8)), "width 4 or 16"),
     (np.eye(16)[5], "2-D"),
     (np.zeros((1, 1, 16)), "2-D"),
+    # a squared norm past the float range scaled the row to zero (dim 0)
+    (1e160 * np.eye(16)[[5]], "non-finite squared norm"),
 ])
 def test_generators_must_be_traceless_rows_of_width_4_or_16(build, bad,
                                                             match):
     with pytest.raises(ValueError, match=match):
         build(bad)
+
+
+def test_frames_cover_the_dimensions_of_the_basis():
+    assert set(lieclosure._EYE) == {d * d for d in PAULI_BASIS}
+    for n, eye in lieclosure._EYE.items():
+        assert np.array_equal(eye, np.eye(n)) and not eye.flags.writeable
 
 
 def test_contains_respects_tolerance():
@@ -222,7 +230,7 @@ def test_coords_round_trip(d, rng):
     skew = z - z.conj().transpose(0, 2, 1)
     skew -= np.trace(skew, axis1=1, axis2=2)[:, None, None] * np.eye(d) / d
     coords = skew_coords(skew, require_traceless=True, tol=1e-9)
-    mats = from_pauli_coords(coords, d)
+    mats = from_pauli_coords(coords)
     assert np.abs(mats - skew).max() < 1e-14
     assert len(orthonormalize(coords)) == min(5, d * d - 1)
 
@@ -285,7 +293,7 @@ def test_closure_matches_matrix_oracle_models(seed, kind):
     else:
         m = random_model(kind, rng)
     gens = generator_set(m)
-    assert len(closure(gens)) == _oracle_dim(from_pauli_coords(gens, 4))
+    assert len(closure(gens)) == _oracle_dim(from_pauli_coords(gens))
 
 
 # Models on which a per-vector Gram-Schmidt closure at tol 1e-9 returned 15

@@ -18,11 +18,11 @@ from hypothesis.extra import numpy as hnp
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from qindirect.model import (FullSU2, ModelFormatError, SingleAxis,
-                             TwoQubitModel, generator_set, ising_model,
-                             load_model, model_from_dict, model_to_dict,
-                             random_model, random_single_axis_model,
-                             save_model)
+from qindirect.model import (MAX_MAGNITUDE, FullSU2, ModelFormatError,
+                             SingleAxis, TwoQubitModel, generator_set,
+                             ising_model, load_model, model_from_dict,
+                             model_to_dict, random_model,
+                             random_single_axis_model, save_model)
 from qindirect.qalg import (ID2, TOL_RANK, dagger, frob, from_pauli_coords,
                             pauli, sigma_from_vec, skew_coords, tensor)
 
@@ -36,7 +36,7 @@ def _model(K, omega=0.7, C=(0.1, 0.2, 0.3)):
 
 def _generator_mats(m):
     """generator_set(m) as a (k, 4, 4) stack of matrices."""
-    return from_pauli_coords(generator_set(m), 4)
+    return from_pauli_coords(generator_set(m))
 
 
 def _kron_generators(m):
@@ -99,6 +99,22 @@ def test_single_axis_normalized():
         SingleAxis(n=[0.0, np.nan, 1.0])
 
 
+def test_model_numbers_are_bounded_by_max_magnitude():
+    # at the bound a model is valid; past it, where the closure zeroed a
+    # drift row (1e155) and the single-axis test overflowed (1e100), every
+    # number of the model is refused
+    TwoQubitModel(omega_S=-MAX_MAGNITUDE, K=MAX_MAGNITUDE * np.eye(3),
+                  C=[0.0, MAX_MAGNITUDE, 0.0],
+                  control=SingleAxis(n=[0.0, 0.0, MAX_MAGNITUDE]))
+    for big in (1e76, 1e100, 1e155, 1e200, 1.7e308):
+        for field in ({"omega_S": -big}, {"K": big * np.eye(3)},
+                      {"C": [0.0, big, 0.0]}):
+            with pytest.raises(ModelFormatError, match="at most 1e"):
+                TwoQubitModel(**{"omega_S": 1.0, "K": np.eye(3), **field})
+        with pytest.raises(ModelFormatError, match="at most 1e"):
+            SingleAxis(n=[0.0, 0.0, big])
+
+
 def test_interaction_element_map():
     # K with a single unit entry (j, k) must give i H_I = i sigma_k (x) sigma_j:
     # the row index picks the accessor axis, the column the target axis.
@@ -130,7 +146,7 @@ def test_generator_set_layout():
     coords = generator_set(m)
     # one real array of coordinates, drift row first
     assert coords.shape == (4, 16) and coords.dtype == np.float64
-    gens = from_pauli_coords(coords, 4)
+    gens = from_pauli_coords(coords)
     assert len(gens) == 4
     # omega_S sigma_z (x) 1 + i sigma_y (x) sigma_y, then 1 (x) sigma_{x,y,z}
     drift = tensor(pauli("z"), ID2) + 1j * tensor(pauli("y"), pauli("y"))

@@ -365,6 +365,21 @@ def test_check_density_hermitian_check_reads_both_triangles():
     check_density(np.array([[0.5, 0.2 + 5e-10j], [0.2, 0.5]]))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("rho", [
+    # |p|^2 or |Im r|^2 overflowed: "overflow encountered in square"
+    [[0.5, 1e200], [1e200, 0.5]], [[0.5, 1e200j], [-1e200j, 0.5]],
+    [[0.5, 1e200j], [1e200j, 0.5]],
+    # r = Tr(P rho) overflowed: "overflow encountered in matmul"
+    [[0.5, 1e308], [1e308, 0.5]],
+])
+def test_check_density_rejects_huge_entries_without_a_warning(rho):
+    with pytest.raises(ValueError, match="huge"):
+        check_density(rho)
+    with pytest.raises(ValueError, match="huge"):
+        check_density(np.stack([0.5 * ID2, rho]))
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf,
                                    complex(0.0, np.nan)])
 def test_check_density_rejects_non_finite(value):
@@ -411,7 +426,7 @@ def test_pauli_basis_orthonormal_skew(d):
     assert_allclose(skew_coords(E, require_traceless=False, tol=TOL_RANK),
                     np.eye(d * d), atol=1e-15)
     assert_allclose(pauli_coords(E), np.eye(d * d), atol=1e-15)
-    assert_allclose(from_pauli_coords(np.eye(d * d), d), E, atol=1e-15)
+    assert_allclose(from_pauli_coords(np.eye(d * d)), E, atol=1e-15)
 
 
 def test_pauli_basis_partial_trace_is_a_selection():
@@ -429,7 +444,7 @@ def test_shared_tables_are_read_only():
     e1 = np.eye(16)[1]
 
     def built():
-        return (classify._one_a("x"), from_pauli_coords(e1, 4),
+        return (classify._one_a("x"), from_pauli_coords(e1),
                 pauli_coords(PAULI_BASIS[4][7] + ID4),
                 model.generator_set(model.ising_model()))
 
@@ -454,7 +469,7 @@ def test_shared_tables_are_read_only():
 
 
 def test_e_ab_rows_are_the_coordinates_of_the_basis():
-    assert_allclose(from_pauli_coords(E_AB, 4),
+    assert_allclose(from_pauli_coords(E_AB),
                     PAULI_BASIS[4].reshape(4, 4, 4, 4), rtol=0, atol=0)
 
 
@@ -465,7 +480,7 @@ def test_bracket_matches_commutator(d, rng):
     y = rng.normal(size=(3, 5, d * d))
     got = bracket(x, y)
     assert got.shape == x.shape
-    X, Y = from_pauli_coords(x, d), from_pauli_coords(y, d)
+    X, Y = from_pauli_coords(x), from_pauli_coords(y)
     for i in np.ndindex(x.shape[:-1]):
         expect = pauli_coords(commutator(X[i], Y[i])).real
         assert_allclose(got[i], expect, rtol=0, atol=1e-13)
@@ -489,11 +504,14 @@ def test_check_skew_coords_rejects_bad_widths():
 
 
 def test_pauli_coords_rejects_bad_shapes():
-    for bad in (np.eye(3), np.ones(4), np.ones((2, 4))):
-        with pytest.raises(ValueError):
+    for bad in (np.ones(4), np.ones((2, 4))):
+        with pytest.raises(ValueError, match="square"):
             pauli_coords(bad)
-    with pytest.raises(ValueError):
-        from_pauli_coords(np.ones(9), 3)
+    # d = 3 (width 9) gets coords_dim's one message in either direction
+    with pytest.raises(ValueError, match="width 4 or 16"):
+        pauli_coords(np.eye(3))
+    with pytest.raises(ValueError, match="width 4 or 16"):
+        from_pauli_coords(np.ones(9))
 
 
 def test_check_skew_coords_decides_real_input_as_its_complex_copy(rng):

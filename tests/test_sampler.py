@@ -110,7 +110,7 @@ def test_sample_config_validation():
 
 def test_reachable_point_zero_angles():
     cfg = SampleConfig(s_x=0.3, s_z=0.4, a_z=0.7)
-    p = reachable_point(cfg, np.zeros(6), (0.0, 0.0, 0.0))
+    p = reachable_point(cfg, np.zeros(9))
     assert_allclose(p, [0.3, 0.0, 0.4], atol=1e-12)
 
 
@@ -122,20 +122,20 @@ def test_initial_a_rotation_irrelevant(state, rng):
     s_x, s_z, a_z = state
     cfg = SampleConfig(s_x=s_x, s_z=s_z, a_z=a_z)
     for _ in range(4):
-        alphas = rng.uniform(-2 * np.pi, 2 * np.pi, 6)
-        t1, s3 = rng.uniform(0.0, 4 * np.pi, 2)
-        ref = reachable_point(cfg, alphas, (t1, s3, 0.0))
+        row = rng.uniform(0.0, 4 * np.pi, 9)  # (t1, t3, ..., s3, s4)
+        row[8] = 0.0
+        ref = reachable_point(cfg, row)
         for s4 in (0.3, -1.7, np.pi, 2.5 * np.pi, 11.0):
-            p = reachable_point(cfg, alphas, (t1, s3, s4))
+            row[8] = s4
+            p = reachable_point(cfg, row)
             assert np.abs(p - ref).max() <= 1e-15
 
 
 def test_final_z_rotation_preserves_height_and_radius(rng):
     cfg = SampleConfig(s_x=0.5, s_z=0.1, a_z=0.9)
-    alphas = rng.uniform(0, 2 * np.pi, 6)
-    s3, s4 = rng.uniform(0, 2 * np.pi, 2)
-    pts = [reachable_point(cfg, alphas, (t1, s3, s4))
-           for t1 in rng.uniform(0, 4 * np.pi, 5)]
+    rows = np.repeat(rng.uniform(0, 4 * np.pi, (1, 9)), 5, axis=0)
+    rows[:, 0] = rng.uniform(0, 4 * np.pi, 5)  # t1
+    pts = [reachable_point(cfg, row) for row in rows]
     z = [p[2] for p in pts]
     r = [np.hypot(p[0], p[1]) for p in pts]
     assert np.ptp(z) < 1e-12
@@ -145,18 +145,18 @@ def test_final_z_rotation_preserves_height_and_radius(rng):
 def test_initial_s_rotation_irrelevant_for_axial_state(rng):
     # with s_x = 0 the initial S state commutes with its z-rotation
     cfg = SampleConfig(s_x=0.0, s_z=0.8, a_z=0.3)
-    alphas = rng.uniform(0, 2 * np.pi, 6)
-    p0 = reachable_point(cfg, alphas, (0.7, 0.0, 1.1))
-    p1 = reachable_point(cfg, alphas, (0.7, 2.5, 1.1))
+    row = rng.uniform(0, 4 * np.pi, 9)
+    row[[0, 7, 8]] = 0.7, 0.0, 1.1  # t1, s3, s4
+    p0 = reachable_point(cfg, row)
+    row[7] = 2.5
+    p1 = reachable_point(cfg, row)
     assert_allclose(p0, p1, atol=1e-12)
 
 
 @given(st.tuples(*[st_angle] * 9))
 def test_sampled_points_stay_in_ball(angles):
     cfg = SampleConfig(s_x=0.4, s_z=0.2, a_z=0.9)
-    t1, t3, t4, a1, a2, s1, s2, s3, s4 = angles
-    p = reachable_point(cfg, kak_to_alphas(t3, t4, a1, a2, s1, s2),
-                        (t1, s3, s4))
+    p = reachable_point(cfg, angles)
     assert np.linalg.norm(p) <= 1.0 + 1e-9
 
 
@@ -197,11 +197,8 @@ REFERENCE_STATES = [(0.0, 0.5, 0.0), (0.5, 0.0, 0.0),
 
 def _point_loop(cfg):
     """sample() one row at a time through the per-point oracle."""
-    out = []
-    for t1, t3, t4, a1, a2, s1, s2, s3, s4 in _angle_table(cfg):
-        alphas = kak_to_alphas(t3, t4, a1, a2, s1, s2)
-        out.append(reachable_point(cfg, alphas, (t1, s3, s4)))
-    return np.array(out).reshape(-1, 3)
+    return np.array([reachable_point(cfg, row)
+                     for row in _angle_table(cfg)]).reshape(-1, 3)
 
 
 # s_x, s_z and a_z all nonzero: the start state holds every coordinate of
@@ -429,7 +426,8 @@ def test_csv_round_trip_memory_and_file(tmp_path):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         emit_csv(pts, fh)
     assert not path.read_text().startswith("#")  # no seed comment by default
-    assert np.array_equal(parse_csv(path), pts)
+    with open(path, encoding="utf-8") as fh:
+        assert np.array_equal(parse_csv(fh), pts)
 
 
 def _emit_rows(points, seed):
