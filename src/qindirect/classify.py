@@ -144,9 +144,12 @@ def predict_case(m: TwoQubitModel, tol: float = TOL_RANK) -> CaseLabel:
         else:
             tag = "1c"
     else:
-        sv = np.linalg.svd(m.K, compute_uv=False)  # sv[0] > 0: K is nonzero
-        tag = {1: "2a", 2: "2b", 3: "2c"}[int(np.sum(sv > tol * sv[0]))]
-        checked += list(sv[1:] / sv[0])
+        # s1 >= s2 >= s3, s1 > 0 as K is nonzero; s1 counts at any tol (a
+        # tol of 1 or more is case 2a), and tol * s1 on Python floats is inf
+        # where it overflows, with no warning
+        s1, s2, s3 = np.linalg.svd(m.K, compute_uv=False).tolist()
+        tag = ("2a", "2b", "2c")[(s2 > tol * s1) + (s3 > tol * s1)]
+        checked += [s2 / s1, s3 / s1]
     marginal = any(tol / 10 < q < tol * 10 for q in checked)
     return CaseLabel(tag=tag, predicted_dim=CASE_DIMS[tag], marginal=marginal)
 

@@ -261,7 +261,8 @@ def state_bloch(r) -> np.ndarray:
     """
     r = np.asarray(r)
     _check_bounded(r)
-    if (2.0 * (r.imag ** 2).sum(axis=-1) > TOL_RANK ** 2).any():
+    if (np.iscomplexobj(r)
+            and (2.0 * (r.imag ** 2).sum(axis=-1) > TOL_RANK ** 2).any()):
         raise ValueError("density matrix is not Hermitian to tolerance")
     if (abs(r[..., 0] - 1.0) > TOL_RANK).any():
         raise ValueError("density matrix trace differs from 1")

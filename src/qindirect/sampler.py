@@ -39,6 +39,15 @@ turn two zeros or change only coordinates that are never read, so
 dropping them leaves every point as it was (an exact zero may change
 sign).
 
+A factor turns all its live planes in one gather, turn and scatter
+(``_turn``): with kl = (k..., l...) and its swap lk = (l..., k...), built
+at import (``_TURNS``), x[kl] cos + x[lk] (-sin, +sin) is written back to
+kl.  That is (c x_k - s x_l, c x_l + s x_k) bit for bit, since a - b and
+a + (-b) round alike.  The first factor, s3, acts on the start state,
+which is the same in every column and zero at the l coordinate of each of
+its live planes, so its turn is the two outer products x_k cos and x_k sin
+(an exact zero may change sign).
+
 Two oracles follow other routes.  ``reachable_point`` maps one angle row
 through 4x4 matrices: the closed form ``y_closed_form``, which substitutes
 the half/quarter angles
@@ -74,9 +83,9 @@ ANGLE_NAMES = ("t1", "t3", "t4", "a1", "a2", "s1", "s2", "s3", "s4")
 DEFAULT_RANGE = (0.0, 4.0 * np.pi)
 MODES = ("random", "grid")  # i.i.d. uniform angles, or grid midpoints
 # rows of the angle table per array pass of ``sample``.  The 729-point
-# default runs in one pass; a pass of 4096 rows holds about 1.7 MB of
+# default runs in one pass; a pass of 4096 rows holds about 2.0 MB of
 # temporaries at its peak (the (16, rows) coordinates and a few (8, rows)
-# tables of tangents, cosines and sines), against the 7.2 MB angle
+# tables of tangents, cosines and signed sines), against the 7.2 MB angle
 # table of a 10^5-point cloud, and takes that cloud fastest
 _BLOCK = 4096
 # rows per formatting step of emit_csv; a step holds under 1 MB of floats,
@@ -221,8 +230,11 @@ def _angle_table(cfg: SampleConfig) -> np.ndarray:
     lo = np.array([r[0] for r in cfg.angle_ranges])
     hi = np.array([r[1] for r in cfg.angle_ranges])
     if cfg.mode == "random":
-        rng = np.random.default_rng(cfg.seed)
-        return rng.uniform(lo, hi, size=(cfg.n, 9))
+        # lo + (hi - lo) u, rng.uniform's own formula, in place
+        table = np.random.default_rng(cfg.seed).random((cfg.n, 9))
+        table *= hi - lo
+        table += lo
+        return table
     # grid: smallest per-axis count m with m^9 >= n, midpoint rule,
     # first n points in C (lexicographic) order
     m = 1
@@ -265,14 +277,6 @@ def _planes(j: int) -> np.ndarray:
 
 
 _PLANES = {j: _planes(j) for j in sorted({j for _, j, _ in _SWEEP})}
-
-
-def _rotate(x, planes, cos, sin) -> None:
-    """Turn the planes (x_k, x_l) of (16, rows) coordinates in place."""
-    k, l = planes.T
-    xk, xl = x[k], x[l]
-    x[k] = cos * xk - sin * xl
-    x[l] = sin * xk + cos * xl
 
 
 def _half_angle_turn(half):
@@ -336,6 +340,27 @@ def _live_planes(start, read) -> tuple:
 _LIVE = _live_planes(_START, _READ)
 
 
+def _turns(live) -> tuple:
+    """Per factor, the read-only (2, planes) gather indices kl = (k..., l...)
+    of its planes and their swap lk = (l..., k...), for ``_turn``."""
+    return tuple((planes.T, planes.T[::-1]) for planes in live)
+
+
+_TURNS = _turns(_LIVE)
+
+
+def _turn(x, kl, lk, cos, sines) -> None:
+    """Turn the planes (x_k, x_l) of (16, rows) coordinates in place to
+    (c x_k - s x_l, c x_l + s x_k) (module docstring); ``sines`` holds
+    (-sin, +sin) and broadcasts against (2, planes, rows)."""
+    a = x[kl]
+    b = x[lk]
+    a *= cos
+    b *= sines
+    a += b
+    x[kl] = a
+
+
 def _sample_block(state, table) -> np.ndarray:
     """reachable_point for every row (t1, t3, ..., s4) of an angle table.
 
@@ -343,11 +368,20 @@ def _sample_block(state, table) -> np.ndarray:
     off _START.  s4 is read and dropped: rho_A is diagonal, so it commutes
     with e^{s4 sz} (see the module docstring).
     """
-    half = table[:, _SWEEP_COLUMNS].T * _HALF_SCALE[:, None]
+    rows = len(table)
+    sines = np.empty((len(_SWEEP), 2, 1, rows))  # (-sin, +sin) per factor
+    half = sines[:, 1, 0]
+    np.multiply(table[:, _SWEEP_COLUMNS].T, _HALF_SCALE[:, None], out=half)
     cos, sin = _half_angle_turn(half)
-    x = np.repeat(state[:, None], len(table), axis=1)
-    for planes, c, s in zip(_LIVE, cos, sin):
-        _rotate(x, planes, c, s)
+    np.negative(sin, out=sines[:, 0, 0])
+    # s3 turns the start, the same in every column and zero at l
+    k, l = _TURNS[0][0]
+    x = np.empty((16, rows))
+    x[:] = state[:, None]
+    x[k] = np.multiply.outer(state[k], cos[0])
+    x[l] = np.multiply.outer(state[k], sin[0])
+    for (kl, lk), c, s in zip(_TURNS[1:], cos[1:], sines[1:]):
+        _turn(x, kl, lk, c, s)
     return state_bloch(2.0 * x[_READ].T)  # Tr(P_a rho') = 2 x_a0
 
 

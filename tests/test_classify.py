@@ -123,6 +123,18 @@ def test_predict_case_vanishing_interaction():
         predict_case(m, tol=1e-3)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("tol", [1.0, 1e300])
+@pytest.mark.parametrize("scale", [1.0, 1e10])
+def test_predict_case_names_a_case_at_a_tolerance_of_one_or_more(tol, scale):
+    # no singular value of K exceeds tol * s1 here, and s1 itself still
+    # counts: case 2a, with no KeyError and no overflow warning for
+    # tol * s1 past the float range
+    K = scale * np.array([[1.0, 0.0, 0.2], [0.0, 1.0, 0.0], [0.0, 0.3, 1.0]])
+    label = predict_case(TwoQubitModel(omega_S=0.0, K=K), tol=tol)
+    assert (label.tag, label.predicted_dim) == ("2a", CASE_DIMS["2a"])
+
+
 def test_predict_case_marginal_flag(rng):
     K = rng.uniform(-1, 1, (3, 3))
     K[:, 2] = 5e-9  # F sits inside the (tol/10, 10 tol) gray zone

@@ -121,6 +121,19 @@ def test_classify_single_axis_with_a_huge_tolerance(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("tol", ["1", "1e300"])
+def test_classify_full_control_at_a_tolerance_of_one_or_more(tmp_path, capsys,
+                                                             tol):
+    # the prediction used to raise KeyError 0, reported as "error: 0"
+    model = {"omega_S": 0, "K": [[1, 0, 0.2], [0, 1, 0], [0, 0.3, 1]],
+             "C": [0, 0, 0], "control": {"type": "full"}}
+    cfg = _write(tmp_path, "m.json", model)
+    code, out, err = _run(capsys, "classify", cfg, "--tol-rank", tol)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["case"] == "2a"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("model", [
     # the closure zeroed the drift row: computed_dim 3, agree false
     {"omega_S": 1.0, "K": (1e155 * np.eye(3)).tolist(), "C": [0, 0, 0],

@@ -394,6 +394,24 @@ def test_check_density_rejects_non_finite(value):
             bloch(rho)
 
 
+@pytest.mark.parametrize("bad, message", [
+    ([1.5, 0.0, 0.0, 0.0], "trace differs"),
+    ([1.0, 0.6, 0.0, 0.8 + 1e-6], "negative eigenvalue"),
+    ([1.0, np.nan, 0.0, 0.0], "non-finite"),
+    ([1.0, 0.0, -np.inf, 0.0], "non-finite"),
+])
+def test_state_bloch_checks_a_real_input(bad, message):
+    # a real r has no Hermitian part to read; the other checks still hold,
+    # also on a transposed block as the sampler passes it
+    r = np.array([[1.0, 0.6, 0.0, 0.8], bad])
+    for read in (r, np.ascontiguousarray(r.T).T):
+        with pytest.raises(ValueError, match=message):
+            qalg.state_bloch(read)
+    good = r[:1]
+    assert np.array_equal(qalg.state_bloch(good),
+                          qalg.state_bloch(good.astype(complex)))
+
+
 def test_partial_trace_on_a_stack(rng):
     m = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
     for keep in ("S", "A"):
@@ -452,8 +470,9 @@ def test_shared_tables_are_read_only():
     tables = [*PAULI_BASIS.values(), *qalg._FLAT_BASIS.values(),
               *qalg._DUAL_BASIS.values(), *STRUCTURE.values(), E_AB,
               model._DRIFT_MAP,
-              *sampler._PLANES.values(), *sampler._LIVE, sampler._START,
-              sampler._READ, sampler._HALF_SCALE]
+              *sampler._PLANES.values(), *sampler._LIVE,
+              *(index for turn in sampler._TURNS for index in turn),
+              sampler._START, sampler._READ, sampler._HALF_SCALE]
     for table in tables:
         with pytest.raises(ValueError):
             table[-1] *= 2

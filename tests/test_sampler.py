@@ -17,7 +17,7 @@ from numpy.testing import assert_allclose
 from qindirect import sampler
 from qindirect.model import ModelFormatError
 from qindirect.qalg import (ID2, ID4, SIGMA_X, SIGMA_Z, dagger, frob,
-                            mat_exp, pauli_coords, tensor)
+                            mat_exp, pauli_coords, state_bloch, tensor)
 from qindirect.sampler import (ANGLE_NAMES, DEFAULT_RANGE, SampleConfig,
                                _angle_table, emit_csv, kak_to_alphas,
                                parse_csv, reachable_point, sample,
@@ -66,19 +66,57 @@ def test_sweep_covers_every_angle_but_s4():
     assert names[0] == "s3" and names[-1] == "t1"
 
 
+def _rotate(x, planes, cos, sin) -> None:
+    """The sweep's turn one plane (x_k, x_l) at a time: the oracle of
+    ``sampler._turn``."""
+    k, l = planes.T
+    xk, xl = x[k], x[l]
+    x[k] = cos * xk - sin * xl
+    x[l] = sin * xk + cos * xl
+
+
+def _turn_all(x, j, cos, sin) -> None:
+    """``sampler._turn`` on every plane of the factor on E_j."""
+    (kl, lk), = sampler._turns((sampler._PLANES[j],))
+    sampler._turn(x, kl, lk, cos, np.reshape([-sin, sin], (2, 1, -1)))
+
+
 @pytest.mark.parametrize("name, j, g", sampler._SWEEP)
 @pytest.mark.parametrize("theta", [0.7, -1.3, 2.9, -4.1])
 def test_sweep_rotation_matches_conjugation(name, j, g, theta, rng):
-    # one factor's plane rotations of random coordinates (five columns)
-    # equal the conjugation of the matrices by U = e^{theta G}
+    # one factor's turn of random coordinates (five columns) equals the
+    # conjugation of the matrices by U = e^{theta G}
     m = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
     rho = 0.25 * (m + dagger(m))
     x = pauli_coords(1j * rho).real.T.copy()
     u = mat_exp(theta * _FACTOR_GENERATORS[name])
     expect = pauli_coords(1j * (u @ rho @ dagger(u))).real.T
-    sampler._rotate(x, sampler._PLANES[j], np.cos(theta * g),
-                    np.sin(theta * g))
+    _turn_all(x, j, np.cos(theta * g), np.sin(theta * g))
     assert np.abs(x - expect).max() <= 1e-14
+
+
+@pytest.mark.parametrize("j", sorted(sampler._PLANES))
+def test_turn_is_the_plane_rotation_bit_for_bit(j, rng):
+    # one angle per column, as the sweep passes them; zeros of both signs
+    # among the coordinates, so the sign of every zero is compared too
+    x = rng.normal(size=(16, 64))
+    x[:, ::4] = 0.0
+    x[:, 1::4] = -0.0
+    phi = rng.uniform(-10.0, 10.0, 64)
+    cos, sin = np.cos(phi), np.sin(phi)
+    turned = x.copy()
+    _turn_all(turned, j, cos, sin)
+    _rotate(x, sampler._PLANES[j], cos, sin)
+    assert turned.tobytes() == x.tobytes()
+
+
+def test_first_factor_turns_into_zeros():
+    # sample() writes s3 as x_k cos and x_k sin: the start state is zero
+    # at the l coordinate of each of its planes
+    assert sampler._SWEEP[0][0] == "s3"
+    k, l = sampler._TURNS[0][0]
+    assert np.isin(k, sampler._START).all()
+    assert not np.isin(l, sampler._START).any()
 
 
 def test_sample_config_validation():
@@ -219,6 +257,36 @@ def test_batched_sample_matches_point_loop(state, mode, ranges):
     assert np.abs(sample(cfg) - _point_loop(cfg)).max() <= 1e-14
 
 
+def _plane_sweep(cfg):
+    """sample() as the sweep of one-plane turns of ``_rotate``, s3 turned
+    like every other factor, over the whole table in one pass."""
+    table = _angle_table(cfg)
+    state = 0.5 * np.outer([1.0, cfg.s_x, 0.0, cfg.s_z],
+                           [1.0, 0.0, 0.0, cfg.a_z]).ravel()
+    half = table[:, sampler._SWEEP_COLUMNS].T * sampler._HALF_SCALE[:, None]
+    cos, sin = sampler._half_angle_turn(half)
+    x = np.repeat(state[:, None], len(table), axis=1)
+    for planes, c, s in zip(sampler._LIVE, cos, sin):
+        _rotate(x, planes, c, s)
+    return state_bloch(2.0 * x[sampler._READ].T)
+
+
+@pytest.mark.parametrize("state", REFERENCE_STATES)
+@pytest.mark.parametrize("mode, ranges, n", [
+    ("random", (DEFAULT_RANGE,) * 9, 729),
+    ("grid", GRID_RANGES, 729),
+    ("random", (DEFAULT_RANGE,) * 9, 2 * sampler._BLOCK + 3),
+    ("grid", GRID_RANGES, 2 * sampler._BLOCK + 3),
+])
+def test_sample_equals_the_plane_sweep(state, mode, ranges, n):
+    # the same values at every coordinate, not only to rounding (an exact
+    # zero may change sign)
+    s_x, s_z, a_z = state
+    cfg = SampleConfig(s_x=s_x, s_z=s_z, a_z=a_z, n=n, seed=11, mode=mode,
+                       angle_ranges=ranges)
+    assert np.array_equal(sample(cfg), _plane_sweep(cfg))
+
+
 def test_batched_sample_row_blocks(monkeypatch):
     # 50 rows in blocks of 7: six full blocks and a tail of one
     monkeypatch.setattr(sampler, "_BLOCK", 7)
@@ -239,7 +307,7 @@ def test_live_planes_match_all_planes(state, mode, ranges, monkeypatch):
     start = 0.5 * np.outer([1.0, s_x, 0.0, s_z], [1.0, 0.0, 0.0, a_z]).ravel()
     table = _angle_table(cfg)
     live = sampler._sample_block(start, table)
-    monkeypatch.setattr(sampler, "_LIVE", tuple(
+    monkeypatch.setattr(sampler, "_TURNS", sampler._turns(
         sampler._PLANES[j] for _, j, _ in sampler._SWEEP))
     assert np.array_equal(live, sampler._sample_block(start, table))
 
