@@ -13,7 +13,7 @@ and the head first in odd ones.  One traced round (``--trace 1``, the
 first seed) adds the per-layer metrics.  It then times ``qindirect
 sample`` at 10^5 points end to end (interpreter start, sampling and CSV
 output to a file), ``SAMPLE_RUNS`` times per checkout, alternated the same
-way, as an ungated number.
+way, as an ungated number with its median and quartiles.
 
 It writes ``BENCH_<sha>.json`` (sha: the first 12 hex digits of the
 checkout's HEAD commit) for both checkouts into the root of this
@@ -41,7 +41,7 @@ import time
 
 WORKLOADS = ("classify-sweep", "reach-cloud", "steer-obstruct")
 SEEDS = tuple(range(1, 11))  # one seed per parent/head pair
-SAMPLE_RUNS = 5
+SAMPLE_RUNS = 15
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # the CLI run timed end to end: a 10^5-point random cloud
 SAMPLE_CONFIG = {"s_x": 0.5, "s_z": 0.0, "a_z": 1.0, "n": 100000, "seed": 1}
@@ -192,8 +192,9 @@ def main(argv=None) -> int:
                            "gated": False},
         }
         rec["summary"] = summarise(rec["runs"])
-        rec["cli_sample_median_s"] = statistics.median(
-            rec["cli_sample_seconds"])
+        q1, median, q3 = statistics.quantiles(rec["cli_sample_seconds"], n=4)
+        rec["cli_sample_median_s"] = median
+        rec["cli_sample_quartiles_s"] = [q1, q3]
         with open(path, "x", encoding="utf-8") as fh:
             json.dump(rec, fh, indent=1, sort_keys=True)
             fh.write("\n")

@@ -297,8 +297,8 @@ class IdentityReport:
 
 def _gamma_elements(alpha: float, omega_A: float) -> dict:
     k = alpha ** 2 + 4.0 * omega_A ** 2
-    if k < 1e-24:
-        raise ValueError("degenerate mixing angle: alpha and omega_A both zero")
+    if k == 0.0:  # alpha = omega_A = 0, or both squares below the float range
+        raise ValueError("degenerate mixing angle: alpha^2 + 4 omega_A^2 = 0")
     c = alpha / np.sqrt(k)
     s = 2.0 * omega_A / np.sqrt(k)
     gx = {sign: _two("y", "x") + sign * (c * _two("x", "y") - (s / 2) * _one_a("x"))
@@ -314,7 +314,7 @@ def _reduced_pair(alpha: float, gamma: float, beta: float,
                   omega_A: float) -> tuple:
     """L1 = 1 (x) sz and L2 = alpha i sx (x) sx + gamma i sy (x) sx
     + beta i sy (x) sy + omega_A 1 (x) sy; the Gamma basis needs alpha != 0."""
-    if abs(alpha) < 1e-12:
+    if not abs(alpha) > 1e-12 * max(map(abs, (alpha, gamma, beta, omega_A))):
         raise ValueError("the Gamma construction requires alpha != 0")
     l2 = (alpha * _two("x", "x") + gamma * _two("y", "x")
           + beta * _two("y", "y") + omega_A * _one_a("y"))

@@ -53,18 +53,11 @@ def _residual(basis: np.ndarray, W: np.ndarray) -> np.ndarray:
     return W
 
 
-def _unit_rows(c: np.ndarray) -> np.ndarray:
-    """Rows of c scaled to unit norm; a zero row stays zero and adds no
-    direction to any span."""
-    n = np.sqrt((c * c).sum(axis=1, keepdims=True))
-    return c / np.where(n > 0.0, n, 1.0)
-
-
 def _generators(G, tol: float) -> np.ndarray:
     """Rows of the 2-D array G, checked by ``check_skew_coords``, at unit norm."""
     if np.ndim(G) != 2:
         raise ValueError(f"generators must be a 2-D array, got shape {np.shape(G)}")
-    return _unit_rows(check_skew_coords(G, require_traceless=True, tol=tol))
+    return check_skew_coords(G, require_traceless=True, tol=tol)
 
 
 def _ad(ops: np.ndarray) -> np.ndarray:
@@ -115,14 +108,14 @@ def orthonormalize(G, tol: float = TOL_RANK) -> np.ndarray:
 def contains(basis: np.ndarray, c, tol: float = TOL_RANK) -> bool:
     """True iff the element of Pauli coordinates c (real, or complex as
     from ``qalg.pauli_coords``) lies in span(basis) to relative tol."""
-    c = np.asarray(c)
-    n = np.linalg.norm(c)
+    n = np.hypot.reduce(np.abs(c).ravel())  # ||c||, scaled before squaring
     if n == 0.0:
         return True
+    c = np.asarray(c) / n
     # the imaginary (Hermitian) part of c is never in a real skew span
     res = np.hypot(np.linalg.norm(_residual(basis, c.real)),
                    np.linalg.norm(c.imag))
-    return res <= tol * n
+    return res <= tol
 
 
 def closure(G, tol: float = TOL_RANK) -> np.ndarray:
@@ -154,7 +147,7 @@ def invariant_space(L: np.ndarray, c, tol: float = TOL_RANK) -> np.ndarray:
     if c.shape != L.shape[1:]:
         raise ValueError(f"seed coordinates of shape {c.shape} do not fit "
                          f"a basis of shape {L.shape}")
-    return _ad_invariant(_unit_rows(c[None]), _ad(L), _EYE[len(c)], tol)
+    return _ad_invariant(c[None], _ad(L), _EYE[len(c)], tol)
 
 
 def trace_A_image(V: np.ndarray, tol: float = TOL_RANK) -> np.ndarray:

@@ -25,7 +25,7 @@ Conventions used throughout the package:
   write their su(4) elements.
 * ``STRUCTURE`` holds the brackets F[j, k, l] = <E_l, [E_j, E_k]> of the
   basis and ``bracket`` applies it to coordinates; ``check_skew_coords``
-  decides which coordinates lie in u(d).
+  decides which coordinates lie in u(d) and returns them at unit norm.
 * Everything the package exponentiates is skew-Hermitian (a generator of a
   unitary), so ``mat_exp`` accepts only such matrices and uses a Hermitian
   eigendecomposition.  TOL_RANK is the one global default tolerance.
@@ -110,32 +110,35 @@ def from_pauli_coords(coords) -> np.ndarray:
 
 def skew_coords(mats, require_traceless: bool, tol: float) -> np.ndarray:
     """Real Pauli coordinates c of skew-Hermitian (..., d, d) matrices M,
-    checked by ``check_skew_coords``."""
-    return check_skew_coords(pauli_coords(mats), require_traceless, tol)
+    checked by ``check_skew_coords``, at their own norm."""
+    c = pauli_coords(mats)
+    check_skew_coords(c, require_traceless, tol)
+    return c.real
 
 
 def check_skew_coords(c, require_traceless: bool, tol: float) -> np.ndarray:
-    """Re c for complex Pauli coordinates c (..., d^2) of matrices M in u(d).
+    """Re c at unit norm per row (a zero row stays zero) for complex Pauli
+    coordinates c (..., d^2) of matrices M in u(d).
 
     Raises ValueError unless the width passes ``coords_dim``, the sum of
-    ||M||^2 over all M is finite (so no caller scales a nonzero M by an
-    infinite norm), and ||M + M^dag|| = 2 ||Im c|| and, if required,
-    |Tr M| = sqrt(d) |c_0| are at most tol * max(1, ||M||) for every M (a
-    real c has Im c = 0).
+    ||M||^2 over all M is finite, and ||M + M^dag|| = 2 ||Im c|| and, if
+    required, |Tr M| = sqrt(d) |c_0| are at most tol * max(1, ||M||) for
+    every M.  The norms are ``np.hypot`` reductions, which never underflow.
     """
     c = np.asarray(c)
     d = coords_dim(c)
-    # vdot, unlike ** below, gives inf past the float range with no warning
+    # vdot gives inf past the float range with no warning
     if not math.isfinite(np.vdot(c, c).real):
         raise ValueError("input matrix has a non-finite squared norm")
+    norm = np.hypot.reduce(c.real, axis=-1, keepdims=True)  # ||Re c||
     skew = np.iscomplexobj(c)
-    im2 = (c.imag ** 2).sum(axis=-1) if skew else 0.0
-    bound = tol * tol * np.maximum(1.0, (c.real ** 2).sum(axis=-1) + im2)
-    if skew and (4.0 * im2 > bound).any():
+    im = np.hypot.reduce(c.imag, axis=-1, keepdims=True) if skew else 0.0
+    bound = tol * np.maximum(1.0, np.hypot(norm, im) if skew else norm)
+    if skew and (2.0 * im > bound).any():
         raise ValueError("input matrix is not skew-Hermitian")
-    if require_traceless and (d * abs(c[..., 0]) ** 2 > bound).any():
+    if require_traceless and (math.sqrt(d) * abs(c[..., :1]) > bound).any():
         raise ValueError("input matrix is not traceless")
-    return c.real
+    return c.real / np.where(norm > 0.0, norm, 1.0)
 
 
 def _structure(E: np.ndarray) -> np.ndarray:

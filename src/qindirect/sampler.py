@@ -74,7 +74,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .model import ModelFormatError
+from .model import ModelFormatError, finite_float
 from .qalg import (ID2, SIGMA_X, SIGMA_Z, STRUCTURE, bloch, bloch_inverse,
                    dagger, from_pauli_coords, mat_exp, partial_trace,
                    state_bloch, tensor, z_rotation)
@@ -91,11 +91,6 @@ _BLOCK = 4096
 # rows per formatting step of emit_csv; a step holds under 1 MB of floats,
 # tuple and text, and 10^5 rows take as long as in one step
 _CSV_ROWS = 4096
-
-
-def _is_integer(value) -> bool:
-    """An int or numpy integer; a bool, a float or a string is not."""
-    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -120,7 +115,14 @@ class SampleConfig:
         if self.mode not in MODES:
             raise ModelFormatError(f"mode must be one of {MODES}, "
                                    f"got {self.mode!r}")
-        ranges = tuple((float(lo), float(hi)) for lo, hi in self.angle_ranges)
+        try:  # a field that is no number, or angle_ranges no sequence of pairs
+            for key in ("s_x", "s_z", "a_z"):
+                object.__setattr__(self, key, finite_float(getattr(self, key)))
+            ranges = tuple((float(lo), float(hi))
+                           for lo, hi in self.angle_ranges)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ModelFormatError("s_x, s_z, a_z and angle_ranges must be "
+                                   f"numbers: {exc}") from None
         if len(ranges) != 9:
             raise ModelFormatError("angle_ranges: need nine finite-width "
                                    f"intervals, got {len(ranges)}")
@@ -129,12 +131,12 @@ class SampleConfig:
         if bad:
             raise ModelFormatError(f"angle_ranges: {bad} are not "
                                    "finite-width intervals with lo <= hi")
-        if not _is_integer(self.n) or self.n < 1:
-            raise ModelFormatError("n must be an integer of at least 1, "
-                                   f"got {self.n!r}")
-        if not _is_integer(self.seed) or self.seed < 0:
-            raise ModelFormatError("seed must be an integer of at least 0, "
-                                   f"got {self.seed!r}")
+        for key, low in (("n", 1), ("seed", 0)):
+            value = getattr(self, key)  # an int or numpy integer, not a bool
+            if (isinstance(value, bool) or not isinstance(value, Integral)
+                    or value < low):
+                raise ModelFormatError(f"{key} must be an integer of at least "
+                                       f"{low}, got {value!r}")
         # r = Tr(P rho) of rho_S and rho_A: the check of every output point
         state_bloch(np.array([[1.0, self.s_x, 0.0, self.s_z],
                               [1.0, 0.0, 0.0, self.a_z]]))

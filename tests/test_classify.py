@@ -442,6 +442,24 @@ def test_reduced_pair_dims():
     assert reduced_pair_closure_dim(alpha, 0.4, rk, omega_a) == 6
 
 
+@pytest.mark.parametrize("scale", [1e-13, 1.0, 1e8])
+def test_identity_suites_are_scale_free(scale):
+    # the alpha != 0 and mixing-angle guards are relative: the reduced pair
+    # closes at 6 at every scale, and the suites run on the same pair
+    alpha, gamma, beta, omega_a = (scale * v for v in (0.7, 0.3, -0.4, 0.5))
+    assert reduced_pair_closure_dim(alpha, gamma, beta, omega_a) == 6
+    rep = gamma_suite(alpha, gamma, beta, omega_a)
+    assert rep.max_residual < 1e-12 * max(1.0, scale) ** 2
+    assert appendix_b_suite(0.6, 0.0, 0.8, alpha, omega_a).max_residual < 1e-12
+
+
+def test_identity_suites_refuse_only_a_zero_alpha():
+    with pytest.raises(ValueError, match="requires alpha"):
+        reduced_pair_closure_dim(1e-13, 1.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="degenerate mixing angle"):
+        appendix_b_suite(0.6, 0.0, 0.8, 0.0, 0.0)
+
+
 def test_reduced_pair_special_basis_spans_closure():
     alpha, omega_a = 0.8, 0.3
     rk = np.sqrt(alpha ** 2 + 4 * omega_a ** 2)

@@ -140,6 +140,59 @@ def test_closure_scale_invariant():
     assert d1 == d2
 
 
+def _tiny_case_inputs():
+    """The 1b generators of seed 3, their closure and a product-state seed."""
+    G = generator_set(random_model("1b", np.random.default_rng(3)))
+    seed = pauli_coords(1j * tensor(bloch_inverse([0.4, 0.0, 0.5]),
+                                    bloch_inverse([0.0, 0.3, 0.2])))
+    return G, closure(G), seed
+
+
+def test_closure_of_generators_whose_squared_norms_underflow():
+    # (1e-170)^2 is below the float range; the norms are hypot reductions
+    G, L, _ = _tiny_case_inputs()
+    assert len(L) == 10
+    for scale in (1e-160, 1e-170, 1e-300):
+        assert len(closure(scale * G)) == 10
+
+
+def test_invariant_space_of_a_seed_whose_squared_norm_underflows():
+    _, L, seed = _tiny_case_inputs()
+    assert len(invariant_space(L, 1e-170 * seed)) == len(invariant_space(L, seed))
+
+
+def test_contains_no_tiny_element_outside_the_span():
+    E = np.eye(16)
+    basis = orthonormalize(E[[5]])
+    assert not contains(basis, 1e-170 * E[6])
+    assert contains(basis, 1e-170 * E[5])
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["1a", "1b", "1c", "2a", "2b", "2c"]),
+       st.integers(-300, 150))
+@example(3, "1b", -170)
+def test_span_answers_do_not_depend_on_the_magnitude_of_the_input(seed, case,
+                                                                  k):
+    # a Lie algebra, an invariant space and a span membership do not change
+    # when the generators, the seed or the element are rescaled
+    rng = np.random.default_rng(seed)
+    G = generator_set(random_model(case, rng))
+    rho_s, rho_a = (bloch_inverse(v / (1.0 + np.linalg.norm(v)))
+                    for v in rng.normal(size=(2, 3)))
+    c = pauli_coords(1j * tensor(rho_s, rho_a))
+    L = closure(G)
+    inside = rng.normal(size=len(L)) @ L
+    outside = rng.normal(size=16)
+    scale = 10.0 ** k
+    assert len(closure(scale * G)) == len(L)
+    assert len(orthonormalize(scale * G)) == len(orthonormalize(G))
+    assert len(invariant_space(L, scale * c)) == len(invariant_space(L, c))
+    for x in (inside, outside):
+        assert contains(L, scale * x) == contains(L, x)
+
+
 @settings(max_examples=20)
 @given(st_angles)
 def test_closure_dim_frame_invariant(angles):

@@ -213,10 +213,28 @@ def test_skew_coords():
 def test_check_skew_coords_is_skew_coords_on_coordinates(rng):
     mats = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
     skew = 0.5 * (mats - dagger(mats))
+    # skew_coords keeps each norm; check_skew_coords hands back unit rows
+    c = skew_coords(skew, False, TOL_RANK)
     assert_allclose(check_skew_coords(pauli_coords(skew), False, TOL_RANK),
-                    skew_coords(skew, False, TOL_RANK), rtol=0, atol=0)
+                    c / np.hypot.reduce(c, axis=-1, keepdims=True),
+                    rtol=0, atol=0)
     with pytest.raises(ValueError, match="not skew-Hermitian"):
         check_skew_coords(pauli_coords(mats), False, TOL_RANK)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-170, 1.0, 1e150])
+def test_check_skew_coords_returns_unit_rows_at_any_magnitude(rng, scale):
+    rows = rng.normal(size=(4, 16))
+    rows[:, 0] = 0.0
+    rows[2] = 0.0
+    got = check_skew_coords(scale * rows, True, TOL_RANK)
+    assert got.shape == rows.shape
+    assert_allclose(np.linalg.norm(got[[0, 1, 3]], axis=1), 1.0, rtol=0,
+                    atol=1e-15)
+    assert not got[2].any()  # a zero row stays zero
+    for i in (0, 1, 3):
+        assert_allclose(got[i], rows[i] / np.linalg.norm(rows[i]), rtol=0,
+                        atol=1e-15)
 
 
 @given(st_bloch)

@@ -398,6 +398,22 @@ def test_sample_config_checks_its_states_as_sample_checks_points():
                             angle_ranges=ranges))
 
 
+@pytest.mark.parametrize("field", [
+    {"s_x": "a"}, {"s_x": None}, {"a_z": [0.5]}, {"s_z": 10 ** 400},
+    {"angle_ranges": 5}, {"angle_ranges": [(0, 1, 2)] * 9},
+    {"angle_ranges": [("a", 1.0)] * 9}, {"angle_ranges": [None] * 9},
+])
+def test_sample_config_raises_model_format_error_for_malformed_fields(field):
+    with pytest.raises(ModelFormatError, match="angle_ranges"):
+        SampleConfig(**{"s_x": 0.0, "s_z": 0.5, "a_z": 0.0, **field})
+
+
+def test_sample_config_reads_its_state_numbers_as_floats():
+    cfg = SampleConfig(s_x=np.float32(0.5), s_z=0, a_z=np.int64(1))
+    assert (cfg.s_x, cfg.s_z, cfg.a_z) == (0.5, 0.0, 1.0)
+    assert all(type(v) is float for v in (cfg.s_x, cfg.s_z, cfg.a_z))
+
+
 @pytest.mark.parametrize("seed", [1.5, -1, 2.0, True])
 def test_sample_config_rejects_a_bad_seed(seed):
     with pytest.raises(ModelFormatError, match="seed must be an integer"):
