@@ -19,12 +19,18 @@ and then brackets every found direction with G: by the Jacobi identity the
 right-nested brackets of the generators span the algebra they generate.  Its
 generators are traceless, so its frame is the d^2 - 1 traceless directions
 and its rows come out exactly traceless.  ``invariant_space`` seeds it with
-one element that may carry a trace, and its frame is all d^2 directions.
+one element c that may carry a trace and its brackets [L, c], in one rank
+decision, and its frame is all d^2 directions.  On the full algebra su(d),
+which ``closure`` returns for every controllable model, it needs no sweep:
+ad(su(d)) is irreducible on su(d) and kills the identity, and
+sum_x ||[L_x, c']||^2 = 2d ||c'||^2 for the traceless part c' of c, so the
+space is read off the norms of c and c'.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -142,12 +148,31 @@ def invariant_space(L: np.ndarray, c, tol: float = TOL_RANK) -> np.ndarray:
     shape (d^2,); a matrix seed goes through ``qalg.pauli_coords``.  It may
     carry a trace (it is typically i times a density matrix), so only
     skew-Hermiticity is required of it (``qalg.check_skew_coords``).
+
+    The unit seed c is the first direction found, unless it is zero or tol
+    is at least 1.  The brackets [L_x, c] are orthogonal to c, so the first
+    rank decision takes c and them together, and separates as the seed's
+    own decision and the first sweep.  When L is su(d) (d^2 - 1 rows with
+    an exactly zero identity coordinate) the space is read off instead:
+    span(c) when sqrt(2d) ||c'|| <= tol, the first sweep's norm test, for
+    the traceless part c' of c; su(d) when c is traceless by the rule of
+    ``check_skew_coords``, sqrt(d) |c_0| <= tol; u(d) otherwise.
     """
     c = check_skew_coords(c, require_traceless=False, tol=tol)
     if c.shape != L.shape[1:]:
         raise ValueError(f"seed coordinates of shape {c.shape} do not fit "
                          f"a basis of shape {L.shape}")
-    return _ad_invariant(c[None], _ad(L), _EYE[len(c)], tol)
+    n = len(c)
+    if not (tol < 1.0 and c.any()):  # the seed's own decision rejects it
+        return np.empty((0, n))
+    if len(L) == n - 1 and not L[:, 0].any():  # L spans su(d)
+        d = coords_dim(c)
+        if math.sqrt(2 * d) * np.linalg.norm(c[1:]) <= tol:
+            return c[None]
+        traceless = math.sqrt(d) * abs(c[0]) <= tol
+        return np.eye(n)[1:] if traceless else np.eye(n)
+    ad = _ad(L)
+    return _ad_invariant(np.concatenate([c[None], c @ ad]), ad, _EYE[n], tol)
 
 
 def trace_A_image(V: np.ndarray, tol: float = TOL_RANK) -> np.ndarray:

@@ -17,10 +17,10 @@ from qindirect.indirect import (E1, GennegatVerdict, euler_su2, fic_mix,
                                 swap_op)
 from qindirect.lieclosure import (closure, contains, invariant_space,
                                   orthonormalize, trace_A_image)
-from qindirect.model import (generator_set, random_model,
+from qindirect.model import (TwoQubitModel, generator_set, random_model,
                              random_single_axis_model)
 from qindirect.qalg import (ID2, ID4, SIGMA_X, SIGMA_Z, bloch_inverse,
-                            dagger, frob, mat_exp, partial_trace,
+                            dagger, frame, frob, mat_exp, partial_trace,
                             pauli_coords, tensor, z_rotation)
 
 st_angle = st.floats(-6.0, 6.0)
@@ -109,6 +109,42 @@ def test_gennegat_matches_matrix_route(tol):
             assert v.uic_excluded == (v.trace_image_dim < 4)
             images.add(v.trace_image_dim)
     assert len(images) > 1  # both verdicts occur
+
+
+def _about_z(t):
+    c, s = np.cos(t), np.sin(t)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["1a", "1b", "1c", "2c"]))
+def test_gennegat_verdict_is_frame_free(seed, case):
+    # local turns U_S (x) U_A conjugate the algebra and the seed together:
+    # K -> R_A K R_S^T, C -> R_A C with R_S about z when omega_S != 0, and
+    # the Bloch vectors r_S -> R_S r_S, r_A -> R_A r_A.  1a and 2c take the
+    # su(4) read-off, 1b and 1c the sweep.
+    rng = np.random.default_rng(seed)
+    m = random_model(case, rng)
+    r_a = frame(*rng.normal(size=(2, 3)))
+    r_s = (frame(*rng.normal(size=(2, 3))) if m.omega_S == 0.0
+           else _about_z(rng.uniform(0.0, 2.0 * np.pi)))
+    turned = TwoQubitModel(omega_S=m.omega_S, K=r_a @ m.K @ r_s.T,
+                           C=r_a @ m.C, control=m.control)
+    L, L_turned = (closure(generator_set(x)) for x in (m, turned))
+    s, a, s_pure, a_pure = (v / np.linalg.norm(v)
+                            for v in rng.normal(size=(4, 3)))
+    radii = rng.uniform(0.15, 1.0, size=3)
+    # a generic pair, a pure accessor, a z-axis pair (blocked on 1c) and an
+    # x-axis pair, whose E_zz coordinate is zero only in the first frame
+    pairs = [(radii[0] * s, radii[1] * a), (radii[2] * s_pure, a_pure),
+             (np.array([0.0, 0.0, 0.6]), np.array([0.0, 0.0, -0.3])),
+             (np.array([0.6, 0.0, 0.0]), np.array([0.5, 0.0, 0.0]))]
+    for p_s, p_a in pairs:
+        base = gennegat_test(L, bloch_inverse(p_s), bloch_inverse(p_a))
+        turn = gennegat_test(L_turned, bloch_inverse(r_s @ p_s),
+                             bloch_inverse(r_a @ p_a))
+        assert (turn.v_dim, turn.trace_image_dim) == (
+            base.v_dim, base.trace_image_dim), case
 
 
 def test_gennegat_makes_one_invariant_space_call(rng, monkeypatch):

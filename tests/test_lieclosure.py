@@ -500,11 +500,75 @@ def test_closure_svd_count_single_axis(monkeypatch, violate, svds):
     assert calls[0] == svds
 
 
-@pytest.mark.parametrize("case", ["1a", "1c", "2a"])
+# su(4) (1a, 2c) is read off with no SVD; every other algebra takes the seed
+# with its first brackets in one rank decision, and one more sweep
+INVARIANT_SPACE_SVDS = {"1a": 0, "1b": 2, "1c": 2, "2a": 2, "2c": 0}
+
+
+@pytest.mark.parametrize("case", ["1a", "1c", "2a", "1b", "2c"])
 def test_invariant_space_svd_count(monkeypatch, case):
     L = closure(generator_set(random_model(case, np.random.default_rng(1))))
     rho_s = bloch_inverse([0.3, 0.2, 0.4])
     rho_a = bloch_inverse([0.1, 0.0, 0.2])
     calls = _count_svd(monkeypatch)
     invariant_space(L, pauli_coords(1j * tensor(rho_s, rho_a)))
-    assert calls[0] == 3
+    assert calls[0] == INVARIANT_SPACE_SVDS[case]
+
+
+# ---------------------------------------------------------------------------
+# the invariant space of su(d), read off against the sweep
+
+
+def _sweep(L, c, tol=TOL_RANK):
+    """The general sweep from the single unit seed, with no read-off."""
+    n = L.shape[1]
+    return lieclosure._ad_invariant(c[None] / np.linalg.norm(c),
+                                    lieclosure._ad(L), lieclosure._EYE[n], tol)
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_invariant_space_of_su_d_is_read_off_like_the_sweep(monkeypatch, d):
+    rng = np.random.default_rng(d)
+    n = d * d
+    q, _ = np.linalg.qr(rng.normal(size=(n - 1, n - 1)))
+    L = q @ np.eye(n)[1:]  # a turned basis of su(d), traceless by construction
+    trace = np.eye(n)[0]
+    unit = np.concatenate([[0.0], rng.normal(size=n - 1)])
+    unit /= np.linalg.norm(unit)
+    edge = TOL_RANK / np.sqrt(2 * d)  # ||c'|| of the first sweep's norm test
+    cases = [(trace, 1), (unit, n - 1), (trace + unit, n),
+             (trace + 10.0 * edge * unit, n), (trace + 0.1 * edge * unit, 1),
+             # a trace part 10x above and 0.1x below the traceless rule
+             (unit + 10.0 * TOL_RANK / np.sqrt(d) * trace, n),
+             (unit + 0.1 * TOL_RANK / np.sqrt(d) * trace, n - 1)]
+    for c, dim in cases:
+        expected = _sweep(L, c)
+        calls = _count_svd(monkeypatch)
+        V = invariant_space(L, c)
+        monkeypatch.undo()
+        assert calls[0] == 0  # no sweep ran
+        assert len(V) == len(expected) == dim
+        assert span_equals(V, expected)
+        assert V.flags.writeable and not np.shares_memory(V, lieclosure._EYE[n])
+
+
+def test_invariant_space_of_a_15_row_basis_with_a_trace_takes_the_sweep(
+        monkeypatch):
+    rng = np.random.default_rng(7)
+    L = np.linalg.qr(rng.normal(size=(16, 15)))[0].T  # orthonormal rows
+    assert L[:, 0].all()
+    c = rng.normal(size=16)
+    calls = _count_svd(monkeypatch)
+    V = invariant_space(L, c)
+    assert calls[0] > 0
+    assert span_equals(V, _sweep(L, c))
+
+
+def test_invariant_space_is_empty_when_the_seed_is_rejected():
+    # a zero seed, or a unit seed at a tolerance of 1 or more
+    seed = pauli_coords(1j * tensor(bloch_inverse([0.4, 0.0, 0.5]), ID2 / 2))
+    for case in ("1b", "2c"):  # the sweep and the read-off
+        L = closure(generator_set(random_model(case, np.random.default_rng(1))))
+        assert invariant_space(L, np.zeros(16)).shape == (0, 16)
+        for tol in (1.0, 3.0):
+            assert invariant_space(L, seed, tol).shape == (0, 16)
