@@ -18,13 +18,15 @@ generators and their pairwise brackets, G u [G, G], in one rank decision,
 and then brackets every found direction with G: by the Jacobi identity the
 right-nested brackets of the generators span the algebra they generate.  Its
 generators are traceless, so its frame is the d^2 - 1 traceless directions
-and its rows come out exactly traceless.  ``invariant_space`` seeds it with
-one element c that may carry a trace and its brackets [L, c], in one rank
-decision, and its frame is all d^2 directions.  On the full algebra su(d),
-which ``closure`` returns for every controllable model, it needs no sweep:
-ad(su(d)) is irreducible on su(d) and kills the identity, and
-sum_x ||[L_x, c']||^2 = 2d ||c'||^2 for the traceless part c' of c, so the
-space is read off the norms of c and c'.
+and its rows come out exactly traceless.  ``invariant_space`` takes its
+seed c, one element that may carry a trace, as the first direction without
+an SVD, and seeds the sweep with the brackets [L, c] in the Householder
+complement of c, so its frame is the other d^2 - 1 directions.  On the full
+algebra su(d), which ``closure`` returns for every controllable model, it
+needs no sweep for most seeds: ad(su(d)) is irreducible on su(d) and kills
+the identity, and sum_x ||[L_x, c']||^2 = 2d ||c'||^2 for the traceless
+part c' of c, so the space is read off the norms of c' and of the trace
+part c_0 wherever they put the sweep's rank decisions clear of tol.
 """
 
 from __future__ import annotations
@@ -140,6 +142,15 @@ def closure(G, tol: float = TOL_RANK) -> np.ndarray:
     return _ad_invariant(seeds, ad, _EYE[n][1:], tol)
 
 
+def _complement(c: np.ndarray) -> np.ndarray:
+    """Orthonormal (n - 1, n) basis of the directions orthogonal to the unit
+    row c: rows 1 to n - 1 of the Householder reflection I - v v^T / |v_0|,
+    v = c + sign(c_0) e_0, which maps e_0 to -sign(c_0) c; |v_0| >= 1."""
+    v = c.copy()
+    v[0] += math.copysign(1.0, c[0])
+    return _EYE[len(c)][1:] - np.outer(c[1:], v / abs(v[0]))
+
+
 def invariant_space(L: np.ndarray, c, tol: float = TOL_RANK) -> np.ndarray:
     """Smallest subspace containing the seed and invariant under ad of the
     orthonormal (n, d^2) basis L.
@@ -150,13 +161,20 @@ def invariant_space(L: np.ndarray, c, tol: float = TOL_RANK) -> np.ndarray:
     skew-Hermiticity is required of it (``qalg.check_skew_coords``).
 
     The unit seed c is the first direction found, unless it is zero or tol
-    is at least 1.  The brackets [L_x, c] are orthogonal to c, so the first
-    rank decision takes c and them together, and separates as the seed's
-    own decision and the first sweep.  When L is su(d) (d^2 - 1 rows with
-    an exactly zero identity coordinate) the space is read off instead:
-    span(c) when sqrt(2d) ||c'|| <= tol, the first sweep's norm test, for
-    the traceless part c' of c; su(d) when c is traceless by the rule of
-    ``check_skew_coords``, sqrt(d) |c_0| <= tol; u(d) otherwise.
+    is at least 1, and the sweep starts from its brackets [L_x, c] in the
+    Householder complement of c: the rank decisions are those of a sweep
+    from the single seed, without the SVD of the seed itself.
+
+    When L is su(d) (d^2 - 1 rows with an exactly zero identity coordinate)
+    the space is read off the norms of the traceless part c' and the trace
+    part c_0 of c where they put the sweep's decisions clear of tol.  The
+    first sweep's Frobenius norm is sqrt(2d) ||c'||, so the space is span(c)
+    when that is at most tol.  ad_c' has rank at most d^2 - d, so its largest
+    singular value is at least sqrt(2 / (d - 1)) ||c'||.  When that exceeds
+    tol the first sweep finds a direction, and the later ones bracket unit
+    directions, so the space is su(d) if c_0 is exactly zero and u(d) if
+    sqrt(2 / (d - 1)) |c_0|, a lower bound on the identity's share of the
+    second sweep, exceeds tol too.  Every other seed takes the sweep.
     """
     c = check_skew_coords(c, require_traceless=False, tol=tol)
     if c.shape != L.shape[1:]:
@@ -167,12 +185,18 @@ def invariant_space(L: np.ndarray, c, tol: float = TOL_RANK) -> np.ndarray:
         return np.empty((0, n))
     if len(L) == n - 1 and not L[:, 0].any():  # L spans su(d)
         d = coords_dim(c)
-        if math.sqrt(2 * d) * np.linalg.norm(c[1:]) <= tol:
+        traceless = np.linalg.norm(c[1:])
+        if math.sqrt(2 * d) * traceless <= tol:
             return c[None]
-        traceless = math.sqrt(d) * abs(c[0]) <= tol
-        return np.eye(n)[1:] if traceless else np.eye(n)
+        bound = math.sqrt(2 / (d - 1))
+        if bound * traceless > tol:
+            if c[0] == 0.0:
+                return np.eye(n)[1:]
+            if bound * abs(c[0]) > tol:
+                return np.eye(n)
     ad = _ad(L)
-    return _ad_invariant(np.concatenate([c[None], c @ ad]), ad, _EYE[n], tol)
+    found = _ad_invariant(c @ ad, ad, _complement(c), tol)
+    return np.concatenate([c[None], found])
 
 
 def trace_A_image(V: np.ndarray, tol: float = TOL_RANK) -> np.ndarray:

@@ -111,6 +111,18 @@ def test_gennegat_matches_matrix_route(tol):
     assert len(images) > 1  # both verdicts occur
 
 
+@pytest.mark.parametrize("tol, verdict", [(1e-6, (1, 1)), (1e-7, (16, 4))])
+def test_gennegat_near_mixed_state_on_su4(tol, verdict):
+    # rho_S = (1 + 5e-7 sigma_z) / 2 and rho_A = 1/2: the seed's traceless
+    # part is 5e-7 E_z0, and ad(E_z0) has its eight nonzero singular values
+    # at 1, so no bracket clears tol = 1e-6 and V is the seed alone, though
+    # the brackets' Frobenius norm sqrt(8) 5e-7 exceeds that tol
+    L = closure(generator_set(random_model("2c", np.random.default_rng(1))))
+    v = gennegat_test(L, bloch_inverse([0.0, 0.0, 5e-7]), ID2 / 2, tol)
+    assert (v.v_dim, v.trace_image_dim) == verdict
+    assert v.uic_excluded == (verdict[1] < 4)
+
+
 def _about_z(t):
     c, s = np.cos(t), np.sin(t)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])

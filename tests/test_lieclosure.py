@@ -501,7 +501,7 @@ def test_closure_svd_count_single_axis(monkeypatch, violate, svds):
 
 
 # su(4) (1a, 2c) is read off with no SVD; every other algebra takes the seed
-# with its first brackets in one rank decision, and one more sweep
+# as its first direction with no SVD, and then sweeps twice
 INVARIANT_SPACE_SVDS = {"1a": 0, "1b": 2, "1c": 2, "2a": 2, "2c": 0}
 
 
@@ -510,9 +510,12 @@ def test_invariant_space_svd_count(monkeypatch, case):
     L = closure(generator_set(random_model(case, np.random.default_rng(1))))
     rho_s = bloch_inverse([0.3, 0.2, 0.4])
     rho_a = bloch_inverse([0.1, 0.0, 0.2])
+    c = pauli_coords(1j * tensor(rho_s, rho_a))
     calls = _count_svd(monkeypatch)
-    invariant_space(L, pauli_coords(1j * tensor(rho_s, rho_a)))
+    V = invariant_space(L, c)
     assert calls[0] == INVARIANT_SPACE_SVDS[case]
+    monkeypatch.undo()
+    assert span_equals(V, _sweep(L, c.real))
 
 
 # ---------------------------------------------------------------------------
@@ -532,23 +535,37 @@ def test_invariant_space_of_su_d_is_read_off_like_the_sweep(monkeypatch, d):
     n = d * d
     q, _ = np.linalg.qr(rng.normal(size=(n - 1, n - 1)))
     L = q @ np.eye(n)[1:]  # a turned basis of su(d), traceless by construction
-    trace = np.eye(n)[0]
+    trace, pauli = np.eye(n)[[0, n - 1]]  # E_0, and E_z or E_zz
     unit = np.concatenate([[0.0], rng.normal(size=n - 1)])
     unit /= np.linalg.norm(unit)
     edge = TOL_RANK / np.sqrt(2 * d)  # ||c'|| of the first sweep's norm test
-    cases = [(trace, 1), (unit, n - 1), (trace + unit, n),
-             (trace + 10.0 * edge * unit, n), (trace + 0.1 * edge * unit, 1),
-             # a trace part 10x above and 0.1x below the traceless rule
-             (unit + 10.0 * TOL_RANK / np.sqrt(d) * trace, n),
-             (unit + 0.1 * TOL_RANK / np.sqrt(d) * trace, n - 1)]
-    for c, dim in cases:
+    t0 = TOL_RANK / np.sqrt(d)  # |c_0| of check_skew_coords' traceless rule
+    # (seed, its dimension at d = 2 and 4, read off at d = 2 and 4); None
+    # marks a seed on one of the read-off's bounds, where either path may run.
+    # ad_{E_P} has all its nonzero singular values at 2 / sqrt(d), so a
+    # c' = f tol E_P adds directions iff f > sqrt(d) / 2.
+    cases = [(trace, (1, 1), (True, True)),
+             (unit, (3, 15), (True, True)),
+             (trace + unit, (4, 16), (True, True)),
+             (trace + 10.0 * edge * unit, (4, 16), (True, True)),
+             (trace + 0.1 * edge * unit, (1, 1), (True, True)),
+             (trace + 0.5 * TOL_RANK * pauli, (1, 1), (None, False)),
+             (trace + 0.9 * TOL_RANK * pauli, (4, 1), (True, False)),
+             (unit + 10.0 * t0 * trace, (4, 16), (True, True)),
+             (unit + 2.0 * t0 * trace, (4, 16), (True, False)),
+             (unit + 1.0 * t0 * trace, (4, 16), (None, False)),
+             (unit + 0.5 * t0 * trace, (3, 15), (False, False)),
+             (unit + 0.1 * t0 * trace, (3, 15), (False, False))]
+    at = d // 4  # index 0 at d = 2, 1 at d = 4
+    for c, dims, read_off in cases:
         expected = _sweep(L, c)
         calls = _count_svd(monkeypatch)
         V = invariant_space(L, c)
         monkeypatch.undo()
-        assert calls[0] == 0  # no sweep ran
-        assert len(V) == len(expected) == dim
+        assert len(V) == len(expected) == dims[at]
         assert span_equals(V, expected)
+        if read_off[at] is not None:
+            assert (calls[0] == 0) == read_off[at]  # no SVD iff read off
         assert V.flags.writeable and not np.shares_memory(V, lieclosure._EYE[n])
 
 
