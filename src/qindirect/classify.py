@@ -296,18 +296,18 @@ class IdentityReport:
 
 
 def _gamma_elements(alpha: float, omega_A: float) -> dict:
-    k = alpha ** 2 + 4.0 * omega_A ** 2
-    if k == 0.0:  # alpha = omega_A = 0, or both squares below the float range
-        raise ValueError("degenerate mixing angle: alpha^2 + 4 omega_A^2 = 0")
-    c = alpha / np.sqrt(k)
-    s = 2.0 * omega_A / np.sqrt(k)
+    rk = math.hypot(alpha, 2.0 * omega_A)  # sqrt(k), k = alpha^2 + 4 omega_A^2
+    if rk == 0.0:
+        raise ValueError("degenerate mixing angle: alpha = omega_A = 0")
+    c = alpha / rk
+    s = 2.0 * omega_A / rk
     gx = {sign: _two("y", "x") + sign * (c * _two("x", "y") - (s / 2) * _one_a("x"))
           for sign in (+1, -1)}
     gy = {sign: -0.5 * (_one_a("z") + sign * (c * _one_s("z") - 2 * s * _two("y", "z")))
           for sign in (+1, -1)}
     gz = {sign: _two("y", "y") - sign * (c * _two("x", "x") + (s / 2) * _one_a("y"))
           for sign in (+1, -1)}
-    return {"k": k, "c": c, "s": s, "gx": gx, "gy": gy, "gz": gz}
+    return {"rk": rk, "c": c, "s": s, "gx": gx, "gy": gy, "gz": gz}
 
 
 def _reduced_pair(alpha: float, gamma: float, beta: float,
@@ -331,8 +331,7 @@ def gamma_suite(alpha: float, gamma: float, beta: float,
     """
     l1, l2 = _reduced_pair(alpha, gamma, beta, omega_A)
     g = _gamma_elements(alpha, omega_A)
-    gx, gy, gz = g["gx"], g["gy"], g["gz"]
-    rk = np.sqrt(g["k"])
+    gx, gy, gz, rk = g["gx"], g["gy"], g["gz"], g["rk"]
 
     res = {}
     for sign, tag in ((+1, "p"), (-1, "m")):
@@ -380,7 +379,7 @@ def appendix_b_suite(x: float, y: float, z: float, alpha: float,
     argument downstream needs anyway.
     """
     g = _gamma_elements(alpha, omega_A)
-    c, s, k = g["c"], g["s"], g["k"]
+    c, s, rk = g["c"], g["s"], g["rk"]
     cvec = np.array([x, y, z], dtype=float)
     if abs(np.dot(cvec, cvec) - 1.0) > 1e-9:
         raise ValueError("(x, y, z) must be unit length")
@@ -432,7 +431,7 @@ def appendix_b_suite(x: float, y: float, z: float, alpha: float,
         # final double bracket, exact form (printed one drops the
         # y-dependent part and halves the local coefficient)
         "final_double": norm(
-            (1.0 / np.sqrt(k)) * bracket(
+            (1.0 / rk) * bracket(
                 8 * omega_A * bracket(gz_p, p) + alpha * x * (gz_p - gz_m), p)
             - (0.5 * (x ** 2 + s ** 2 * (y ** 2 + z ** 2)) * _one_a("y")
                - s * y * _two_vec(cvec, "y"))),

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 One subcommand per analysis, each driven by a JSON config file plus a few
-overriding flags.  ``COMMANDS`` declares every subcommand once: the
-function that runs it, whether its config is required (and, for classify,
+overriding flags, whose text goes through the converter of the config key
+it overrides.  ``COMMANDS`` declares every subcommand once: the function
+that runs it, whether its config is required (and, for classify,
 closure and negat, carries the model fields at the top level), the flags it
 takes besides --output, and the config keys it reads.  A config key outside
 that set is an error; for the model commands such keys are passed to
@@ -12,7 +13,8 @@ draws, and a key or flag that the chosen mode does not read is an error
 too.  Verdicts are emitted as sorted-key JSON, with a "tolerances" block
 from the commands that make rank decisions; ``_emit`` opens the one output
 file, and sample writes its CSV there.  Exit codes: 0 success (negative
-verdicts included), 1 malformed config, 2 precondition violations.
+verdicts included), 1 malformed config or flag value, 2 precondition
+violations.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ def _seed(value) -> int:
 
 
 def _option(cfg: dict, args, key: str, default, kind):
-    """The flag value if given, else cfg[key] or the default, as ``kind``."""
+    """The flag's text if given, else cfg[key] or the default, as ``kind``."""
     val = getattr(args, key, None)
     if val is None:
         val = json_numbers(cfg.get(key, default), key)
@@ -146,13 +148,13 @@ def _draws(cfg: dict, args, default: int):
 
 def _steer_residual(rho_s, x) -> float:
     t = _indirect.pure_uic_steer(rho_s, x)
-    out = partial_trace(t @ tensor(rho_s, _indirect.E1) @ dagger(t), "S")
+    out = partial_trace(t @ tensor(rho_s, _indirect.E1) @ dagger(t))
     return frob(out - x @ rho_s @ dagger(x))
 
 
 def _fic_residual(rho_s, psi_a, target) -> float:
     u = _indirect.fic_reach(rho_s, psi_a, target)
-    out = partial_trace(u @ tensor(rho_s, psi_a) @ dagger(u), "S")
+    out = partial_trace(u @ tensor(rho_s, psi_a) @ dagger(u))
     return frob(out - target)
 
 
@@ -322,8 +324,7 @@ COMMANDS = {
                       "optional", _DRAWS, frozenset(_DRAWS)),
 }
 
-_FLAGS = {"seed": ("--seed", int), "draws": ("--draws", int),
-          "tol_rank": ("--tol-rank", float)}
+_FLAGS = {"seed": "--seed", "draws": "--draws", "tol_rank": "--tol-rank"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -339,8 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
         else:
             p.add_argument("config", help="JSON config file")
         for key in cmd.flags:
-            flag, kind = _FLAGS[key]
-            p.add_argument(flag, dest=key, type=kind, default=None)
+            p.add_argument(_FLAGS[key], dest=key, default=None)
         p.add_argument("--output", default=None)
     return parser
 

@@ -27,8 +27,9 @@ Conventions used throughout the package:
   basis and ``bracket`` applies it to coordinates; ``check_skew_coords``
   decides which coordinates lie in u(d) and returns them at unit norm.
 * Everything the package exponentiates is skew-Hermitian (a generator of a
-  unitary), so ``mat_exp`` accepts only such matrices and uses a Hermitian
-  eigendecomposition.  TOL_RANK is the one global default tolerance.
+  unitary), so ``mat_exp`` accepts only matrices whose coordinates pass
+  ``check_skew_coords`` and uses a Hermitian eigendecomposition.  TOL_RANK
+  is the one global default tolerance.
 """
 
 from __future__ import annotations
@@ -53,9 +54,6 @@ ID4 = np.eye(4, dtype=complex)
 SIGMA_X = 0.5j * PAULI_X_TILDE
 SIGMA_Y = 0.5j * PAULI_Y_TILDE
 SIGMA_Z = 0.5j * PAULI_Z_TILDE
-
-_TILDE = {"x": PAULI_X_TILDE, "y": PAULI_Y_TILDE, "z": PAULI_Z_TILDE}
-_SIGMA = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -108,14 +106,6 @@ def from_pauli_coords(coords) -> np.ndarray:
     return (coords @ _FLAT_BASIS[d]).reshape(coords.shape[:-1] + (d, d))
 
 
-def skew_coords(mats, require_traceless: bool, tol: float) -> np.ndarray:
-    """Real Pauli coordinates c of skew-Hermitian (..., d, d) matrices M,
-    checked by ``check_skew_coords``, at their own norm."""
-    c = pauli_coords(mats)
-    check_skew_coords(c, require_traceless, tol)
-    return c.real
-
-
 def check_skew_coords(c, require_traceless: bool, tol: float) -> np.ndarray:
     """Re c at unit norm per row (a zero row stays zero) for complex Pauli
     coordinates c (..., d^2) of matrices M in u(d).
@@ -153,13 +143,6 @@ STRUCTURE = {d: _structure(E) for d, E in PAULI_BASIS.items()}
 def bracket(x, y) -> np.ndarray:
     """Coordinates of [X, Y] from real coordinates (..., d^2) of X and Y."""
     return np.einsum("...j,...k,jkl->...l", x, y, STRUCTURE[coords_dim(x)])
-
-
-def pauli(axis: str, tilde: bool = False) -> np.ndarray:
-    """Return sigma_axis, or the Hermitian tilde_axis when ``tilde`` is set."""
-    if axis not in _TILDE:
-        raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
-    return (_TILDE if tilde else _SIGMA)[axis].copy()
 
 
 def sigma_from_vec(a) -> np.ndarray:
@@ -203,35 +186,27 @@ def frob(A) -> float:
     return float(np.linalg.norm(np.asarray(A)))
 
 
-def partial_trace(rho, keep: str = "S") -> np.ndarray:
-    """Trace out one qubit of 4x4 operators in S (x) A ordering.
-
-    Args:
-        rho: 4x4 complex matrix, or a (..., 4, 4) stack of them.
-        keep: "S" traces out the accessor, "A" traces out the target.
-    """
+def partial_trace(rho) -> np.ndarray:
+    """Tr_A of a 4x4 operator in S (x) A ordering, or of each matrix in a
+    (..., 4, 4) stack: the accessor is traced out and S is kept."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"partial_trace expects 4x4 matrices, got {rho.shape}")
     r = rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))
-    if keep == "S":
-        return np.einsum("...iaja->...ij", r)
-    if keep == "A":
-        return np.einsum("...aiaj->...ij", r)
-    raise ValueError(f"keep must be 'S' or 'A', got {keep!r}")
+    return np.einsum("...iaja->...ij", r)
 
 
 def mat_exp(A) -> np.ndarray:
     """Exponential of a skew-Hermitian 2x2 or 4x4 matrix.
 
-    The input is checked by ``skew_coords`` and the exponential is computed
-    from the eigendecomposition of the Hermitian matrix iA, which yields an
-    exactly unitary result up to eigensolver accuracy.
+    The input is checked by ``check_skew_coords`` and the exponential is
+    computed from the eigendecomposition of the Hermitian matrix iA, which
+    yields an exactly unitary result up to eigensolver accuracy.
     """
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2:
         raise ValueError("mat_exp expects one matrix")
-    skew_coords(A, require_traceless=False, tol=TOL_RANK)
+    check_skew_coords(pauli_coords(A), require_traceless=False, tol=TOL_RANK)
     w, u = np.linalg.eigh(1j * A)  # A = -i H with H Hermitian
     return (u * np.exp(-1j * w)) @ u.conj().T
 

@@ -43,10 +43,7 @@ A factor turns all its live planes in one gather, turn and scatter
 (``_turn``): with kl = (k..., l...) and its swap lk = (l..., k...), built
 at import (``_TURNS``), x[kl] cos + x[lk] (-sin, +sin) is written back to
 kl.  That is (c x_k - s x_l, c x_l + s x_k) bit for bit, since a - b and
-a + (-b) round alike.  The first factor, s3, acts on the start state,
-which is the same in every column and zero at the l coordinate of each of
-its live planes, so its turn is the two outer products x_k cos and x_k sin
-(an exact zero may change sign).
+a + (-b) round alike.
 
 Two oracles follow other routes.  ``reachable_point`` maps one angle row
 through 4x4 matrices: the closed form ``y_closed_form``, which substitutes
@@ -225,7 +222,7 @@ def reachable_point(cfg: SampleConfig, row) -> np.ndarray:
     omega = y @ tensor(z3 @ rho_s @ dagger(z3),
                        z4 @ rho_a @ dagger(z4)) @ dagger(y)
     z1 = z_rotation(t1)
-    return bloch(z1 @ partial_trace(omega, keep="S") @ dagger(z1))
+    return bloch(z1 @ partial_trace(omega) @ dagger(z1))
 
 
 def _angle_table(cfg: SampleConfig) -> np.ndarray:
@@ -376,13 +373,9 @@ def _sample_block(state, table) -> np.ndarray:
     np.multiply(table[:, _SWEEP_COLUMNS].T, _HALF_SCALE[:, None], out=half)
     cos, sin = _half_angle_turn(half)
     np.negative(sin, out=sines[:, 0, 0])
-    # s3 turns the start, the same in every column and zero at l
-    k, l = _TURNS[0][0]
     x = np.empty((16, rows))
     x[:] = state[:, None]
-    x[k] = np.multiply.outer(state[k], cos[0])
-    x[l] = np.multiply.outer(state[k], sin[0])
-    for (kl, lk), c, s in zip(_TURNS[1:], cos[1:], sines[1:]):
+    for (kl, lk), c, s in zip(_TURNS, cos, sines):
         _turn(x, kl, lk, c, s)
     return state_bloch(2.0 * x[_READ].T)  # Tr(P_a rho') = 2 x_a0
 

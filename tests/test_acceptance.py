@@ -143,7 +143,7 @@ def test_criterion_5_steering():
         rho_s = bloch_inverse(_random_bloch(rng, hi=0.99))
         x = _random_su2(rng)
         t = pure_uic_steer(rho_s, x)
-        out = partial_trace(t @ tensor(rho_s, E1) @ dagger(t), keep="S")
+        out = partial_trace(t @ tensor(rho_s, E1) @ dagger(t))
         worst = max(worst, frob(out - x @ rho_s @ dagger(x)))
     elapsed = time.perf_counter() - start
     _report(5, "pure-accessor steering", worst < 1e-10,
@@ -167,9 +167,9 @@ def test_criterion_6_state_transfer():
         rho_s = bloch_inverse(_random_bloch(rng, hi=0.99))
         psi = _pure(rng)
         u = fic_mix(rho_s, psi)
-        out = partial_trace(u @ tensor(rho_s, psi) @ dagger(u), keep="S")
+        out = partial_trace(u @ tensor(rho_s, psi) @ dagger(u))
         mix_worst = max(mix_worst, frob(out - ID2 / 2))
-        out = partial_trace(s @ tensor(rho_s, psi) @ dagger(s), keep="S")
+        out = partial_trace(s @ tensor(rho_s, psi) @ dagger(s))
         swap_worst = max(swap_worst, frob(out - psi))
 
     eig_worst = 0.0
@@ -178,7 +178,7 @@ def test_criterion_6_state_transfer():
         psi = _pure(rng)
         target = bloch_inverse(_random_bloch(rng, hi=0.99))
         u = fic_reach(rho_s, psi, target)
-        out = partial_trace(u @ tensor(rho_s, psi) @ dagger(u), keep="S")
+        out = partial_trace(u @ tensor(rho_s, psi) @ dagger(u))
         err = np.abs(np.linalg.eigvalsh(out) - np.linalg.eigvalsh(target))
         eig_worst = max(eig_worst, err.max())
     elapsed = time.perf_counter() - start

@@ -21,7 +21,8 @@ from qindirect.lieclosure import closure, contains, orthonormalize, span_equals
 from qindirect.model import (SingleAxis, TwoQubitModel, generator_set,
                              ising_model, random_model,
                              random_single_axis_model)
-from qindirect.qalg import ID2, TOL_RANK, frame, pauli, skew_coords, tensor
+from qindirect.qalg import (ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, TOL_RANK,
+                            check_skew_coords, frame, pauli_coords, tensor)
 
 st_unit3 = st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)).filter(
     lambda v: 0.1 < np.linalg.norm(v) <= 1.0).map(
@@ -37,11 +38,11 @@ def _axis_model(K, C, n=(0.0, 0.0, 1.0)):
 
 
 def _l1_l2(alpha, gamma, beta, omega_a):
-    l1 = tensor(ID2, pauli("z"))
-    l2 = (alpha * 1j * tensor(pauli("x"), pauli("x"))
-          + gamma * 1j * tensor(pauli("y"), pauli("x"))
-          + beta * 1j * tensor(pauli("y"), pauli("y"))
-          + omega_a * tensor(ID2, pauli("y")))
+    l1 = tensor(ID2, SIGMA_Z)
+    l2 = (alpha * 1j * tensor(SIGMA_X, SIGMA_X)
+          + gamma * 1j * tensor(SIGMA_Y, SIGMA_X)
+          + beta * 1j * tensor(SIGMA_Y, SIGMA_Y)
+          + omega_a * tensor(ID2, SIGMA_Y))
     return l1, l2
 
 
@@ -442,7 +443,7 @@ def test_reduced_pair_dims():
     assert reduced_pair_closure_dim(alpha, 0.4, rk, omega_a) == 6
 
 
-@pytest.mark.parametrize("scale", [1e-13, 1.0, 1e8])
+@pytest.mark.parametrize("scale", [1e-170, 1e-13, 1.0, 1e8])
 def test_identity_suites_are_scale_free(scale):
     # the alpha != 0 and mixing-angle guards are relative: the reduced pair
     # closes at 6 at every scale, and the suites run on the same pair
@@ -465,8 +466,9 @@ def test_reduced_pair_special_basis_spans_closure():
     rk = np.sqrt(alpha ** 2 + 4 * omega_a ** 2)
     for flip in (False, True):
         beta = -rk if flip else rk
-        L = closure(skew_coords(np.array(_l1_l2(alpha, 0.0, beta, omega_a)),
-                                require_traceless=True, tol=TOL_RANK))
+        L = closure(check_skew_coords(
+            pauli_coords(np.array(_l1_l2(alpha, 0.0, beta, omega_a))),
+            require_traceless=True, tol=TOL_RANK))
         special = orthonormalize(reduced_pair_special_basis(alpha, omega_a,
                                                             flip=flip))
         assert span_equals(L, special)

@@ -477,6 +477,25 @@ def test_negative_seed_flag_is_exit_1(tmp_path, capsys, command):
     assert "error:" in err and "seed" in err
 
 
+@pytest.mark.parametrize("command, config, flag, value", [
+    ("fic", None, "--seed", "abc"),
+    ("verify", None, "--draws", "2.5"),
+    ("steer", None, "--seed", "3.0"),
+    ("closure", ISING, "--tol-rank", "abc"),
+    ("sample", SAMPLE, "--seed", "x"),
+], ids=["fic-seed-abc", "verify-draws-2.5", "steer-seed-3.0",
+        "closure-tol-rank-abc", "sample-seed-x"])
+def test_malformed_flag_value_is_exit_1(tmp_path, capsys, command, config,
+                                        flag, value):
+    # a flag value goes through the converter of its config key, so a value
+    # of the wrong type is malformed input, not an argparse usage error
+    args = [] if config is None else [_write(tmp_path, "cfg.json", config)]
+    code, out, err = _run(capsys, command, *args, flag, value)
+    assert code == 1
+    assert out == ""
+    assert "error:" in err
+
+
 @pytest.mark.parametrize("command, text", [
     ("sample", '{"s_x": NaN, "s_z": 0.0, "a_z": 1.0, "n": 4}'),
     ("sample", '{"s_x": 0.0, "s_z": 0.5, "a_z": -Infinity}'),

@@ -263,7 +263,7 @@ def test_pure_uic_steer_contract(p, x):
     rho_s = bloch_inverse(p)
     t = pure_uic_steer(rho_s, x)
     assert frob(t @ dagger(t) - ID4) < 1e-12
-    out = partial_trace(t @ tensor(rho_s, E1) @ dagger(t), keep="S")
+    out = partial_trace(t @ tensor(rho_s, E1) @ dagger(t))
     assert frob(out - x @ rho_s @ dagger(x)) < 1e-12
 
 
@@ -308,7 +308,7 @@ def test_swap_is_involution():
     assert_allclose(dagger(s), s, atol=1e-15)
     rho_s = bloch_inverse([0.1, 0.2, 0.3])
     rho_a = bloch_inverse([0.0, -0.4, 0.5])
-    out = partial_trace(s @ tensor(rho_s, rho_a) @ dagger(s), keep="S")
+    out = partial_trace(s @ tensor(rho_s, rho_a) @ dagger(s))
     assert frob(out - rho_a) < 1e-12
 
 
@@ -317,7 +317,7 @@ def test_fic_mix_maximally_mixes(p, psi):
     rho_s = bloch_inverse(p)
     u = fic_mix(rho_s, _density(psi))
     assert frob(u @ dagger(u) - ID4) < 1e-10
-    out = partial_trace(u @ tensor(rho_s, _density(psi)) @ dagger(u), keep="S")
+    out = partial_trace(u @ tensor(rho_s, _density(psi)) @ dagger(u))
     assert frob(out - ID2 / 2) < 1e-10
 
 
@@ -326,7 +326,7 @@ def test_fic_mix_edge_spectra():
     for p in ([0.0, 0.0, 0.0], [0.0, 0.0, 1.0]):  # mixed and pure targets
         rho_s = bloch_inverse(p)
         u = fic_mix(rho_s, psi)
-        out = partial_trace(u @ tensor(rho_s, psi) @ dagger(u), keep="S")
+        out = partial_trace(u @ tensor(rho_s, psi) @ dagger(u))
         assert frob(out - ID2 / 2) < 1e-10
 
 
@@ -342,7 +342,7 @@ def test_fic_reach_contract(p, psi, q):
     target = bloch_inverse(q)
     u = fic_reach(rho_s, _density(psi), target)
     assert frob(u @ dagger(u) - ID4) < 1e-10
-    out = partial_trace(u @ tensor(rho_s, _density(psi)) @ dagger(u), keep="S")
+    out = partial_trace(u @ tensor(rho_s, _density(psi)) @ dagger(u))
     assert frob(out - target) < 1e-8
 
 
@@ -352,7 +352,7 @@ def test_fic_reach_extreme_targets():
     for q in ([0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.99, 0.0]):
         target = bloch_inverse(q)
         u = fic_reach(rho_s, psi, target)
-        out = partial_trace(u @ tensor(rho_s, psi) @ dagger(u), keep="S")
+        out = partial_trace(u @ tensor(rho_s, psi) @ dagger(u))
         assert frob(out - target) < 1e-8
 
 
@@ -375,7 +375,7 @@ def test_fic_reach_is_exact():
     for rho_s, psi, target in cases:
         u = fic_reach(rho_s, psi, target)
         assert frob(u @ dagger(u) - ID4) <= 1e-12
-        out = partial_trace(u @ tensor(rho_s, psi) @ dagger(u), keep="S")
+        out = partial_trace(u @ tensor(rho_s, psi) @ dagger(u))
         assert frob(out - target) <= 1e-12
 
 

@@ -5,8 +5,9 @@ closes at 3, the standard coupled generator set closes at 15 = dim su(4),
 and closure dimensions are invariant under a unitary change of frame.  The
 Pauli-coordinate layer is checked against matrix commutators, and the
 coordinate closure against a brute-force closure in matrix form.  The tests
-write their elements as matrices and convert at the call: ``skew_coords``
-or ``pauli_coords`` on inputs, ``from_pauli_coords`` on outputs.
+write their elements as matrices and convert at the call: ``pauli_coords``
+on inputs (checked by ``check_skew_coords`` where they must be
+skew-Hermitian), ``from_pauli_coords`` on outputs.
 """
 
 import numpy as np
@@ -20,9 +21,9 @@ from qindirect.model import (FullSU2, SingleAxis, TwoQubitModel,
                              generator_set, random_model,
                              random_single_axis_model)
 from qindirect.qalg import (ID2, PAULI_BASIS, SIGMA_X, SIGMA_Y, SIGMA_Z,
-                            STRUCTURE, TOL_RANK, bloch_inverse, commutator,
-                            dagger, frob, from_pauli_coords, mat_exp,
-                            pauli_coords, skew_coords, tensor)
+                            STRUCTURE, TOL_RANK, bloch_inverse,
+                            check_skew_coords, commutator, dagger, frob,
+                            from_pauli_coords, mat_exp, pauli_coords, tensor)
 
 SX1 = tensor(SIGMA_X, ID2)
 SY1 = tensor(SIGMA_Y, ID2)
@@ -33,9 +34,11 @@ st_angles = st.tuples(*[st.floats(-3.0, 3.0)] * 6)
 
 
 def _rows(mats):
-    """(k, d^2) real coordinates of skew-Hermitian matrices; the trace is
-    kept, so the traceless check is the one under test."""
-    return skew_coords(np.asarray(mats), require_traceless=False, tol=TOL_RANK)
+    """(k, d^2) real coordinates of skew-Hermitian matrices at their own
+    norm; the trace is kept, so the traceless check is the one under test."""
+    c = pauli_coords(np.asarray(mats))
+    check_skew_coords(c, require_traceless=False, tol=TOL_RANK)
+    return c.real
 
 
 def _random_su4(angles):
@@ -282,8 +285,9 @@ def test_coords_round_trip(d, rng):
     z = rng.normal(size=(5, d, d)) + 1j * rng.normal(size=(5, d, d))
     skew = z - z.conj().transpose(0, 2, 1)
     skew -= np.trace(skew, axis1=1, axis2=2)[:, None, None] * np.eye(d) / d
-    coords = skew_coords(skew, require_traceless=True, tol=1e-9)
-    mats = from_pauli_coords(coords)
+    coords = pauli_coords(skew)
+    check_skew_coords(coords, require_traceless=True, tol=1e-9)
+    mats = from_pauli_coords(coords.real)
     assert np.abs(mats - skew).max() < 1e-14
     assert len(orthonormalize(coords)) == min(5, d * d - 1)
 

@@ -23,8 +23,11 @@ from qindirect.model import (MAX_MAGNITUDE, FullSU2, ModelFormatError,
                              ising_model, load_model, model_from_dict,
                              model_to_dict, random_model,
                              random_single_axis_model, save_model)
-from qindirect.qalg import (ID2, TOL_RANK, dagger, frob, from_pauli_coords,
-                            pauli, sigma_from_vec, skew_coords, tensor)
+from qindirect.qalg import (ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, TOL_RANK,
+                            check_skew_coords, dagger, frob, from_pauli_coords,
+                            pauli_coords, sigma_from_vec, tensor)
+
+SIGMAS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 st_k = hnp.arrays(np.float64, (3, 3), elements=st.floats(-1.0, 1.0))
 
@@ -43,13 +46,13 @@ def _kron_generators(m):
     """Oracle: the drift i(H_S + H_I + H_A) and the control directions as
     tensor products, with rows a, b, c of K coupled to sigma_{x,y,z} on A."""
     a, b, c = m.K
-    drift = (m.omega_S * tensor(pauli("z"), ID2)
-             + 1j * tensor(sigma_from_vec(a), pauli("x"))
-             + 1j * tensor(sigma_from_vec(b), pauli("y"))
-             + 1j * tensor(sigma_from_vec(c), pauli("z"))
+    drift = (m.omega_S * tensor(SIGMA_Z, ID2)
+             + 1j * tensor(sigma_from_vec(a), SIGMA_X)
+             + 1j * tensor(sigma_from_vec(b), SIGMA_Y)
+             + 1j * tensor(sigma_from_vec(c), SIGMA_Z)
              + tensor(ID2, sigma_from_vec(m.C)))
     if isinstance(m.control, FullSU2):
-        return [drift] + [tensor(ID2, pauli(ax)) for ax in "xyz"]
+        return [drift] + [tensor(ID2, s) for s in SIGMAS]
     return [drift, tensor(ID2, sigma_from_vec(m.control.n))]
 
 
@@ -118,13 +121,12 @@ def test_model_numbers_are_bounded_by_max_magnitude():
 def test_interaction_element_map():
     # K with a single unit entry (j, k) must give i H_I = i sigma_k (x) sigma_j:
     # the row index picks the accessor axis, the column the target axis.
-    axes = "xyz"
     for j in range(3):
         for k in range(3):
             K = np.zeros((3, 3))
             K[j, k] = 1.0
             drift = _generator_mats(_model(K, omega=0.0, C=np.zeros(3)))[0]
-            expect = 1j * tensor(pauli(axes[k]), pauli(axes[j]))
+            expect = 1j * tensor(SIGMAS[k], SIGMAS[j])
             assert frob(drift - expect) < 1e-15, (j, k)
 
 
@@ -135,7 +137,7 @@ def test_hamiltonians_hermitian_and_controls_skew():
     assert len(gens) == 4
     for g in gens:
         assert frob(g + dagger(g)) < 1e-12
-        skew_coords(g, require_traceless=True, tol=TOL_RANK)
+        check_skew_coords(pauli_coords(g), require_traceless=True, tol=TOL_RANK)
     axis_m = TwoQubitModel(omega_S=0.0, K=np.eye(3),
                            control=SingleAxis(n=[0.0, 1.0, 0.0]))
     assert len(generator_set(axis_m)) == 2
@@ -149,11 +151,12 @@ def test_generator_set_layout():
     gens = from_pauli_coords(coords)
     assert len(gens) == 4
     # omega_S sigma_z (x) 1 + i sigma_y (x) sigma_y, then 1 (x) sigma_{x,y,z}
-    drift = tensor(pauli("z"), ID2) + 1j * tensor(pauli("y"), pauli("y"))
+    drift = tensor(SIGMA_Z, ID2) + 1j * tensor(SIGMA_Y, SIGMA_Y)
     assert_allclose(gens[0], drift, rtol=0, atol=1e-15)
-    for g, ax in zip(gens[1:], "xyz"):
-        assert_allclose(g, tensor(ID2, pauli(ax)), rtol=0, atol=1e-15)
-    skew_coords(gens[0], require_traceless=True, tol=TOL_RANK)
+    for g, s in zip(gens[1:], SIGMAS):
+        assert_allclose(g, tensor(ID2, s), rtol=0, atol=1e-15)
+    check_skew_coords(pauli_coords(gens[0]), require_traceless=True,
+                      tol=TOL_RANK)
 
 
 st_vec = hnp.arrays(np.float64, 3, elements=st.floats(-1.0, 1.0))

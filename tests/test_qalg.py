@@ -18,9 +18,9 @@ from qindirect.qalg import (E_AB, ID2, ID4, PAULI_BASIS, PAULI_X_TILDE,
                             SIGMA_Z, STRUCTURE, TOL_RANK,
                             bloch, bloch_inverse, bracket, check_density,
                             check_skew_coords, commutator, dagger, frame,
-                            frob, from_pauli_coords, mat_exp, partial_trace, pauli,
-                            pauli_coords, sigma_from_vec, skew_coords,
-                            state_coords, tensor, z_rotation)
+                            frob, from_pauli_coords, mat_exp, partial_trace,
+                            pauli_coords, sigma_from_vec, state_coords, tensor,
+                            z_rotation)
 
 st_angle = st.floats(-10.0, 10.0)
 st_coeff = st.floats(-2.0, 2.0)
@@ -46,25 +46,14 @@ def test_sigma_is_half_i_tilde():
         assert_allclose(sig, 0.5j * til)
     # sigma_j = E_j / sqrt(2) in the one-qubit Pauli-string basis
     sigmas = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
-    assert_allclose(skew_coords(sigmas, require_traceless=True, tol=TOL_RANK),
-                    np.eye(4)[1:] / np.sqrt(2.0), atol=1e-16)
+    assert_allclose(pauli_coords(sigmas), np.eye(4)[1:] / np.sqrt(2.0),
+                    atol=1e-16)
 
 
 def test_bracket_table_cyclic():
     assert frob(commutator(SIGMA_X, SIGMA_Y) - SIGMA_Z) < 1e-15
     assert frob(commutator(SIGMA_Y, SIGMA_Z) - SIGMA_X) < 1e-15
     assert frob(commutator(SIGMA_Z, SIGMA_X) - SIGMA_Y) < 1e-15
-
-
-def test_pauli_accessor():
-    assert_allclose(pauli("x"), SIGMA_X)
-    assert_allclose(pauli("y", tilde=True), PAULI_Y_TILDE)
-    with pytest.raises(ValueError):
-        pauli("w")
-    # returned copies must not alias the module constants
-    p = pauli("z")
-    p[0, 0] = 99.0
-    assert pauli("z")[0, 0] == 0.5j
 
 
 def test_sigma_from_vec():
@@ -113,22 +102,19 @@ def test_commutator_shape_mismatch():
 @given(st_c22, st_c22)
 def test_partial_trace_factorizes(a, b):
     full = tensor(a, b)
-    assert_allclose(partial_trace(full, keep="S"), np.trace(b) * a, atol=1e-12)
-    assert_allclose(partial_trace(full, keep="A"), np.trace(a) * b, atol=1e-12)
+    assert_allclose(partial_trace(full), np.trace(b) * a, atol=1e-12)
 
 
 @given(st_c44, st_c44, st_coeff)
 def test_partial_trace_linear(m1, m2, c):
-    lhs = partial_trace(m1 + c * m2, keep="S")
-    rhs = partial_trace(m1, keep="S") + c * partial_trace(m2, keep="S")
+    lhs = partial_trace(m1 + c * m2)
+    rhs = partial_trace(m1) + c * partial_trace(m2)
     assert_allclose(lhs, rhs, atol=1e-12)
 
 
 def test_partial_trace_errors():
     with pytest.raises(ValueError):
         partial_trace(np.eye(2))
-    with pytest.raises(ValueError):
-        partial_trace(np.eye(4), keep="B")
 
 
 @given(st.one_of(st_c22, st_c44))
@@ -186,40 +172,37 @@ def test_frame(rng):
     assert_allclose(frame(-e_x, e_x + e_y), [-e_x, e_y, -e_z], atol=1e-15)
 
 
-def test_skew_coords():
-    # 1j tilde_x = sqrt(2) E_1 and 1j * 1 = sqrt(2) E_0
-    assert_allclose(skew_coords(1j * PAULI_X_TILDE, require_traceless=True,
-                                tol=TOL_RANK), [0.0, np.sqrt(2.0), 0.0, 0.0])
-    assert_allclose(skew_coords(1j * ID2, require_traceless=False,
-                                tol=TOL_RANK), [np.sqrt(2.0), 0.0, 0.0, 0.0])
+def test_skew_coords(rng):
+    # 1j tilde_x = sqrt(2) E_1 and 1j * 1 = sqrt(2) E_0, handed back at unit norm
+    assert_allclose(check_skew_coords(pauli_coords(1j * PAULI_X_TILDE),
+                                      require_traceless=True, tol=TOL_RANK),
+                    [0.0, 1.0, 0.0, 0.0])
+    assert_allclose(check_skew_coords(pauli_coords(1j * ID2),
+                                      require_traceless=False, tol=TOL_RANK),
+                    [1.0, 0.0, 0.0, 0.0])
     with pytest.raises(ValueError, match="not traceless"):
-        skew_coords(1j * ID2, require_traceless=True, tol=TOL_RANK)
+        check_skew_coords(pauli_coords(1j * ID2), require_traceless=True,
+                          tol=TOL_RANK)
     with pytest.raises(ValueError, match="not skew-Hermitian"):
-        skew_coords(PAULI_X_TILDE, require_traceless=False, tol=TOL_RANK)
+        check_skew_coords(pauli_coords(PAULI_X_TILDE), require_traceless=False,
+                          tol=TOL_RANK)
     # one bad matrix rejects the stack
     with pytest.raises(ValueError, match="not skew-Hermitian"):
-        skew_coords(np.stack([SIGMA_X, ID2]), require_traceless=False,
-                    tol=TOL_RANK)
+        check_skew_coords(pauli_coords(np.stack([SIGMA_X, ID2])),
+                          require_traceless=False, tol=TOL_RANK)
+    mats = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
+    with pytest.raises(ValueError, match="not skew-Hermitian"):
+        check_skew_coords(pauli_coords(mats), False, TOL_RANK)
     # the bound is relative to max(1, ||M||): a Hermitian part of 1e-4 is
     # rejected next to sigma_x and accepted next to 1e6 sigma_x at tol 1e-9
     with pytest.raises(ValueError):
-        skew_coords(SIGMA_X + 1e-4 * ID2, require_traceless=False, tol=1e-9)
-    skew_coords(1e6 * SIGMA_X + 1e-4 * ID2, require_traceless=False,
-                tol=1e-9)
+        check_skew_coords(pauli_coords(SIGMA_X + 1e-4 * ID2),
+                          require_traceless=False, tol=1e-9)
+    check_skew_coords(pauli_coords(1e6 * SIGMA_X + 1e-4 * ID2),
+                      require_traceless=False, tol=1e-9)
     with pytest.raises(ValueError):
-        skew_coords(np.zeros((3, 3)), require_traceless=False, tol=TOL_RANK)
-
-
-def test_check_skew_coords_is_skew_coords_on_coordinates(rng):
-    mats = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
-    skew = 0.5 * (mats - dagger(mats))
-    # skew_coords keeps each norm; check_skew_coords hands back unit rows
-    c = skew_coords(skew, False, TOL_RANK)
-    assert_allclose(check_skew_coords(pauli_coords(skew), False, TOL_RANK),
-                    c / np.hypot.reduce(c, axis=-1, keepdims=True),
-                    rtol=0, atol=0)
-    with pytest.raises(ValueError, match="not skew-Hermitian"):
-        check_skew_coords(pauli_coords(mats), False, TOL_RANK)
+        check_skew_coords(pauli_coords(np.zeros((3, 3))),
+                          require_traceless=False, tol=TOL_RANK)
 
 
 @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1.0, 1e150])
@@ -432,12 +415,10 @@ def test_state_bloch_checks_a_real_input(bad, message):
 
 def test_partial_trace_on_a_stack(rng):
     m = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
-    for keep in ("S", "A"):
-        out = partial_trace(m, keep=keep)
-        assert out.shape == (5, 2, 2)
-        for full, part in zip(m, out):
-            assert_allclose(part, partial_trace(full, keep=keep), rtol=0,
-                            atol=1e-15)
+    out = partial_trace(m)
+    assert out.shape == (5, 2, 2)
+    for full, part in zip(m, out):
+        assert_allclose(part, partial_trace(full), rtol=0, atol=1e-15)
 
 
 def test_dagger_on_a_stack(rng):
@@ -459,8 +440,8 @@ def test_pauli_basis_orthonormal_skew(d):
     E = PAULI_BASIS[d]
     gram = np.einsum("jab,kab->jk", E.conj(), E)
     assert_allclose(gram, np.eye(d * d), atol=1e-15)
-    assert_allclose(skew_coords(E, require_traceless=False, tol=TOL_RANK),
-                    np.eye(d * d), atol=1e-15)
+    assert_allclose(check_skew_coords(pauli_coords(E), require_traceless=False,
+                                      tol=TOL_RANK), np.eye(d * d), atol=1e-15)
     assert_allclose(pauli_coords(E), np.eye(d * d), atol=1e-15)
     assert_allclose(from_pauli_coords(np.eye(d * d)), E, atol=1e-15)
 
@@ -470,8 +451,8 @@ def test_pauli_basis_partial_trace_is_a_selection():
     for a in range(4):
         for b in range(4):
             expect = np.sqrt(2.0) * PAULI_BASIS[2][a] if b == 0 else 0.0 * ID2
-            assert_allclose(partial_trace(PAULI_BASIS[4][4 * a + b], keep="S"),
-                            expect, atol=1e-15)
+            assert_allclose(partial_trace(PAULI_BASIS[4][4 * a + b]), expect,
+                            atol=1e-15)
 
 
 def test_shared_tables_are_read_only():
