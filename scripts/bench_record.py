@@ -13,7 +13,10 @@ and the head first in odd ones.  One traced round (``--trace 1``, the
 first seed) adds the per-layer metrics.  It then times ``qindirect
 sample`` at 10^5 points end to end (interpreter start, sampling and CSV
 output to a file), ``SAMPLE_RUNS`` times per checkout, alternated the same
-way, as an ungated number with its median and quartiles.
+way, as an ungated number with its median and quartiles.  That wall time
+cannot show a change: the same sampler code read quartiles
+[0.313, 0.456] s in ``BENCH_272ddc867e55.json`` and [0.347, 0.462] s in
+``BENCH_05aff3c2bf4b.json``, so it is a record, not a measure of a change.
 
 It writes ``BENCH_<sha>.json`` (sha: the first 12 hex digits of the
 checkout's HEAD commit) for both checkouts into the root of this

@@ -161,13 +161,6 @@ def cross_validate(m: TwoQubitModel, tol: float = TOL_RANK) -> CrossValidation:
                            agree=(dim == label.predicted_dim))
 
 
-def strong_uic(m: TwoQubitModel) -> bool:
-    """Steering between arbitrary given spectra holds iff the closure is full."""
-    if not isinstance(m.control, FullSU2):
-        raise ValueError("strong-UIC equivalence requires full accessor control")
-    return len(closure(generator_set(m))) == 15
-
-
 # ---------------------------------------------------------------------------
 # single-axis control: the normal form, and C1/C2 in closed form on floats
 

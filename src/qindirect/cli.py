@@ -29,12 +29,11 @@ import numpy as np
 from . import classify as _classify
 from . import indirect as _indirect
 from . import sampler as _sampler
-from .lieclosure import closure
+from .lieclosure import closure, projector
 from .model import (FullSU2, ModelFormatError, finite_float, generator_set,
                     json_numbers, load_json, model_from_dict)
-from .qalg import (SIGMA_X, TOL_RANK, bloch_inverse, dagger, frob,
-                   from_pauli_coords, mat_exp, partial_trace, tensor,
-                   z_rotation)
+from .qalg import (SIGMA_X, TOL_RANK, bloch_inverse, dagger, frob, mat_exp,
+                   partial_trace, tensor, z_rotation)
 
 
 def _load_config(path) -> dict:
@@ -187,8 +186,7 @@ def _cmd_closure(model, cfg: dict, args) -> dict:
     basis = closure(generator_set(model), tol=tols["tol_rank"])
     payload = {"dim": len(basis), "tolerances": tols}
     if show:
-        payload["basis"] = [{"real": m.real.tolist(), "imag": m.imag.tolist()}
-                            for m in from_pauli_coords(basis)]
+        payload["projector"] = projector(basis).tolist()
     return payload
 
 

@@ -7,7 +7,8 @@ the structure tensor ``qalg.STRUCTURE``, F[j, k, l] = <E_l, [E_j, E_k]>.
 
 Generators come in as a 2-D (k, d^2) array and every subspace goes out as
 its orthonormal (n, d^2) basis, so ``len()`` is its dimension; no matrix is
-built or read here.
+built or read here.  A basis depends on the SVD that found it, so subspaces
+are compared through the orthogonal projector P = L^T L, which does not.
 
 One routine finds the smallest subspace that contains some seeds and is
 invariant under ad_x for x in a set of operators, with one SVD rank decision
@@ -53,12 +54,6 @@ def _pairs(k: int) -> tuple:
     for index in pairs:
         index.setflags(write=False)
     return pairs
-
-
-def _residual(basis: np.ndarray, W: np.ndarray) -> np.ndarray:
-    for _ in range(2):  # project twice for numerical stability
-        W = W - (W @ basis.T) @ basis
-    return W
 
 
 def _generators(G, tol: float) -> np.ndarray:
@@ -113,15 +108,22 @@ def orthonormalize(G, tol: float = TOL_RANK) -> np.ndarray:
     return _split(G, _EYE[G.shape[1]][1:], tol)[0]
 
 
+def projector(L: np.ndarray) -> np.ndarray:
+    """Orthogonal projector L^T L onto the span of the orthonormal (n, d^2)
+    basis L: a (d^2, d^2) array that depends on the span alone."""
+    return L.T @ L
+
+
 def contains(basis: np.ndarray, c, tol: float = TOL_RANK) -> bool:
     """True iff the element of Pauli coordinates c (real, or complex as
-    from ``qalg.pauli_coords``) lies in span(basis) to relative tol."""
+    from ``qalg.pauli_coords``) lies in span(basis) to relative tol:
+    ||c - P c|| <= tol ||c|| for P = ``projector(basis)``."""
     n = np.hypot.reduce(np.abs(c).ravel())  # ||c||, scaled before squaring
     if n == 0.0:
         return True
     c = np.asarray(c) / n
     # the imaginary (Hermitian) part of c is never in a real skew span
-    res = np.hypot(np.linalg.norm(_residual(basis, c.real)),
+    res = np.hypot(np.linalg.norm(c.real - c.real @ projector(basis)),
                    np.linalg.norm(c.imag))
     return res <= tol
 
@@ -213,8 +215,10 @@ def trace_A_image(V: np.ndarray, tol: float = TOL_RANK) -> np.ndarray:
 
 
 def span_equals(a: np.ndarray, b: np.ndarray, tol: float = TOL_RANK) -> bool:
-    """Mutual containment of two orthonormal bases."""
+    """True iff the orthonormal bases a and b of one shape span one subspace
+    to tol: the largest singular value of P_a - P_b, the sine of the largest
+    principal angle between the spans, is at most tol.  The verdict depends
+    on the two spans alone, not on the bases given for them."""
     if a.shape != b.shape:
         return False
-    res = [_residual(y, x) for x, y in ((a, b), (b, a))]
-    return all(np.linalg.norm(r, axis=1).max(initial=0.0) <= tol for r in res)
+    return np.linalg.norm(projector(a) - projector(b), 2) <= tol

@@ -188,15 +188,6 @@ def model_from_dict(d: dict) -> TwoQubitModel:
         raise ModelFormatError(str(exc)) from exc
 
 
-def model_to_dict(m: TwoQubitModel) -> dict:
-    if isinstance(m.control, FullSU2):
-        ctl = {"type": "full"}
-    else:
-        ctl = {"type": "axis", "n": m.control.n.tolist()}
-    return {"omega_S": m.omega_S, "K": m.K.tolist(), "C": m.C.tolist(),
-            "control": ctl}
-
-
 def load_json(fh):
     """json.load that rejects non-finite numbers with ModelFormatError.
 
@@ -222,12 +213,6 @@ def load_model(path) -> TwoQubitModel:
         except json.JSONDecodeError as exc:
             raise ModelFormatError(f"invalid JSON in {path}: {exc}") from exc
     return model_from_dict(d)
-
-
-def save_model(m: TwoQubitModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(m), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------

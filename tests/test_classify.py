@@ -16,7 +16,7 @@ from qindirect.classify import (CASE_DIMS, appendix_b_suite, c2_failure_subalgeb
                                 cross_validate, drift_perp_components,
                                 gamma_suite, normal_form, oms0_check,
                                 predict_case, reduced_pair_closure_dim,
-                                reduced_pair_special_basis, strong_uic)
+                                reduced_pair_special_basis)
 from qindirect.lieclosure import closure, contains, orthonormalize, span_equals
 from qindirect.model import (SingleAxis, TwoQubitModel, generator_set,
                              ising_model, random_model,
@@ -113,8 +113,6 @@ def test_predict_case_rejects_single_axis():
     m = _axis_model(np.eye(3), np.zeros(3))
     with pytest.raises(ValueError):
         predict_case(m)
-    with pytest.raises(ValueError):
-        strong_uic(m)
 
 
 def test_predict_case_vanishing_interaction():
@@ -143,13 +141,6 @@ def test_predict_case_marginal_flag(rng):
     K2 = K.copy()
     K2[:, 2] = 0.5
     assert not predict_case(TwoQubitModel(omega_S=1.0, K=K2)).marginal
-
-
-def test_strong_uic(rng):
-    assert strong_uic(random_model("1a", rng))
-    assert strong_uic(random_model("2c", rng))
-    assert not strong_uic(ising_model())
-    assert not strong_uic(random_model("1c", rng))
 
 
 # ---------------------------------------------------------------------------

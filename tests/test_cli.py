@@ -20,10 +20,13 @@ import pytest
 
 import qindirect
 from qindirect import cli
-from qindirect.model import ising_model, model_to_dict
+from qindirect.lieclosure import closure, projector
+from qindirect.model import generator_set, ising_model
 from qindirect.sampler import SampleConfig, parse_csv, sample
 
-ISING = model_to_dict(ising_model())
+# the JSON form of ising_model()
+ISING = {"omega_S": 1.0, "K": [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]],
+         "C": [0.0, 0.0, 0.0], "control": {"type": "full"}}
 AXIS_CC = {"omega_S": 0.0, "K": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
            "C": [0.0, 1.0, 0.0], "control": {"type": "axis", "n": [0, 0, 1]}}
 CASE_1C = {"omega_S": 1.0, "K": [[0, 0, 0.4], [0, 0, -0.3], [0, 0, 0.8]],
@@ -155,18 +158,16 @@ def test_closure_with_basis(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["dim"] == 10
-    assert len(payload["basis"]) == 10
-    first = payload["basis"][0]
-    assert np.asarray(first["real"]).shape == (4, 4)
-    assert np.asarray(first["imag"]).shape == (4, 4)
-    # the coordinates come back as skew-Hermitian, traceless matrices,
-    # orthonormal under Re Tr(A^dag B)
-    mats = np.array([np.asarray(b["real"]) + 1j * np.asarray(b["imag"])
-                     for b in payload["basis"]])
-    assert np.abs(mats + mats.conj().transpose(0, 2, 1)).max() <= 1e-12
-    assert np.abs(np.trace(mats, axis1=1, axis2=2)).max() <= 1e-12
-    gram = np.einsum("kij,lij->kl", mats.conj(), mats).real
-    assert np.abs(gram - np.eye(10)).max() <= 1e-12
+    assert "basis" not in payload
+    # the algebra is printed as its orthogonal projector in Pauli
+    # coordinates: symmetric, idempotent, of trace dim
+    P = np.asarray(payload["projector"])
+    assert P.shape == (16, 16)
+    assert np.abs(P - P.T).max() <= 1e-12
+    assert np.abs(P @ P - P).max() <= 1e-12
+    assert abs(np.trace(P) - 10) <= 1e-12
+    expect = projector(closure(generator_set(ising_model())))
+    assert np.abs(P - expect).max() <= 1e-12
 
 
 @pytest.mark.parametrize("extra", [{}, {"basis": None}, {"basis": False}])

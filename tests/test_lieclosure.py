@@ -16,7 +16,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from qindirect import lieclosure
 from qindirect.lieclosure import (closure, contains, invariant_space,
-                                  orthonormalize, span_equals, trace_A_image)
+                                  orthonormalize, projector, span_equals,
+                                  trace_A_image)
 from qindirect.model import (FullSU2, SingleAxis, TwoQubitModel,
                              generator_set, random_model,
                              random_single_axis_model)
@@ -261,6 +262,54 @@ def test_span_equals():
     assert not span_equals(a, orthonormalize(_rows([SX1])))
 
 
+@pytest.mark.parametrize("sine, same", [(0.5, True), (1.2, False),
+                                        (2.0, False)])
+def test_span_equals_does_not_depend_on_the_bases(sine, same):
+    # {x, y} against {x cos t + z sin t, y}: the largest principal angle is
+    # t, given as it is and turned by 45 degrees inside each span
+    x, y, z = np.eye(16)[1:4]
+    s = sine * TOL_RANK
+    a = np.array([x, y])
+    b = np.array([np.sqrt(1.0 - s * s) * x + s * z, y])
+    turn = np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2.0)
+    assert span_equals(a, b) == span_equals(b, a) == same
+    assert span_equals(turn @ a, turn @ b) == same
+
+
+def _kind_model(kind, rng):
+    """A random model of a full-control case or a single-axis kind."""
+    if kind in (None, "c1", "c2"):
+        return random_single_axis_model(rng, violate=kind)
+    return random_model(kind, rng)
+
+
+MODEL_KINDS = ["1a", "1b", "1c", "2a", "2b", "2c", None, "c1", "c2"]
+
+
+@settings(max_examples=25)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(MODEL_KINDS))
+def test_projector_is_an_orthogonal_projector(seed, kind):
+    L = closure(generator_set(_kind_model(kind, np.random.default_rng(seed))))
+    P = projector(L)
+    assert P.shape == (16, 16)
+    assert np.abs(P @ P - P).max() <= 1e-12
+    assert np.abs(P - P.T).max() <= 1e-12
+    assert abs(np.trace(P) - len(L)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_projector_depends_on_the_algebra_alone(kind):
+    # the bases of closure(G), of closure(G) at rounding-level noise and of
+    # the closure of the reversed generators differ; their projectors do not
+    # (fixed draws: on a nearly rank-deficient single-axis draw the split
+    # itself moves by more than 1e-12)
+    rng = np.random.default_rng(1)
+    G = generator_set(_kind_model(kind, rng))
+    P = projector(closure(G))
+    for H in (G * (1.0 + 4e-16 * rng.normal(size=G.shape)), G[::-1]):
+        assert np.abs(projector(closure(H)) - P).max() <= 1e-12
+
+
 def test_closure_generators_must_share_dim():
     # rows of different widths make no 2-D array
     with pytest.raises(ValueError):
@@ -341,15 +390,10 @@ def test_closure_matches_matrix_oracle_rotated(angles, gens):
 
 @settings(max_examples=25)
 @given(st.integers(0, 2 ** 32 - 1),
-       st.sampled_from(["1a", "1b", "1c", "2a", "2b", "2c", None, "c1", "c2"]))
+       st.sampled_from(MODEL_KINDS))
 @example(284, None)  # the earlier oracle lost a dimension here (14, not 15)
 def test_closure_matches_matrix_oracle_models(seed, kind):
-    rng = np.random.default_rng(seed)
-    if kind in (None, "c1", "c2"):
-        m = random_single_axis_model(rng, violate=kind)
-    else:
-        m = random_model(kind, rng)
-    gens = generator_set(m)
+    gens = generator_set(_kind_model(kind, np.random.default_rng(seed)))
     assert len(closure(gens)) == _oracle_dim(from_pauli_coords(gens))
 
 

@@ -21,8 +21,7 @@ from numpy.testing import assert_allclose
 from qindirect.model import (MAX_MAGNITUDE, FullSU2, ModelFormatError,
                              SingleAxis, TwoQubitModel, generator_set,
                              ising_model, load_model, model_from_dict,
-                             model_to_dict, random_model,
-                             random_single_axis_model, save_model)
+                             random_model, random_single_axis_model)
 from qindirect.qalg import (ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, TOL_RANK,
                             check_skew_coords, dagger, frob, from_pauli_coords,
                             pauli_coords, sigma_from_vec, tensor)
@@ -30,6 +29,11 @@ from qindirect.qalg import (ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, TOL_RANK,
 SIGMAS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 st_k = hnp.arrays(np.float64, (3, 3), elements=st.floats(-1.0, 1.0))
+
+
+# the JSON form of ising_model()
+ISING = {"omega_S": 1.0, "K": [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]],
+         "C": [0.0, 0.0, 0.0], "control": {"type": "full"}}
 
 
 def _model(K, omega=0.7, C=(0.1, 0.2, 0.3)):
@@ -187,25 +191,26 @@ def test_interaction_additive_in_K(k1, k2):
 
 
 def test_json_round_trip_full_control():
-    m = _model(np.arange(9.0).reshape(3, 3) + 0.5, omega=-1.25)
-    d = model_to_dict(m)
-    m2 = model_from_dict(json.loads(json.dumps(d)))
-    assert m2.omega_S == m.omega_S
-    assert np.array_equal(m2.K, m.K)
-    assert np.array_equal(m2.C, m.C)
-    assert isinstance(m2.control, FullSU2)
+    K = np.arange(9.0).reshape(3, 3) + 0.5
+    d = {"omega_S": -1.25, "K": K.tolist(), "C": [0.1, 0.2, 0.3],
+         "control": {"type": "full"}}
+    m = model_from_dict(json.loads(json.dumps(d)))
+    assert m.omega_S == -1.25
+    assert np.array_equal(m.K, K)
+    assert np.array_equal(m.C, [0.1, 0.2, 0.3])
+    assert isinstance(m.control, FullSU2)
 
 
 def test_json_round_trip_single_axis():
-    m = TwoQubitModel(omega_S=0.0, K=np.eye(3), C=np.ones(3),
-                      control=SingleAxis(n=[3.0, 0.0, 4.0]))
-    m2 = model_from_dict(model_to_dict(m))
-    assert isinstance(m2.control, SingleAxis)
-    assert_allclose(m2.control.n, [0.6, 0.0, 0.8])
+    d = {"omega_S": 0.0, "K": np.eye(3).tolist(), "C": [1.0, 1.0, 1.0],
+         "control": {"type": "axis", "n": [3.0, 0.0, 4.0]}}
+    m = model_from_dict(json.loads(json.dumps(d)))
+    assert isinstance(m.control, SingleAxis)
+    assert_allclose(m.control.n, [0.6, 0.0, 0.8])
 
 
 def test_model_from_dict_strictness():
-    good = model_to_dict(ising_model())
+    good = ISING
     with pytest.raises(ModelFormatError):
         model_from_dict({**good, "extra": 1})
     with pytest.raises(ModelFormatError):
@@ -236,7 +241,7 @@ def test_model_from_dict_strictness():
 
 
 def test_model_from_dict_rejects_bools_and_numeric_strings():
-    good = model_to_dict(ising_model())
+    good = ISING
     for field, value in (("omega_S", True), ("omega_S", "1.0"),
                          ("K", [[0, 0, 0], [0, "1", 0], [0, 0, 0]]),
                          ("C", [0, False, 0]),
@@ -247,13 +252,12 @@ def test_model_from_dict_rejects_bools_and_numeric_strings():
 
 def test_save_load(tmp_path):
     path = tmp_path / "model.json"
-    m = TwoQubitModel(omega_S=0.0, K=np.eye(3),
-                      control=SingleAxis(n=[0.0, 1.0, 0.0]))
-    save_model(m, path)
-    text = path.read_text()
-    assert text.endswith("\n")
-    m2 = load_model(path)
-    assert np.array_equal(m2.K, m.K)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"omega_S": 0.0, "K": np.eye(3).tolist(), "C": [0, 0, 0],
+                   "control": {"type": "axis", "n": [0.0, 1.0, 0.0]}}, fh)
+    m = load_model(path)
+    assert np.array_equal(m.K, np.eye(3))
+    assert isinstance(m.control, SingleAxis)
 
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -264,7 +268,8 @@ def test_save_load(tmp_path):
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
 def test_load_model_rejects_non_finite_numbers(tmp_path, literal):
     path = tmp_path / "model.json"
-    save_model(ising_model(), path)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(ISING, fh)
     text = path.read_text()
     assert '"omega_S": 1.0' in text
     path.write_text(text.replace('"omega_S": 1.0', f'"omega_S": {literal}'))
