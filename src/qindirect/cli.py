@@ -354,10 +354,8 @@ def _run(cmd: Command, args):
 
 
 def _json_writer(payload: dict) -> Callable:
-    """Writer of a verdict as sorted-key JSON; numpy scalars go through
-    their ``item()``."""
-    text = json.dumps(payload, indent=2, sort_keys=True,
-                      default=lambda obj: obj.item()) + "\n"
+    """Writer of a verdict as sorted-key JSON."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     return lambda fh: fh.write(text)
 
 

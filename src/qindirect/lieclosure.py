@@ -26,8 +26,9 @@ complement of c, so its frame is the other d^2 - 1 directions.  On the full
 algebra su(d), which ``closure`` returns for every controllable model, it
 needs no sweep for most seeds: ad(su(d)) is irreducible on su(d) and kills
 the identity, and sum_x ||[L_x, c']||^2 = 2d ||c'||^2 for the traceless
-part c' of c, so the space is read off the norms of c' and of the trace
-part c_0 wherever they put the sweep's rank decisions clear of tol.
+part c' of c, spread over at most d^2 - d singular values (the rank of
+ad_c'), so the space is u(d) when sqrt(2 / (d - 1)) min(||c'||, |c_0|)
+exceeds tol for the trace part c_0 of c.
 """
 
 from __future__ import annotations
@@ -168,15 +169,13 @@ def invariant_space(L: np.ndarray, c, tol: float = TOL_RANK) -> np.ndarray:
     from the single seed, without the SVD of the seed itself.
 
     When L is su(d) (d^2 - 1 rows with an exactly zero identity coordinate)
-    the space is read off the norms of the traceless part c' and the trace
-    part c_0 of c where they put the sweep's decisions clear of tol.  The
-    first sweep's Frobenius norm is sqrt(2d) ||c'||, so the space is span(c)
-    when that is at most tol.  ad_c' has rank at most d^2 - d, so its largest
-    singular value is at least sqrt(2 / (d - 1)) ||c'||.  When that exceeds
-    tol the first sweep finds a direction, and the later ones bracket unit
-    directions, so the space is su(d) if c_0 is exactly zero and u(d) if
-    sqrt(2 / (d - 1)) |c_0|, a lower bound on the identity's share of the
-    second sweep, exceeds tol too.  Every other seed takes the sweep.
+    the space is u(d) if sqrt(2 / (d - 1)) min(||c'||, |c_0|) exceeds tol,
+    for the traceless part c' and the trace part c_0 of c.  The first
+    sweep's Frobenius norm is sqrt(2d) ||c'||, and ad_c' has rank at most
+    d^2 - d, so its largest singular value is at least sqrt(2 / (d - 1))
+    ||c'||: the first sweep finds a direction, and the later ones bracket
+    unit directions.  sqrt(2 / (d - 1)) |c_0| is a lower bound on the
+    identity's share of the second sweep.  Every other seed takes the sweep.
     """
     c = check_skew_coords(c, require_traceless=False, tol=tol)
     if c.shape != L.shape[1:]:
@@ -186,16 +185,9 @@ def invariant_space(L: np.ndarray, c, tol: float = TOL_RANK) -> np.ndarray:
     if not (tol < 1.0 and c.any()):  # the seed's own decision rejects it
         return np.empty((0, n))
     if len(L) == n - 1 and not L[:, 0].any():  # L spans su(d)
-        d = coords_dim(c)
-        traceless = np.linalg.norm(c[1:])
-        if math.sqrt(2 * d) * traceless <= tol:
-            return c[None]
-        bound = math.sqrt(2 / (d - 1))
-        if bound * traceless > tol:
-            if c[0] == 0.0:
-                return np.eye(n)[1:]
-            if bound * abs(c[0]) > tol:
-                return np.eye(n)
+        bound = math.sqrt(2 / (coords_dim(c) - 1))
+        if bound * min(np.linalg.norm(c[1:]), abs(c[0])) > tol:
+            return np.eye(n)
     ad = _ad(L)
     found = _ad_invariant(c @ ad, ad, _complement(c), tol)
     return np.concatenate([c[None], found])

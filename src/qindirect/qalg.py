@@ -145,14 +145,6 @@ def bracket(x, y) -> np.ndarray:
     return np.einsum("...j,...k,jkl->...l", x, y, STRUCTURE[coords_dim(x)])
 
 
-def sigma_from_vec(a) -> np.ndarray:
-    """Return sigma_a = a_x sigma_x + a_y sigma_y + a_z sigma_z."""
-    a = np.asarray(a, dtype=float)
-    if a.shape != (3,):
-        raise ValueError("expected a real 3-vector")
-    return a[0] * SIGMA_X + a[1] * SIGMA_Y + a[2] * SIGMA_Z
-
-
 def tensor(A, B) -> np.ndarray:
     """Kronecker product of two matrices with the S factor first.
 
@@ -165,15 +157,6 @@ def tensor(A, B) -> np.ndarray:
                          f"{A.shape} and {B.shape}")
     (p, q), (r, s) = A.shape, B.shape
     return (A[:, None, :, None] * B[None, :, None, :]).reshape(p * r, q * s)
-
-
-def commutator(A, B) -> np.ndarray:
-    """AB - BA of two square matrices; the oracle of ``bracket``."""
-    A = np.asarray(A, dtype=complex)
-    B = np.asarray(B, dtype=complex)
-    if A.shape != B.shape or A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"dimension mismatch: {A.shape} vs {B.shape}")
-    return A @ B - B @ A
 
 
 def dagger(A) -> np.ndarray:

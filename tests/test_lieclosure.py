@@ -23,8 +23,10 @@ from qindirect.model import (FullSU2, SingleAxis, TwoQubitModel,
                              random_single_axis_model)
 from qindirect.qalg import (ID2, PAULI_BASIS, SIGMA_X, SIGMA_Y, SIGMA_Z,
                             STRUCTURE, TOL_RANK, bloch_inverse,
-                            check_skew_coords, commutator, dagger, frob,
+                            check_skew_coords, dagger, frob,
                             from_pauli_coords, mat_exp, pauli_coords, tensor)
+
+from oracles import commutator
 
 SX1 = tensor(SIGMA_X, ID2)
 SY1 = tensor(SIGMA_Y, ID2)
@@ -588,12 +590,13 @@ def test_invariant_space_of_su_d_is_read_off_like_the_sweep(monkeypatch, d):
     unit /= np.linalg.norm(unit)
     edge = TOL_RANK / np.sqrt(2 * d)  # ||c'|| of the first sweep's norm test
     t0 = TOL_RANK / np.sqrt(d)  # |c_0| of check_skew_coords' traceless rule
-    # (seed, its dimension at d = 2 and 4, read off at d = 2 and 4); None
-    # marks a seed on one of the read-off's bounds, where either path may run.
+    # (seed, its dimension at d = 2 and 4, no SVD at d = 2 and 4); None marks
+    # a seed on a bound of the read-off or of the sweep's first norm test,
+    # where either path may run.
     # ad_{E_P} has all its nonzero singular values at 2 / sqrt(d), so a
     # c' = f tol E_P adds directions iff f > sqrt(d) / 2.
     cases = [(trace, (1, 1), (True, True)),
-             (unit, (3, 15), (True, True)),
+             (unit, (3, 15), (False, False)),
              (trace + unit, (4, 16), (True, True)),
              (trace + 10.0 * edge * unit, (4, 16), (True, True)),
              (trace + 0.1 * edge * unit, (1, 1), (True, True)),
@@ -605,15 +608,15 @@ def test_invariant_space_of_su_d_is_read_off_like_the_sweep(monkeypatch, d):
              (unit + 0.5 * t0 * trace, (3, 15), (False, False)),
              (unit + 0.1 * t0 * trace, (3, 15), (False, False))]
     at = d // 4  # index 0 at d = 2, 1 at d = 4
-    for c, dims, read_off in cases:
+    for c, dims, no_svd in cases:
         expected = _sweep(L, c)
         calls = _count_svd(monkeypatch)
         V = invariant_space(L, c)
         monkeypatch.undo()
         assert len(V) == len(expected) == dims[at]
         assert span_equals(V, expected)
-        if read_off[at] is not None:
-            assert (calls[0] == 0) == read_off[at]  # no SVD iff read off
+        if no_svd[at] is not None:
+            assert (calls[0] == 0) == no_svd[at]
         assert V.flags.writeable and not np.shares_memory(V, lieclosure._EYE[n])
 
 

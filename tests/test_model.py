@@ -24,7 +24,9 @@ from qindirect.model import (MAX_MAGNITUDE, FullSU2, ModelFormatError,
                              random_model, random_single_axis_model)
 from qindirect.qalg import (ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, TOL_RANK,
                             check_skew_coords, dagger, frob, from_pauli_coords,
-                            pauli_coords, sigma_from_vec, tensor)
+                            pauli_coords, tensor)
+
+from oracles import sigma_from_vec
 
 SIGMAS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 

@@ -17,10 +17,11 @@ from qindirect.qalg import (E_AB, ID2, ID4, PAULI_BASIS, PAULI_X_TILDE,
                             PAULI_Y_TILDE, PAULI_Z_TILDE, SIGMA_X, SIGMA_Y,
                             SIGMA_Z, STRUCTURE, TOL_RANK,
                             bloch, bloch_inverse, bracket, check_density,
-                            check_skew_coords, commutator, dagger, frame,
-                            frob, from_pauli_coords, mat_exp, partial_trace,
-                            pauli_coords, sigma_from_vec, state_coords, tensor,
-                            z_rotation)
+                            check_skew_coords, dagger, frame, frob,
+                            from_pauli_coords, mat_exp, partial_trace,
+                            pauli_coords, state_coords, tensor, z_rotation)
+
+from oracles import commutator, sigma_from_vec
 
 st_angle = st.floats(-10.0, 10.0)
 st_coeff = st.floats(-2.0, 2.0)
