@@ -7,7 +7,8 @@ Three layers, all for the target-plus-accessor pair:
   unitary in e^L can do to the target (a necessary test only);
 * the pure-accessor steering construction realizing an arbitrary SU(2)
   conjugation of the target using the 10-dim algebra of the D != 0,
-  F = 0 case (Euler factorization through the axis the controls provide);
+  F = 0 case: the block unitary X (x) |0><0| + Z X Z (x) |1><1|, in e^L
+  through the Euler form of X;
 * free-interaction state transfer: with full controllability, the target
   can be driven from any initial pair to any density matrix with the
   right trace, along a closed-form one-angle family of unitaries running
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qalg import (ID2, ID4, PAULI_X_TILDE, PAULI_Z_TILDE, TOL_RANK,
+from .qalg import (ID2, PAULI_X_TILDE, PAULI_Z_TILDE, TOL_RANK,
                    check_density, dagger, frob, state_coords, tensor)
 # Unused here; qbench/selftest.py checks that its tracer rebinds
 # indirect.partial_trace, so the name stays bound in this module.
@@ -79,35 +80,18 @@ def _check_su2(X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=complex)
     if X.shape != (2, 2):
         raise ValueError("expected a 2x2 matrix")
-    if frob(X @ dagger(X) - ID2) > 1e-9:
+    # ||X||_F^2 is 2 for a unitary; vdot gives inf or nan with no warning and
+    # nan fails every test below, so no product overflows or passes on nan
+    if not np.vdot(X, X).real <= 4.0:
+        raise ValueError("matrix has non-finite or huge entries")
+    if not frob(X @ dagger(X) - ID2) <= 1e-9:
         raise ValueError("matrix is not unitary")
-    if abs(X[0, 0] * X[1, 1] - X[0, 1] * X[1, 0] - 1.0) > 1e-9:  # det X
+    if not abs(X[0, 0] * X[1, 1] - X[0, 1] * X[1, 0] - 1.0) <= 1e-9:  # det X
         raise ValueError("matrix does not have determinant 1")
     return X
 
 
-def euler_su2(X: np.ndarray) -> tuple:
-    """Angles (t2, t, t1) with X = e^{t2 sigma_z} e^{t sigma_x} e^{t1 sigma_z}.
-
-    The product has entries [[cos(t/2) e^{i(t2+t1)/2}, i sin(t/2) e^{i(t2-t1)/2}],
-    [i sin(t/2) e^{-i(t2-t1)/2}, cos(t/2) e^{-i(t2+t1)/2}]]; the angles are read
-    off the polar forms of the first row.  At the gimbal points (t = 0 or pi)
-    only the sum or difference of t2, t1 matters and the free one is set to 0.
-    """
-    X = _check_su2(X)
-    a, b = X[0, 0], X[0, 1]
-    t = 2.0 * np.arctan2(abs(b), abs(a))
-    phi_sum = np.angle(a) if a != 0 else 0.0
-    phi_diff = np.angle(b) - np.pi / 2 if b != 0 else 0.0
-    return (phi_sum + phi_diff, t, phi_sum - phi_diff)
-
-
 E1 = np.diag([1.0, 0.0]).astype(complex)
-_XZ = tensor(PAULI_X_TILDE, PAULI_Z_TILDE)
-_XZ.setflags(write=False)
-# e^{t sigma_z} (x) 1 = diag(exp(i t s / 2)) with these signs s
-_Z_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
-_Z_SIGNS.setflags(write=False)
 
 
 def pure_uic_steer(rho_S: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -115,20 +99,25 @@ def pure_uic_steer(rho_S: np.ndarray, X: np.ndarray) -> np.ndarray:
 
     Requires the accessor prepared in E1 = diag(1, 0); an arbitrary pure
     accessor state is first rotated there by a local accessor unitary.
-    Each factor of T exponentiates an element of the 10-dim algebra
-    span{sigma_z (x) 1, 1 (x) su(2), i sigma_{x,y} (x) su(2)}: the outer
-    factors are S-side z-rotations (times 1) and the middle factor is
-    exp(t i sigma_x (x) sigma_z).  On the accessor ground block the middle
-    factor conjugates the target by e^{-(t/2) sigma_x}, hence t = -2 theta
-    realizes the Euler x-rotation by theta.  With i sigma_x (x) sigma_z =
-    -(i/4) X (x) Z and (X (x) Z)^2 = 1, that factor is
-    cos(theta/2) 1 + i sin(theta/2) X (x) Z; the outer factors are diagonal.
+    T = X (x) |0><0| + Z X Z (x) |1><1| with Z the Hermitian Pauli, i.e. X
+    on the accessor ground block and X with its off-diagonal entries negated
+    on the other.  T does not depend on rho_S, which is checked only so that
+    the contract's input is a state.
+
+    T lies in e^L for the 10-dim algebra L = span{sigma_z (x) 1,
+    1 (x) su(2), i sigma_{x,y} (x) su(2)} of the D != 0, F = 0 case: with
+    X = e^{t2 sigma_z} e^{theta sigma_x} e^{t1 sigma_z} its Euler form,
+    T = (e^{t2 sigma_z} (x) 1) exp(-2 theta i sigma_x (x) sigma_z)
+    (e^{t1 sigma_z} (x) 1), because the middle factor is e^{theta sigma_x}
+    on accessor |0> and e^{-theta sigma_x} = Z e^{theta sigma_x} Z on |1>,
+    and Z commutes with the outer z-rotations.
     """
     check_density(rho_S)
-    t2, theta, t1 = euler_su2(X)
-    mid = np.cos(0.5 * theta) * ID4 + 1j * np.sin(0.5 * theta) * _XZ
-    left, right = np.exp(0.5j * np.multiply.outer((t2, t1), _Z_SIGNS))
-    return left[:, None] * mid * right
+    X = _check_su2(X)
+    T = np.zeros((2, 2, 2, 2), dtype=complex)  # (s, a, s', a')
+    T[:, 0, :, 0] = X
+    T[:, 1, :, 1] = X * [[1, -1], [-1, 1]]
+    return T.reshape(4, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -151,62 +140,47 @@ for _factor in (_SWAP, _X_1, _Z_X):
     _factor.setflags(write=False)
 
 
-def _pure_state_vector(psi: np.ndarray) -> np.ndarray:
-    """The state vector of a checked density matrix psi, which must be pure."""
-    w, u = np.linalg.eigh(psi)
-    if 1.0 - w[-1] > 1e-8:
-        raise ValueError("accessor state must be pure")
-    return u[:, -1]
-
-
-def _transfer(rho_S: np.ndarray, psi_A: np.ndarray, phi: float,
-              t: np.ndarray) -> np.ndarray:
-    """U(phi) = (t (x) 1) M(phi) (W^dag (x) E^dag) SWAP.
-
-    M(phi) = cos(phi) X (x) 1 + sin(phi) Z (x) X with X, Z the Hermitian
-    Paulis (real, symmetric and squaring to 1, hence orthogonal).  E holds
-    the eigenvectors e_k of rho_S, W = (v, v_perp) the pure accessor vector
-    and its complement, and t the columns (t_0, t_1).  With a_k the
-    accessor basis,
-
-        e_k (x) v      ->  cos(phi) t_1 (x) a_k + sin(phi) t_0 (x) a_{1-k},
-        e_k (x) v_perp ->  cos(phi) t_0 (x) a_k - sin(phi) t_1 (x) a_{1-k}.
-
-    The images of the two e_k (x) v put orthogonal accessor vectors next to
-    each t_j, so the target ends in cos^2(phi) |t_1><t_1| +
-    sin^2(phi) |t_0><t_0| whatever the spectrum of rho_S.  phi = 0 is SWAP
-    up to local unitaries; phi = pi/4 mixes the target maximally.  The
-    caller has checked both states.
-    """
-    v = _pure_state_vector(psi_A)
-    w = np.column_stack([v, [-np.conj(v[1]), np.conj(v[0])]])
-    e = np.linalg.eigh(rho_S)[1]
-    mix = np.cos(phi) * _X_1 + np.sin(phi) * _Z_X
-    return tensor(t, ID2) @ mix @ dagger(tensor(w, e)) @ _SWAP
-
-
 def fic_mix(rho_S: np.ndarray, psi_A: np.ndarray) -> np.ndarray:
-    """Unitary sending rho_S (x) psi_A to a state with maximally mixed target.
+    """Unitary sending rho_S (x) psi_A to a state with maximally mixed target:
+    ``fic_reach`` to the target 1/2, the phi = pi/4 member of its family.
 
-    The phi = pi/4 member of the transfer family: each eigenvector of
-    rho_S paired with the pure accessor vector goes to a maximally
-    entangled vector, which kills every target Bloch component regardless
-    of the eigenvalues.
+    Each eigenvector of rho_S paired with the pure accessor vector goes to a
+    maximally entangled vector, which kills every target Bloch component
+    regardless of the eigenvalues.
     """
-    (rho_S, psi_A), _ = _read_states(rho_S, psi_A)
-    return _transfer(rho_S, psi_A, np.pi / 4, ID2)
+    return fic_reach(rho_S, psi_A, ID2 / 2)
 
 
 def fic_reach(rho_S: np.ndarray, psi_A: np.ndarray,
               target: np.ndarray) -> np.ndarray:
     """4x4 unitary U with Tr_A(U (rho_S (x) psi_A) U^dag) = target.
 
-    A member of the SWAP-to-mixing family of fic_mix, in closed form: with
-    lambda the largest eigenvalue of the target and t its eigenvectors,
-    phi = arccos sqrt(lambda) puts weight lambda on t_1 and 1 - lambda on
-    t_0.  lambda runs from 1 (phi = 0, SWAP) to 1/2 (phi = pi/4, fic_mix).
+    A member of the one-angle family U(phi) = (t (x) 1) M(phi)
+    (W^dag (x) E^dag) SWAP, in closed form.  M(phi) = cos(phi) X (x) 1 +
+    sin(phi) Z (x) X with X, Z the Hermitian Paulis (real, symmetric and
+    squaring to 1, hence orthogonal).  E holds the eigenvectors e_k of
+    rho_S, W = (v, v_perp) the pure accessor vector and its complement, and
+    t the eigenvectors (t_0, t_1) of the target.  With a_k the accessor
+    basis,
+
+        e_k (x) v      ->  cos(phi) t_1 (x) a_k + sin(phi) t_0 (x) a_{1-k},
+        e_k (x) v_perp ->  cos(phi) t_0 (x) a_k - sin(phi) t_1 (x) a_{1-k}.
+
+    The images of the two e_k (x) v put orthogonal accessor vectors next to
+    each t_j, so the target ends in cos^2(phi) |t_1><t_1| +
+    sin^2(phi) |t_0><t_0| whatever the spectrum of rho_S.  With lambda the
+    largest eigenvalue of the target, phi = arccos sqrt(lambda) runs from 0
+    (lambda = 1, SWAP up to local unitaries) to pi/4 (lambda = 1/2, the
+    maximally mixing ``fic_mix``).
     """
     (rho_S, psi_A, target), _ = _read_states(rho_S, psi_A, target)
     w_t, t = np.linalg.eigh(target)
     phi = np.arccos(np.sqrt(np.clip(w_t[-1], 0.5, 1.0)))
-    return _transfer(rho_S, psi_A, phi, t)
+    w_a, u_a = np.linalg.eigh(psi_A)
+    if 1.0 - w_a[-1] > 1e-8:
+        raise ValueError("accessor state must be pure")
+    v = u_a[:, -1]
+    w = np.column_stack([v, [-np.conj(v[1]), np.conj(v[0])]])
+    e = np.linalg.eigh(rho_S)[1]
+    mix = np.cos(phi) * _X_1 + np.sin(phi) * _Z_X
+    return tensor(t, ID2) @ mix @ dagger(tensor(w, e)) @ _SWAP

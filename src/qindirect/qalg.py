@@ -49,7 +49,6 @@ PAULI_X_TILDE = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y_TILDE = np.array([[0, 1j], [-1j, 0]], dtype=complex)
 PAULI_Z_TILDE = np.array([[1, 0], [0, -1]], dtype=complex)
 ID2 = np.eye(2, dtype=complex)
-ID4 = np.eye(4, dtype=complex)
 
 SIGMA_X = 0.5j * PAULI_X_TILDE
 SIGMA_Y = 0.5j * PAULI_Y_TILDE

@@ -12,16 +12,17 @@ from numpy.testing import assert_allclose
 
 from qindirect import indirect
 from qindirect.classify import CASE_DIMS, case_1b_basis
-from qindirect.indirect import (E1, GennegatVerdict, euler_su2, fic_mix,
-                                fic_reach, gennegat_test, pure_uic_steer,
-                                swap_op)
+from qindirect.indirect import (E1, GennegatVerdict, fic_mix, fic_reach,
+                                gennegat_test, pure_uic_steer, swap_op)
 from qindirect.lieclosure import (closure, contains, invariant_space,
                                   orthonormalize, trace_A_image)
 from qindirect.model import (TwoQubitModel, generator_set, random_model,
                              random_single_axis_model)
-from qindirect.qalg import (ID2, ID4, SIGMA_X, SIGMA_Z, bloch_inverse,
-                            dagger, frame, frob, mat_exp, partial_trace,
-                            pauli_coords, tensor, z_rotation)
+from qindirect.qalg import (ID2, SIGMA_X, SIGMA_Z, bloch_inverse, dagger,
+                            frame, frob, mat_exp, partial_trace, pauli_coords,
+                            tensor, z_rotation)
+
+from oracles import ID4, euler_su2
 
 st_angle = st.floats(-6.0, 6.0)
 st_bloch = st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)).filter(
@@ -222,7 +223,7 @@ def test_gennegat_rejects_non_density_accessor(rng, rho_a, match):
 
 
 # ---------------------------------------------------------------------------
-# Euler factorization of SU(2)
+# Euler factorization of SU(2): the oracle of the steering unitary's form
 
 
 @given(st_su2)
@@ -245,15 +246,6 @@ def test_euler_su2_gimbal_points():
     assert t2 + t1 == pytest.approx(0.8)
 
 
-def test_euler_su2_input_checks():
-    with pytest.raises(ValueError):
-        euler_su2(2.0 * np.eye(2))
-    with pytest.raises(ValueError):
-        euler_su2(np.exp(0.3j) * np.eye(2))  # unitary but det != 1
-    with pytest.raises(ValueError):
-        euler_su2(np.eye(4))
-
-
 # ---------------------------------------------------------------------------
 # pure-accessor steering
 
@@ -268,7 +260,8 @@ def test_pure_uic_steer_contract(p, x):
 
 
 def test_steering_generators_live_in_case_1b_algebra():
-    # the three factors exponentiate sigma_z (x) 1 and i sigma_x (x) sigma_z
+    # the three factors of T's Euler form exponentiate sigma_z (x) 1 and
+    # i sigma_x (x) sigma_z
     basis = orthonormalize(case_1b_basis())
     assert contains(basis, pauli_coords(tensor(SIGMA_Z, ID2)))
     assert contains(basis, pauli_coords(1j * tensor(SIGMA_X, SIGMA_Z)))
@@ -278,18 +271,53 @@ def test_steering_generators_live_in_case_1b_algebra():
 @example(0.0)
 @example(np.pi)
 def test_pure_uic_steer_factor_closed_form(theta):
-    # X = e^{theta sigma_x} has Euler angles (0, theta, 0), so T is the middle
-    # factor cos(theta/2) 1 + i sin(theta/2) X (x) Z alone
+    # the block unitary e^{theta sigma_x} (x) |0><0| + e^{-theta sigma_x} (x)
+    # |1><1| is the exponential of -2 theta i sigma_x (x) sigma_z
     t = pure_uic_steer(ID2 / 2, mat_exp(theta * SIGMA_X))
     expected = mat_exp(-2.0 * theta * 1j * tensor(SIGMA_X, SIGMA_Z))
     assert np.abs(t - expected).max() <= 1e-14
 
 
+def _euler_product(x):
+    t2, theta, t1 = euler_su2(x)
+    return (tensor(z_rotation(t2), ID2)
+            @ mat_exp(-2.0 * theta * 1j * tensor(SIGMA_X, SIGMA_Z))
+            @ tensor(z_rotation(t1), ID2))
+
+
+def _haar_su2(rng):
+    a, b = rng.normal(size=2) + 1j * rng.normal(size=2)
+    n = np.hypot(abs(a), abs(b))
+    return np.array([[a, b], [-np.conj(b), np.conj(a)]]) / n
+
+
+def test_pure_uic_steer_is_the_euler_product(rng):
+    # T = (e^{t2 sigma_z} (x) 1) exp(-2 theta i sigma_x (x) sigma_z)
+    # (e^{t1 sigma_z} (x) 1), a product of exponentials of the 1b algebra,
+    # also at the gimbal points t = 0, pi of the Euler form and at -1
+    edges = [ID2, -ID2, z_rotation(0.8), mat_exp(np.pi * SIGMA_X),
+             mat_exp(1e-12 * SIGMA_X)]
+    for x in edges + [_haar_su2(rng) for _ in range(200)]:
+        err = np.abs(pure_uic_steer(ID2 / 2, x) - _euler_product(x)).max()
+        assert err <= 1e-12
+
+
+def test_pure_uic_steer_ignores_the_state(rng):
+    x = _haar_su2(rng)
+    assert np.array_equal(pure_uic_steer(bloch_inverse([0.3, -0.2, 0.5]), x),
+                          pure_uic_steer(bloch_inverse([0.0, 0.0, -1.0]), x))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_pure_uic_steer_rejects_bad_inputs():
     with pytest.raises(ValueError):
         pure_uic_steer(np.eye(2), np.eye(2))  # trace 2
-    with pytest.raises(ValueError):
-        pure_uic_steer(ID2 / 2, 2.0 * np.eye(2))
+    # non-finite and huge entries are rejected before any product warns
+    for x in (2.0 * ID2, np.exp(0.3j) * ID2,  # unitary but det != 1
+              ID4, [[np.nan, 0.0], [0.0, 1.0]], [[np.inf, 0.0], [0.0, 1.0]],
+              [[1e200, 0.0], [0.0, 1.0]]):
+        with pytest.raises(ValueError):
+            pure_uic_steer(ID2 / 2, x)
 
 
 # ---------------------------------------------------------------------------

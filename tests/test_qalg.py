@@ -13,7 +13,7 @@ from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from qindirect import classify, model, qalg, sampler
-from qindirect.qalg import (E_AB, ID2, ID4, PAULI_BASIS, PAULI_X_TILDE,
+from qindirect.qalg import (E_AB, ID2, PAULI_BASIS, PAULI_X_TILDE,
                             PAULI_Y_TILDE, PAULI_Z_TILDE, SIGMA_X, SIGMA_Y,
                             SIGMA_Z, STRUCTURE, TOL_RANK,
                             bloch, bloch_inverse, bracket, check_density,
@@ -21,7 +21,7 @@ from qindirect.qalg import (E_AB, ID2, ID4, PAULI_BASIS, PAULI_X_TILDE,
                             from_pauli_coords, mat_exp, partial_trace,
                             pauli_coords, state_coords, tensor, z_rotation)
 
-from oracles import commutator, sigma_from_vec
+from oracles import ID4, commutator, sigma_from_vec
 
 st_angle = st.floats(-10.0, 10.0)
 st_coeff = st.floats(-2.0, 2.0)

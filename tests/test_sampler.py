@@ -16,12 +16,14 @@ from numpy.testing import assert_allclose
 
 from qindirect import sampler
 from qindirect.model import ModelFormatError
-from qindirect.qalg import (ID2, ID4, SIGMA_X, SIGMA_Z, dagger, frob,
+from qindirect.qalg import (ID2, SIGMA_X, SIGMA_Z, dagger, frob,
                             mat_exp, pauli_coords, state_bloch, tensor)
 from qindirect.sampler import (ANGLE_NAMES, DEFAULT_RANGE, SampleConfig,
                                _angle_table, emit_csv, kak_to_alphas,
                                parse_csv, reachable_point, sample,
                                y_closed_form, y_product)
+
+from oracles import ID4
 
 st_alphas = st.tuples(*[st.floats(-5.0, 5.0)] * 6)
 st_angle = st.floats(0.0, 4.0 * np.pi)
