@@ -31,14 +31,15 @@ from .lieclosure import invariant_space, trace_A_image
 
 
 def _read_states(*rhos) -> tuple:
-    """(the 2x2 states as complex arrays, their r = Tr(P rho) stacked (n, 4)),
-    checked by one ``state_coords`` read."""
+    """(the 2x2 states stacked (n, 2, 2) complex, their r = Tr(P rho)
+    stacked (n, 4)), checked by one ``state_coords`` read."""
     rhos = [np.asarray(rho, dtype=complex) for rho in rhos]
     for rho in rhos:
         if rho.shape != (2, 2):
             raise ValueError(f"expected 2x2 density matrices, got shape "
                              f"{rho.shape}")
-    return rhos, state_coords(np.stack(rhos))
+    stack = np.stack(rhos)
+    return stack, state_coords(stack)
 
 
 @dataclass(frozen=True)
@@ -160,8 +161,10 @@ def fic_reach(rho_S: np.ndarray, psi_A: np.ndarray,
     sin(phi) Z (x) X with X, Z the Hermitian Paulis (real, symmetric and
     squaring to 1, hence orthogonal).  E holds the eigenvectors e_k of
     rho_S, W = (v, v_perp) the pure accessor vector and its complement, and
-    t the eigenvectors (t_0, t_1) of the target.  With a_k the accessor
-    basis,
+    t the eigenvectors (t_0, t_1) of the target, all from one ``eigh`` of
+    the three stacked states; W is psi_A's eigenvector columns in reverse
+    order.  The phase of v_perp changes U only on span{e_k (x) v_perp},
+    which a pure accessor never occupies.  With a_k the accessor basis,
 
         e_k (x) v      ->  cos(phi) t_1 (x) a_k + sin(phi) t_0 (x) a_{1-k},
         e_k (x) v_perp ->  cos(phi) t_0 (x) a_k - sin(phi) t_1 (x) a_{1-k}.
@@ -173,14 +176,10 @@ def fic_reach(rho_S: np.ndarray, psi_A: np.ndarray,
     (lambda = 1, SWAP up to local unitaries) to pi/4 (lambda = 1/2, the
     maximally mixing ``fic_mix``).
     """
-    (rho_S, psi_A, target), _ = _read_states(rho_S, psi_A, target)
-    w_t, t = np.linalg.eigh(target)
-    phi = np.arccos(np.sqrt(np.clip(w_t[-1], 0.5, 1.0)))
-    w_a, u_a = np.linalg.eigh(psi_A)
-    if 1.0 - w_a[-1] > 1e-8:
+    lam, (e, u_a, t) = np.linalg.eigh(_read_states(rho_S, psi_A, target)[0])
+    if 1.0 - lam[1, -1] > 1e-8:
         raise ValueError("accessor state must be pure")
-    v = u_a[:, -1]
-    w = np.column_stack([v, [-np.conj(v[1]), np.conj(v[0])]])
-    e = np.linalg.eigh(rho_S)[1]
+    phi = np.arccos(np.sqrt(np.clip(lam[2, -1], 0.5, 1.0)))
+    w = u_a[:, ::-1]  # (v, v_perp), v the eigenvector of eigenvalue 1
     mix = np.cos(phi) * _X_1 + np.sin(phi) * _Z_X
     return tensor(t, ID2) @ mix @ dagger(tensor(w, e)) @ _SWAP

@@ -134,9 +134,10 @@ def finite_float(value) -> float:
     ModelFormatError."""
     try:
         out = float(value)
-    except OverflowError:  # an int beyond the float range
-        raise ModelFormatError(f"{len(str(abs(value)))}-digit integer is not "
-                               "a finite number") from None
+    except OverflowError:  # an int beyond the float range; str() of it
+        # raises ValueError past 4300 digits, so the message leaves it out
+        raise ModelFormatError("an integer past the float range is not a "
+                               "finite number") from None
     if not math.isfinite(out):
         raise ModelFormatError(f"{value!r} is not a finite number")
     return out
@@ -188,16 +189,23 @@ def model_from_dict(d: dict) -> TwoQubitModel:
         raise ModelFormatError(str(exc)) from exc
 
 
-def load_json(fh):
-    """json.load that rejects non-finite numbers with ModelFormatError.
+def load_json(path):
+    """The JSON file at ``path``, read as UTF-8; every failure to decode it
+    is one ModelFormatError that names the file.
 
     Python's json accepts the literals NaN, Infinity and -Infinity, reads
     1e999 as inf and a 400-digit integer as an int that no float holds; a
     NaN passes every comparison-based check downstream, so all of them are
-    refused where the file is read.
+    refused where the file is read.  The other failures are a file that is
+    not UTF-8 or not JSON (ValueError, as is int()'s 4300-digit limit) and
+    nesting past the parser's recursion limit (RecursionError).
     """
-    return json.load(fh, parse_constant=finite_float, parse_float=finite_float,
-                     parse_int=_finite_int)
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh, parse_constant=finite_float,
+                             parse_float=finite_float, parse_int=_finite_int)
+        except (ValueError, RecursionError) as exc:
+            raise ModelFormatError(f"invalid JSON in {path}: {exc}") from exc
 
 
 def _finite_int(text: str) -> int:
@@ -207,12 +215,7 @@ def _finite_int(text: str) -> int:
 
 
 def load_model(path) -> TwoQubitModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            d = load_json(fh)
-        except json.JSONDecodeError as exc:
-            raise ModelFormatError(f"invalid JSON in {path}: {exc}") from exc
-    return model_from_dict(d)
+    return model_from_dict(load_json(path))
 
 
 # ---------------------------------------------------------------------------

@@ -405,9 +405,12 @@ def emit_csv(points, destination, seed: int | None = None) -> None:
     17 significant digits per coordinate (lossless float round trip),
     LF line endings.  Each block of _CSV_ROWS rows is formatted by one
     ``%`` operation, so the text of one block at a time is held.  Adding
-    0.0 writes -0.0 as 0 and leaves every other value as it is.
+    0.0 writes -0.0 as 0 and leaves every other value as it is.  Points
+    of any shape but (n, 3) raise ValueError.
     """
     points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != 3:
+        raise ValueError(f"points must have shape (n, 3), got {points.shape}")
     write = destination.write
     if seed is not None:
         write(f"# seed={seed}\n")
@@ -419,11 +422,15 @@ def emit_csv(points, destination, seed: int | None = None) -> None:
 
 def parse_csv(source) -> np.ndarray:
     """Inverse of emit_csv, read from the open text handle ``source``; '#'
-    comment lines and the header are skipped."""
+    comment lines and the header are skipped, and a data row without
+    exactly three fields raises ValueError."""
     rows = []
     for line in source.read().splitlines():
         line = line.strip()
         if not line or line.startswith("#") or line == "x,y,z":
             continue
-        rows.append([float(tok) for tok in line.split(",")])
+        row = [float(tok) for tok in line.split(",")]
+        if len(row) != 3:
+            raise ValueError(f"CSV row {line!r} does not hold three fields")
+        rows.append(row)
     return np.array(rows).reshape(-1, 3)

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import qindirect
 from qindirect import cli
@@ -564,3 +565,82 @@ def test_sample_and_negat_share_the_bloch_ball(tmp_path, capsys, excess,
         assert got == code, (command, err)
         assert (out == "") == (code == 2)
         assert ("precondition" in err) == (code == 2)
+
+
+# a file that is not UTF-8, an integer past int()'s 4300-digit limit and an
+# array nested past the parser's recursion limit
+UNDECODABLE = {"not-utf8": b'{"n": \xff}',
+               "5000-digit-int": b'{"n": 1' + b"0" * 4999 + b"}",
+               "5000-deep-array": b"[" * 5000 + b"]" * 5000}
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+@pytest.mark.parametrize("name", sorted(UNDECODABLE))
+def test_undecodable_config_is_exit_1(tmp_path, capsys, command, name):
+    path = tmp_path / f"{name}.json"
+    path.write_bytes(UNDECODABLE[name])
+    code, out, err = _run(capsys, command, str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: invalid JSON in {path}: ")
+
+
+# one valid config per subcommand and mode; the property below replaces one
+# or two of its keys, or of the keys the subcommand reads, by JSON values
+VALID = [("classify", ISING), ("classify", AXIS_CC),
+         ("closure", {**ISING, "basis": True}), ("negat", NEGAT),
+         ("steer", {"x_angles": [0.1, 0.2, 0.3], "rho_S": [0.0, 0.3, 0.4]}),
+         ("steer", {"draws": 2, "seed": 1}),
+         ("fic", {"target": [0.1, -0.2, 0.3], "rho_S": [0.2, 0.1, -0.4],
+                  "psi_A": [0.6, 0.0, 0.8]}),
+         ("fic", {"draws": 2, "seed": 1}),
+         ("sample", {**SAMPLE, "mode": "grid"}),
+         ("sample", {**SAMPLE, "angle_ranges": {"t1": [0.0, 1.0]}}),
+         ("verify", {"draws": 2, "seed": 1})]
+# every number's magnitude is at most 12: a draws of 1e308 would loop for
+# ever and an n of 1e9 would allocate about 72 GB
+st_words = st.sampled_from(["full", "axis", "type", "n", "random", "grid",
+                            "tol_rank", "t1", "s3", "nan", "1", ""])
+st_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-12, 12)
+    | st.floats(-12.0, 12.0) | st_words
+    | st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=3),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st_words, inner, max_size=3)),
+    max_leaves=12)
+
+
+def st_like(value):
+    """JSON values of the structure of ``value`` with other numbers in it."""
+    if isinstance(value, list):
+        return st.tuples(*map(st_like, value)).map(list)
+    if isinstance(value, dict):
+        return st.fixed_dictionaries({k: st_like(v) for k, v in value.items()})
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return st.integers(-12, 12) | st.floats(-12.0, 12.0)
+    return st.just(value)
+
+
+@st.composite
+def st_config(draw):
+    command, base = draw(st.sampled_from(VALID))
+    keys = sorted(set(base) | cli.COMMANDS[command].keys)
+    cfg = dict(base)
+    for key in draw(st.lists(st.sampled_from(keys), min_size=1, max_size=2,
+                             unique=True)):
+        cfg[key] = draw(st_json | st_like(base[key]) if key in base
+                        else st_json)
+    return command, cfg
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st_config())
+def test_any_config_exits_0_1_or_2_with_its_message(tmp_path, capsys, case):
+    command, cfg = case
+    code, out, err = _run(capsys, command, _write(tmp_path, "cfg.json", cfg))
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert out == "" and err.startswith("error:"), err
+    if code == 2:
+        assert out == "" and err.startswith("precondition violated:"), err

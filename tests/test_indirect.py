@@ -415,6 +415,21 @@ def test_fic_reach_rejects_bad_inputs():
         fic_reach(rho_s, _density(np.array([1.0, 0.0])), 2.0 * np.eye(2))
 
 
+def test_fic_reach_diagonalizes_its_states_in_one_call(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a):
+        calls.append(np.shape(a))
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    u = fic_reach(*_GOOD)
+    assert calls == [(3, 2, 2)]
+    out = partial_trace(u @ tensor(_GOOD[0], _GOOD[1]) @ dagger(u))
+    assert frob(out - _GOOD[2]) <= 1e-12
+
+
 _GOOD = (bloch_inverse([0.2, -0.1, 0.4]), _density(np.array([0.6, 0.8j])),
          bloch_inverse([0.0, 0.3, 0.5]))
 _BAD = {0: (2.0 * ID2, "trace"), 1: (bloch_inverse([0.0, 0.0, 0.5]), "pure"),

@@ -10,6 +10,7 @@ products of the skew Paulis, which does not read the coordinate table that
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -277,6 +278,31 @@ def test_load_model_rejects_non_finite_numbers(tmp_path, literal):
     path.write_text(text.replace('"omega_S": 1.0', f'"omega_S": {literal}'))
     with pytest.raises(ModelFormatError, match=literal):
         load_model(path)
+
+
+# a file that is not UTF-8, an integer past int()'s 4300-digit limit and an
+# array nested past the parser's recursion limit
+UNDECODABLE = {"not-utf8": b'{"omega_S": \xff}',
+               "5000-digit-int": b'{"omega_S": 1' + b"0" * 4999 + b"}",
+               "5000-deep-array": b"[" * 5000 + b"]" * 5000}
+
+
+@pytest.mark.parametrize("name", sorted(UNDECODABLE))
+def test_load_model_refuses_an_undecodable_file(tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    path.write_bytes(UNDECODABLE[name])
+    with pytest.raises(ModelFormatError,
+                       match=re.escape(f"invalid JSON in {path}: ")):
+        load_model(path)
+
+
+@pytest.mark.parametrize("digits", [401, 5001])
+def test_integer_past_the_float_range_is_a_format_error(digits):
+    # str() of a 5001-digit int raises ValueError, so the message must not
+    # write the integer out
+    value = -10 ** (digits - 1)
+    with pytest.raises(ModelFormatError, match="not a finite number"):
+        TwoQubitModel(omega_S=value, K=np.eye(3))
 
 
 def test_random_model_case_structure(rng):

@@ -565,3 +565,19 @@ def test_parse_csv_skips_comments_and_blanks():
     pts = parse_csv(io.StringIO(text))
     assert_allclose(pts, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
     assert parse_csv(io.StringIO("x,y,z\n")).shape == (0, 3)
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (3,), (2, 2), (2, 3, 3), ()])
+def test_emit_csv_refuses_points_not_of_shape_n_3(shape):
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match="shape"):
+        emit_csv(np.zeros(shape), buf)
+    assert buf.getvalue() == ""
+
+
+@pytest.mark.parametrize("row", ["1,2", "1,2,3,4", "1"])
+def test_parse_csv_refuses_a_row_without_three_fields(row):
+    # three rows 1,2 hold six numbers, which a reshape would read as two points
+    text = f"x,y,z\n{row}\n{row}\n{row}\n"
+    with pytest.raises(ValueError, match="three fields"):
+        parse_csv(io.StringIO(text))
