@@ -113,6 +113,8 @@ def pure_uic_steer(rho_S: np.ndarray, X: np.ndarray) -> np.ndarray:
     on accessor |0> and e^{-theta sigma_x} = Z e^{theta sigma_x} Z on |1>,
     and Z commutes with the outer z-rotations.
     """
+    if np.shape(rho_S) != (2, 2):  # check_density also reads stacks
+        raise ValueError(f"expected a 2x2 state, got shape {np.shape(rho_S)}")
     check_density(rho_S)
     X = _check_su2(X)
     T = np.zeros((2, 2, 2, 2), dtype=complex)  # (s, a, s', a')

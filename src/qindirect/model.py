@@ -34,6 +34,25 @@ class ModelFormatError(ValueError):
     """Raised for malformed model files or dictionaries."""
 
 
+def _numbers(value, shape: tuple, name: str) -> np.ndarray:
+    """A read-only float copy of ``value`` of the given shape, every entry
+    of magnitude at most MAX_MAGNITUDE; anything else is one
+    ModelFormatError that names the field."""
+    try:
+        out = np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        # str() of an int past 4300 digits raises: leave ``value`` out
+        raise ModelFormatError(f"{name} is not a finite number: {exc}") from None
+    if out.shape != shape:
+        raise ModelFormatError(f"{name} must have shape {shape}, "
+                               f"got {out.shape}")
+    if not (abs(out) <= MAX_MAGNITUDE).all():  # nan fails too
+        raise ModelFormatError(f"{name} must be finite numbers of magnitude "
+                               f"at most {MAX_MAGNITUDE:g}")
+    out.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True)
 class FullSU2:
     """Full control of the accessor: directions 1 (x) sigma_{x,y,z}."""
@@ -41,17 +60,14 @@ class FullSU2:
 
 @dataclass(frozen=True)
 class SingleAxis:
-    """One control direction 1 (x) sigma_n; the axis is stored unit length."""
+    """One control direction 1 (x) sigma_n; the axis is stored unit length,
+    as a read-only copy.  A malformed n raises ModelFormatError naming the
+    control axis."""
 
     n: np.ndarray
 
     def __post_init__(self):
-        n = np.asarray(self.n, dtype=float)
-        if n.shape != (3,):
-            raise ModelFormatError("control axis must be a real 3-vector")
-        if not (abs(n) <= MAX_MAGNITUDE).all():  # nan fails too
-            raise ModelFormatError("control axis must be finite numbers of "
-                                   f"magnitude at most {MAX_MAGNITUDE:g}")
+        n = _numbers(self.n, (3,), "control axis")
         nrm = np.linalg.norm(n)
         if nrm < TOL_RANK:
             raise ModelFormatError("control axis must be nonzero")
@@ -62,7 +78,9 @@ class SingleAxis:
 @dataclass(frozen=True)
 class TwoQubitModel:
     """A validated model: numbers of magnitude at most MAX_MAGNITUDE, K 3x3
-    and nonzero, C of length 3, and a FullSU2 or SingleAxis control."""
+    and nonzero, C of length 3, and a FullSU2 or SingleAxis control.  A
+    malformed field raises ModelFormatError that names it; K and C are
+    read-only copies, so the caller's arrays are neither shared nor frozen."""
 
     omega_S: float
     K: np.ndarray
@@ -70,26 +88,16 @@ class TwoQubitModel:
     control: FullSU2 | SingleAxis = field(default_factory=FullSU2)
 
     def __post_init__(self):
-        omega = finite_float(self.omega_S)
-        K = np.asarray(self.K, dtype=float)
-        C = np.asarray(self.C, dtype=float)
-        if K.shape != (3, 3):
-            raise ModelFormatError("K must be a real 3x3 matrix")
-        if C.shape != (3,):
-            raise ModelFormatError("C must be a real 3-vector")
-        k_max = np.abs(K).max()  # nan or inf exactly when K has such an entry
-        if not np.max([k_max, abs(omega), *abs(C)]) <= MAX_MAGNITUDE:
-            raise ModelFormatError("omega_S, K and C must be finite numbers "
-                                   f"of magnitude at most {MAX_MAGNITUDE:g}")
-        if k_max < TOL_RANK:  # the floor; MAX_MAGNITUDE is the ceiling
+        omega = float(_numbers(self.omega_S, (), "omega_S"))
+        K = _numbers(self.K, (3, 3), "K")
+        C = _numbers(self.C, (3,), "C")
+        if np.abs(K).max() < TOL_RANK:  # the floor; MAX_MAGNITUDE is the ceiling
             raise ModelFormatError("K must be nonzero (trivial interaction)")
         if not isinstance(self.control, (FullSU2, SingleAxis)):
             raise ModelFormatError(f"unknown control type {self.control!r}")
+        object.__setattr__(self, "omega_S", omega)
         object.__setattr__(self, "K", K)
         object.__setattr__(self, "C", C)
-        object.__setattr__(self, "omega_S", omega)
-        self.K.setflags(write=False)
-        self.C.setflags(write=False)
 
 
 # Row r of _DRIFT_MAP holds the coordinates multiplying parameter r of
@@ -169,24 +177,19 @@ def model_from_dict(d: dict) -> TwoQubitModel:
     ctl = d["control"]
     if not isinstance(ctl, dict) or "type" not in ctl:
         raise ModelFormatError("control must be an object with a 'type' field")
-    try:
-        if ctl["type"] == "full":
-            if set(ctl) != {"type"}:
-                raise ModelFormatError("full control takes no extra fields")
-            control = FullSU2()
-        elif ctl["type"] == "axis":
-            if set(ctl) != {"type", "n"}:
-                raise ModelFormatError("axis control takes exactly the field 'n'")
-            control = SingleAxis(n=json_numbers(ctl["n"], "control axis"))
-        else:
-            raise ModelFormatError(f"unknown control type {ctl['type']!r}")
-        return TwoQubitModel(omega_S=json_numbers(d["omega_S"], "omega_S"),
-                             K=json_numbers(d["K"], "K"),
-                             C=json_numbers(d["C"], "C"), control=control)
-    except (TypeError, ValueError, OverflowError) as exc:
-        if isinstance(exc, ModelFormatError):
-            raise
-        raise ModelFormatError(str(exc)) from exc
+    if ctl["type"] == "full":
+        if set(ctl) != {"type"}:
+            raise ModelFormatError("full control takes no extra fields")
+        control = FullSU2()
+    elif ctl["type"] == "axis":
+        if set(ctl) != {"type", "n"}:
+            raise ModelFormatError("axis control takes exactly the field 'n'")
+        control = SingleAxis(n=json_numbers(ctl["n"], "control axis"))
+    else:
+        raise ModelFormatError(f"unknown control type {ctl['type']!r}")
+    return TwoQubitModel(omega_S=json_numbers(d["omega_S"], "omega_S"),
+                         K=json_numbers(d["K"], "K"),
+                         C=json_numbers(d["C"], "C"), control=control)
 
 
 def load_json(path):

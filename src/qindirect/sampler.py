@@ -226,30 +226,25 @@ def reachable_point(cfg: SampleConfig, row) -> np.ndarray:
 
 
 def _angle_table(cfg: SampleConfig) -> np.ndarray:
-    lo = np.array([r[0] for r in cfg.angle_ranges])
-    hi = np.array([r[1] for r in cfg.angle_ranges])
+    """The (n, 9) angle table: a unit-cube table u mapped to
+    lo + (hi - lo) u in place, which is ``rng.uniform``'s own formula, so a
+    seed gives the same random table bit for bit."""
+    lo, hi = np.array(cfg.angle_ranges).T
     if cfg.mode == "random":
-        # lo + (hi - lo) u, rng.uniform's own formula, in place
         table = np.random.default_rng(cfg.seed).random((cfg.n, 9))
-        table *= hi - lo
-        table += lo
-        return table
-    # grid: smallest per-axis count m with m^9 >= n, midpoint rule,
-    # first n points in C (lexicographic) order
-    m = 1
-    while m ** 9 < cfg.n:
-        m += 1
-    # the m grid values of each axis, looked up by the base-m digits of the
-    # row index one axis at a time, last axis first, into one axis-major
-    # table (returned as its (n, 9) transpose)
-    values = lo[:, None] + (hi - lo)[:, None] * ((np.arange(m) + 0.5) / m)
-    table = np.empty((9, cfg.n))
-    index = np.arange(cfg.n)
-    digit = np.empty_like(index)
-    for axis in range(8, -1, -1):
-        np.divmod(index, m, out=(index, digit))
-        values[axis].take(digit, out=table[axis])
-    return table.T
+    else:
+        # grid: smallest per-axis count m with m^9 >= n, midpoint rule,
+        # first n points in C (lexicographic) order
+        m = 1
+        while m ** 9 < cfg.n:
+            m += 1
+        table = np.array(np.unravel_index(np.arange(cfg.n), (m,) * 9),
+                         dtype=float).T
+        table += 0.5
+        table /= m
+    table *= hi - lo
+    table += lo
+    return table
 
 
 # the factors of the point map in the order they act on the state: the

@@ -5,6 +5,8 @@ partial trace of the steered state must equal), plus edge cases at the
 gimbal points of the Euler factorization and at degenerate spectra.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -306,6 +308,15 @@ def test_pure_uic_steer_ignores_the_state(rng):
     x = _haar_su2(rng)
     assert np.array_equal(pure_uic_steer(bloch_inverse([0.3, -0.2, 0.5]), x),
                           pure_uic_steer(bloch_inverse([0.0, 0.0, -1.0]), x))
+
+
+@pytest.mark.parametrize("shape", [(0, 2, 2), (2, 2, 2)],
+                         ids=["empty", "two"])
+def test_pure_uic_steer_refuses_a_stack_of_states(shape):
+    # check_density reads stacks, so an empty stack would check no state
+    rho = np.broadcast_to(ID2 / 2, shape)
+    with pytest.raises(ValueError, match=re.escape(str(shape))):
+        pure_uic_steer(rho, np.eye(2))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

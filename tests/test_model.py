@@ -125,6 +125,49 @@ def test_model_numbers_are_bounded_by_max_magnitude():
             SingleAxis(n=[0.0, 0.0, big])
 
 
+# one of each kind of malformed number: no number, no array, a ragged
+# array, the wrong shape, an integer past the float range, nan and a float
+# past MAX_MAGNITUDE; each is put in one entry of an otherwise valid field
+MALFORMED = {"None": None, "str": "abc", "dict": {}, "ragged": [[1, 2], [3]],
+             "shape": np.ones(2), "int-10^400": 10 ** 400, "nan": np.nan,
+             "1e76": 1e76}
+FIELDS = {"omega_S": ((), "omega_S"), "K": ((3, 3), "K"), "C": ((3,), "C"),
+          "n": ((3,), "control axis")}
+
+
+def _in_field(shape, value):
+    """``value`` as the field of ``shape``: in entry 0 of a field of ones
+    when it is a number, the whole field otherwise."""
+    if shape == () or not isinstance(value, (int, float)):
+        return value
+    out = np.ones(shape, dtype=object)
+    out.flat[0] = value
+    return out.tolist()
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED))
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_every_malformed_field_is_a_format_error_naming_it(name, kind):
+    shape, label = FIELDS[name]
+    value = _in_field(shape, MALFORMED[kind])
+    with pytest.raises(ModelFormatError, match=f"^{label} "):
+        if name == "n":
+            SingleAxis(n=value)
+        else:
+            TwoQubitModel(**{"omega_S": 1.0, "K": np.eye(3), "C": np.zeros(3),
+                             name: value})
+
+
+def test_model_copies_the_callers_arrays():
+    K, C, n = 2.0 * np.eye(3), np.array([0.1, 0.2, 0.3]), np.array([0., 0., 1.])
+    m = TwoQubitModel(omega_S=0.5, K=K, C=C, control=SingleAxis(n=n))
+    for given, kept in ((K, m.K), (C, m.C), (n, m.control.n)):
+        assert not np.shares_memory(given, kept)
+        assert given.flags.writeable
+    K[0, 0], C[0], n[0] = 7.0, 7.0, 7.0
+    assert m.K[0, 0] == 2.0 and m.C[0] == 0.1 and m.control.n[0] == 0.0
+
+
 def test_interaction_element_map():
     # K with a single unit entry (j, k) must give i H_I = i sigma_k (x) sigma_j:
     # the row index picks the accessor axis, the column the target axis.

@@ -472,12 +472,22 @@ def _grid_table_per_index(cfg):
     return table
 
 
-@pytest.mark.parametrize("n", [1, 4, 729, 1000, 2, 511, 512, 513])
+@pytest.mark.parametrize("n", [1, 4, 729, 1000, 2, 511, 512, 513, 3, 19684])
 def test_grid_table_matches_per_index_construction(n):
     ranges = tuple((-0.5 * k, 1.0 + k) for k in range(9))
     cfg = SampleConfig(s_x=0.0, s_z=0.0, a_z=0.0, n=n, mode="grid",
                        angle_ranges=ranges)
     assert np.array_equal(_angle_table(cfg), _grid_table_per_index(cfg))
+
+
+@pytest.mark.parametrize("n", [1, 729, 4099])
+def test_random_table_is_rng_uniform(n):
+    ranges = tuple((-0.5 * k, 1.0 + k) for k in range(9))
+    cfg = SampleConfig(s_x=0.0, s_z=0.0, a_z=0.0, n=n, seed=n,
+                       angle_ranges=ranges)
+    lo, hi = np.array(ranges).T
+    assert np.array_equal(_angle_table(cfg),
+                          np.random.default_rng(n).uniform(lo, hi, (n, 9)))
 
 
 def test_axial_config_keeps_cloud_on_axis():
