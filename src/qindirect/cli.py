@@ -14,9 +14,10 @@ too.  Verdicts are emitted as sorted-key JSON, with a "tolerances" block
 from the commands that make rank decisions; ``_emit`` opens the one output
 file, and sample writes its CSV there.  Exit codes: 0 success (negative
 verdicts included), 1 malformed config or flag value, 2 precondition
-violations.  Two exception types decide the code: a ModelFormatError (so
-every file that ``model.load_json`` cannot decode) or an OSError exits 1,
-and any other ValueError exits 2.
+violations.  Three exception types give exit 1: a ModelFormatError (so
+every file that ``model.load_json`` cannot decode), an OSError and a
+MemoryError (a cloud too large to allocate); any other ValueError exits
+2.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from . import sampler as _sampler
 from .lieclosure import closure, projector
 from .model import (FullSU2, ModelFormatError, finite_float, generator_set,
                     json_numbers, load_json, model_from_dict)
-from .qalg import (SIGMA_X, TOL_RANK, bloch_inverse, dagger, frob, mat_exp,
-                   partial_trace, tensor, z_rotation)
+from .qalg import (TOL_RANK, bloch_inverse, dagger, frob, partial_trace,
+                   tensor, z_rotation)
 
 
 def _load_config(path) -> dict:
@@ -131,8 +132,12 @@ def _random_pure(rng) -> np.ndarray:
 
 
 def _su2_from_angles(angles) -> np.ndarray:
+    """e^{t2 sz} e^{t sx} e^{t1 sz}, with e^{t sx} = cos(t/2) 1 +
+    i sin(t/2) tx written out like ``z_rotation``, so every finite angle
+    gives an SU(2) element."""
     t2, t, t1 = angles
-    return z_rotation(t2) @ mat_exp(t * SIGMA_X) @ z_rotation(t1)
+    c, s = np.cos(0.5 * t), 1j * np.sin(0.5 * t)
+    return z_rotation(t2) @ np.array([[c, s], [s, c]]) @ z_rotation(t1)
 
 
 def _draws(cfg: dict, args, default: int):
@@ -369,7 +374,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         result = _run(COMMANDS[args.command], args)
-    except (ModelFormatError, OSError) as exc:
+    except (ModelFormatError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

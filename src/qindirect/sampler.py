@@ -20,8 +20,7 @@ per row of the angle table.  Every factor is a conjugation by e^{theta g E_j}
 with E_j a single Pauli string: sz (x) 1 = E_30, i sx (x) sz = -E_13/2,
 i sx (x) sx = -E_11/2 and 1 (x) sx = E_01.  Since [E_j, E_k] = +-E_l or 0,
 that conjugation turns four coordinate planes (x_k, x_l) by the angle
-phi = theta g and leaves the other coordinates alone.  The planes and their
-orientation are read from ``qalg.STRUCTURE[4]`` at import.  The start is
+phi = theta g and leaves the other coordinates alone.  The start is
 i rho_S (x) rho_A = sum s_a t_b E_ab / 2 with s = (1, s_x, 0, s_z) and
 t = (1, 0, 0, a_z).  As Tr_A E_a0 = sqrt(2) E_a and Tr_A E_ab = 0 for
 b != 0, ``qalg.state_bloch`` checks and reads Tr(P_a rho') = 2 x_a0, and
@@ -34,16 +33,17 @@ rounding at any angle.  Only 18 of the 32 planes of the eight factors are
 turned.  The start state is zero off its support E_ab, a in {0, 1, 3} and
 b in {0, 3}, and the read-out is x_a0.  A plane is kept when it touches
 a coordinate that the earlier planes can have made nonzero and one that
-the later planes can carry to the read-out (``_live_planes``).  The others
-turn two zeros or change only coordinates that are never read, so
-dropping them leaves every point as it was (an exact zero may change
-sign).
+the later planes can carry to the read-out.  The others turn two zeros
+or change only coordinates that are never read, so dropping them leaves
+every point as it was (an exact zero may change sign).
 
 A factor turns all its live planes in one gather, turn and scatter
-(``_turn``): with kl = (k..., l...) and its swap lk = (l..., k...), built
-at import (``_TURNS``), x[kl] cos + x[lk] (-sin, +sin) is written back to
-kl.  That is (c x_k - s x_l, c x_l + s x_k) bit for bit, since a - b and
-a + (-b) round alike.
+(``_turn``): with kl = (k..., l...) and its swap lk = (l..., k...),
+x[kl] cos + x[lk] (-sin, +sin) is written back to kl.  That is
+(c x_k - s x_l, c x_l + s x_k) bit for bit, since a - b and a + (-b)
+round alike.  ``_live_planes`` alone builds this plan, once at import
+(``_TURNS``): it reads each factor's planes and their orientation from
+``qalg.STRUCTURE[4]``, keeps the live ones and returns their (kl, lk).
 
 Two oracles follow other routes.  ``reachable_point`` maps one angle row
 through 4x4 matrices: the closed form ``y_closed_form``, which substitutes
@@ -260,19 +260,6 @@ _HALF_SCALE = np.array([g / 2 for _, _, g in _SWEEP])
 _HALF_SCALE.setflags(write=False)
 
 
-def _planes(j: int) -> np.ndarray:
-    """(4, 2) rows (k, l) with [E_j, E_k] = E_l, so [E_j, E_l] = -E_k.
-
-    e^{phi E_j} . e^{-phi E_j} turns each plane (x_k, x_l) by phi.
-    """
-    planes = np.argwhere(STRUCTURE[4][j] > 0.5)
-    planes.setflags(write=False)
-    return planes
-
-
-_PLANES = {j: _planes(j) for j in sorted({j for _, j, _ in _SWEEP})}
-
-
 def _half_angle_turn(half):
     """cos and sin of 2 half from one tangent t = tan(half).
 
@@ -300,8 +287,12 @@ _READ.setflags(write=False)
 
 
 def _live_planes(start, read) -> tuple:
-    """Per factor of _SWEEP, the planes of _PLANES that can move the read-out.
+    """Per factor of _SWEEP, the read-only (2, planes) gather indices
+    kl = (k..., l...) of the planes that can move the read-out and their
+    swap lk = (l..., k...), for ``_turn``.
 
+    The factor on E_j turns the planes (x_k, x_l) with [E_j, E_k] = E_l,
+    so [E_j, E_l] = -E_k: e^{phi E_j} . e^{-phi E_j} turns each by phi.
     A coordinate is nonzero before a factor only if it is in ``start`` or
     an earlier plane joined it to one; it reaches the read-out only if it
     is in ``read`` or a later plane joins it to one.  A plane is kept when
@@ -310,7 +301,7 @@ def _live_planes(start, read) -> tuple:
     it leaves the values of the read coordinates as they were (an exact
     zero may change sign).
     """
-    planes = [_PLANES[j] for _, j, _ in _SWEEP]
+    planes = [np.argwhere(STRUCTURE[4][j] > 0.5) for _, j, _ in _SWEEP]
 
     def reach(seed, order):
         marks = [np.zeros(16, dtype=bool)]
@@ -323,24 +314,15 @@ def _live_planes(start, read) -> tuple:
 
     nonzero = reach(start, planes)  # nonzero[i]: before factor i
     needed = reach(read, planes[::-1])[::-1]  # needed[i + 1]: after factor i
-    live = []
+    turns = []
     for i, p in enumerate(planes):
         keep = p[nonzero[i][p].any(axis=1) & needed[i + 1][p].any(axis=1)]
         keep.setflags(write=False)
-        live.append(keep)
-    return tuple(live)
+        turns.append((keep.T, keep.T[::-1]))
+    return tuple(turns)
 
 
-_LIVE = _live_planes(_START, _READ)
-
-
-def _turns(live) -> tuple:
-    """Per factor, the read-only (2, planes) gather indices kl = (k..., l...)
-    of its planes and their swap lk = (l..., k...), for ``_turn``."""
-    return tuple((planes.T, planes.T[::-1]) for planes in live)
-
-
-_TURNS = _turns(_LIVE)
+_TURNS = _live_planes(_START, _READ)
 
 
 def _turn(x, kl, lk, cos, sines) -> None:

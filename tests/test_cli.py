@@ -23,6 +23,7 @@ import qindirect
 from qindirect import cli
 from qindirect.lieclosure import closure, projector
 from qindirect.model import generator_set, ising_model
+from qindirect.qalg import SIGMA_X, mat_exp, z_rotation
 from qindirect.sampler import SampleConfig, parse_csv, sample
 
 # the JSON form of ising_model()
@@ -215,6 +216,22 @@ def test_steer_explicit_angles(tmp_path, capsys):
     assert json.loads(out)["residual"] < 1e-10
 
 
+@pytest.mark.parametrize("t", [3e154, 1e300])
+def test_steer_takes_any_finite_middle_angle(tmp_path, capsys, t):
+    # ||t sx||^2 past the float range once stopped mat_exp with exit 2
+    cfg = _write(tmp_path, "steer.json", {"x_angles": [0.0, t, 0.0]})
+    code, out, _ = _run(capsys, "steer", cfg)
+    assert code == 0
+    assert json.loads(out)["residual"] < 1e-12
+
+
+def test_su2_from_angles_is_the_exponential_product(rng):
+    for t2, t, t1 in rng.uniform(-20.0, 20.0, (200, 3)):
+        expect = z_rotation(t2) @ mat_exp(t * SIGMA_X) @ z_rotation(t1)
+        got = cli._su2_from_angles((t2, t, t1))
+        assert np.abs(got - expect).max() <= 1e-15
+
+
 def test_steer_draws_deterministic(capsys):
     code1, out1, _ = _run(capsys, "steer", "--draws", "10", "--seed", "4")
     code2, out2, _ = _run(capsys, "steer", "--draws", "10", "--seed", "4")
@@ -316,6 +333,19 @@ def test_unwritable_output_path_is_exit_1(tmp_path, capsys):
     code, _, err = _run(capsys, "sample", cfg, "--output", str(dest))
     assert code == 1
     assert "error" in err
+
+
+@pytest.mark.parametrize("mode", ["random", "grid"])
+def test_cloud_too_large_to_allocate_is_exit_1(tmp_path, capsys, mode):
+    # 10^15 rows ask for far more than any address space holds, so the
+    # first table fails to allocate at once
+    cfg = _write(tmp_path, "huge.json", {**SAMPLE, "n": 10 ** 15, "mode": mode})
+    dest = tmp_path / "cloud.csv"
+    code, out, err = _run(capsys, "sample", cfg, "--output", str(dest))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not dest.exists()
 
 
 def test_config_must_be_object(tmp_path, capsys):

@@ -470,7 +470,6 @@ def test_shared_tables_are_read_only():
     tables = [*PAULI_BASIS.values(), *qalg._FLAT_BASIS.values(),
               *qalg._DUAL_BASIS.values(), *STRUCTURE.values(), E_AB,
               model._DRIFT_MAP,
-              *sampler._PLANES.values(), *sampler._LIVE,
               *(index for turn in sampler._TURNS for index in turn),
               sampler._START, sampler._READ, sampler._HALF_SCALE]
     for table in tables:

@@ -16,7 +16,7 @@ from numpy.testing import assert_allclose
 
 from qindirect import sampler
 from qindirect.model import ModelFormatError
-from qindirect.qalg import (ID2, SIGMA_X, SIGMA_Z, dagger, frob,
+from qindirect.qalg import (ID2, SIGMA_X, SIGMA_Z, STRUCTURE, dagger, frob,
                             mat_exp, pauli_coords, state_bloch, tensor)
 from qindirect.sampler import (ANGLE_NAMES, DEFAULT_RANGE, SampleConfig,
                                _angle_table, emit_csv, kak_to_alphas,
@@ -68,10 +68,31 @@ def test_sweep_covers_every_angle_but_s4():
     assert names[0] == "s3" and names[-1] == "t1"
 
 
-def _rotate(x, planes, cos, sin) -> None:
+# the sweep plan with every coordinate live: all four planes of each
+# factor, the same for every factor on one E_j
+_ALL_TURNS = sampler._live_planes(np.arange(16), np.arange(16))
+_ALL_TURNS_OF = {j: turn for (_, j, _), turn in zip(sampler._SWEEP, _ALL_TURNS)}
+
+
+def test_sweep_plan_reads_the_structure_tensor():
+    # the planes of the factor on E_j are the (k, l) with [E_j, E_k] = E_l;
+    # the live plan keeps 18 of the 32
+    for (_, j, _), every, live in zip(sampler._SWEEP, _ALL_TURNS,
+                                      sampler._TURNS, strict=True):
+        planes = np.argwhere(STRUCTURE[4][j] > 0.5)
+        assert every[0].shape == (2, 4)
+        assert np.array_equal(every[0].T, planes)
+        assert {*map(tuple, live[0].T)} <= {*map(tuple, planes)}
+        for kl, lk in (every, live):
+            assert np.array_equal(lk, kl[::-1])
+            assert not kl.flags.writeable and not lk.flags.writeable
+    assert sum(kl.shape[1] for kl, _ in sampler._TURNS) == 18
+
+
+def _rotate(x, kl, cos, sin) -> None:
     """The sweep's turn one plane (x_k, x_l) at a time: the oracle of
     ``sampler._turn``."""
-    k, l = planes.T
+    k, l = kl
     xk, xl = x[k], x[l]
     x[k] = cos * xk - sin * xl
     x[l] = sin * xk + cos * xl
@@ -79,7 +100,7 @@ def _rotate(x, planes, cos, sin) -> None:
 
 def _turn_all(x, j, cos, sin) -> None:
     """``sampler._turn`` on every plane of the factor on E_j."""
-    (kl, lk), = sampler._turns((sampler._PLANES[j],))
+    kl, lk = _ALL_TURNS_OF[j]
     sampler._turn(x, kl, lk, cos, np.reshape([-sin, sin], (2, 1, -1)))
 
 
@@ -97,7 +118,7 @@ def test_sweep_rotation_matches_conjugation(name, j, g, theta, rng):
     assert np.abs(x - expect).max() <= 1e-14
 
 
-@pytest.mark.parametrize("j", sorted(sampler._PLANES))
+@pytest.mark.parametrize("j", sorted(_ALL_TURNS_OF))
 def test_turn_is_the_plane_rotation_bit_for_bit(j, rng):
     # one angle per column, as the sweep passes them; zeros of both signs
     # among the coordinates, so the sign of every zero is compared too
@@ -108,7 +129,7 @@ def test_turn_is_the_plane_rotation_bit_for_bit(j, rng):
     cos, sin = np.cos(phi), np.sin(phi)
     turned = x.copy()
     _turn_all(turned, j, cos, sin)
-    _rotate(x, sampler._PLANES[j], cos, sin)
+    _rotate(x, _ALL_TURNS_OF[j][0], cos, sin)
     assert turned.tobytes() == x.tobytes()
 
 
@@ -268,8 +289,8 @@ def _plane_sweep(cfg):
     half = table[:, sampler._SWEEP_COLUMNS].T * sampler._HALF_SCALE[:, None]
     cos, sin = sampler._half_angle_turn(half)
     x = np.repeat(state[:, None], len(table), axis=1)
-    for planes, c, s in zip(sampler._LIVE, cos, sin):
-        _rotate(x, planes, c, s)
+    for (kl, _), c, s in zip(sampler._TURNS, cos, sin):
+        _rotate(x, kl, c, s)
     return state_bloch(2.0 * x[sampler._READ].T)
 
 
@@ -309,8 +330,7 @@ def test_live_planes_match_all_planes(state, mode, ranges, monkeypatch):
     start = 0.5 * np.outer([1.0, s_x, 0.0, s_z], [1.0, 0.0, 0.0, a_z]).ravel()
     table = _angle_table(cfg)
     live = sampler._sample_block(start, table)
-    monkeypatch.setattr(sampler, "_TURNS", sampler._turns(
-        sampler._PLANES[j] for _, j, _ in sampler._SWEEP))
+    monkeypatch.setattr(sampler, "_TURNS", _ALL_TURNS)
     assert np.array_equal(live, sampler._sample_block(start, table))
 
 
