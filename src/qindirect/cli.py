@@ -34,7 +34,7 @@ from . import indirect as _indirect
 from . import sampler as _sampler
 from .lieclosure import closure, projector
 from .model import (FullSU2, ModelFormatError, finite_float, generator_set,
-                    json_numbers, load_json, model_from_dict)
+                    json_numbers, load_json, model_from_dict, read_numbers)
 from .qalg import (TOL_RANK, bloch_inverse, dagger, frob, partial_trace,
                    tensor, z_rotation)
 
@@ -44,13 +44,6 @@ def _load_config(path) -> dict:
     if not isinstance(cfg, dict):
         raise ModelFormatError("config must be a JSON object")
     return cfg
-
-
-def _convert(kind, value, key: str):
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ModelFormatError(f"{key}: {exc}") from exc
 
 
 def _integer(value) -> int:
@@ -83,15 +76,14 @@ def _option(cfg: dict, args, key: str, default, kind):
     val = getattr(args, key, None)
     if val is None:
         val = json_numbers(cfg.get(key, default), key)
-    return _convert(kind, val, key)
+    try:
+        return kind(val)
+    except (TypeError, ValueError) as exc:
+        raise ModelFormatError(f"{key}: {exc}") from exc
 
 
 def _floats(value, key: str, shape: tuple) -> np.ndarray:
-    arr = _convert(lambda v: np.asarray(v, dtype=float),
-                   json_numbers(value, key), key)
-    if arr.shape != shape:
-        raise ModelFormatError(f"{key} must be numbers of shape {shape}")
-    return arr
+    return read_numbers(json_numbers(value, key), shape, key)
 
 
 def _density(cfg: dict, key: str, default=None) -> np.ndarray:
@@ -247,9 +239,9 @@ def _cmd_sample(cfg: dict, args) -> Callable:
             raise ModelFormatError(f"unknown angle names: {sorted(unknown)}")
         full.update({k: _floats(v, f"angle_ranges.{k}", (2,))
                      for k, v in ranges.items()})
-        ranges = tuple(tuple(full[name]) for name in _sampler.ANGLE_NAMES)
-    elif ranges is not None:
-        ranges = tuple(map(tuple, _floats(ranges, "angle_ranges", (9, 2))))
+        ranges = [full[name] for name in _sampler.ANGLE_NAMES]
+    elif ranges is not None:  # SampleConfig checks the shape
+        ranges = json_numbers(ranges, "angle_ranges")
     kwargs = {"s_x": _option(cfg, args, "s_x", 0.0, finite_float),
               "s_z": _option(cfg, args, "s_z", 0.0, finite_float),
               "a_z": _option(cfg, args, "a_z", 0.0, finite_float),

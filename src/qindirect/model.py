@@ -12,6 +12,9 @@ A model is (omega_S, K, C, control):
   directions) or a single fixed axis.
 
 ``generator_set`` gives the Lie layer one real (k, 16) coordinate array.
+``read_numbers`` reads every number that comes from outside: the model's
+fields here, under the MAX_MAGNITUDE ceiling, and the fields of
+``sampler.SampleConfig`` and the CLI's arrays.
 """
 
 from __future__ import annotations
@@ -34,10 +37,10 @@ class ModelFormatError(ValueError):
     """Raised for malformed model files or dictionaries."""
 
 
-def _numbers(value, shape: tuple, name: str) -> np.ndarray:
-    """A read-only float copy of ``value`` of the given shape, every entry
-    of magnitude at most MAX_MAGNITUDE; anything else is one
-    ModelFormatError that names the field."""
+def read_numbers(value, shape: tuple, name: str) -> np.ndarray:
+    """A read-only float copy of ``value`` of the given shape with finite
+    entries; anything else is one ModelFormatError whose message starts
+    with ``name``."""
     try:
         out = np.array(value, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -46,10 +49,18 @@ def _numbers(value, shape: tuple, name: str) -> np.ndarray:
     if out.shape != shape:
         raise ModelFormatError(f"{name} must have shape {shape}, "
                                f"got {out.shape}")
-    if not (abs(out) <= MAX_MAGNITUDE).all():  # nan fails too
+    if not np.isfinite(out).all():
+        raise ModelFormatError(f"{name} must be finite numbers")
+    out.setflags(write=False)
+    return out
+
+
+def _numbers(value, shape: tuple, name: str) -> np.ndarray:
+    """``read_numbers`` with every entry of magnitude at most MAX_MAGNITUDE."""
+    out = read_numbers(value, shape, name)
+    if not (abs(out) <= MAX_MAGNITUDE).all():
         raise ModelFormatError(f"{name} must be finite numbers of magnitude "
                                f"at most {MAX_MAGNITUDE:g}")
-    out.setflags(write=False)
     return out
 
 

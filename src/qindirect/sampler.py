@@ -71,7 +71,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .model import ModelFormatError, finite_float
+from .model import ModelFormatError, read_numbers
 from .qalg import (ID2, SIGMA_X, SIGMA_Z, STRUCTURE, bloch, bloch_inverse,
                    dagger, from_pauli_coords, mat_exp, partial_trace,
                    state_bloch, tensor, z_rotation)
@@ -85,6 +85,9 @@ MODES = ("random", "grid")  # i.i.d. uniform angles, or grid midpoints
 # tables of tangents, cosines and signed sines), against the 7.2 MB angle
 # table of a 10^5-point cloud, and takes that cloud fastest
 _BLOCK = 4096
+# the most rows an (n, 9) float64 angle table can have: a larger n asks for
+# more bytes than an index holds, and the grid loop stops by m = 80
+_MAX_ROWS = np.iinfo(np.intp).max // (9 * np.dtype(float).itemsize)
 # rows per formatting step of emit_csv; a step holds under 1 MB of floats,
 # tuple and text, and 10^5 rows take as long as in one step
 _CSV_ROWS = 4096
@@ -94,9 +97,13 @@ _CSV_ROWS = 4096
 class SampleConfig:
     """Initial state, sample count, and angle distribution for one run.
 
-    A malformed field raises ModelFormatError.  rho_S and rho_A go through
-    ``qalg.state_bloch``, the check of every point: by Ky Fan a point can
-    fail it only if both lie past the unit ball.
+    A malformed field raises ModelFormatError whose message starts with the
+    field's name; s_x, s_z, a_z and angle_ranges are read by
+    ``model.read_numbers``, and angle_ranges is kept as nine float pairs.
+    n is at most _MAX_ROWS, so no angle table is too large to ask for.
+    rho_S and rho_A go through ``qalg.state_bloch``, the check of every
+    point: by Ky Fan a point can fail it only if both lie past the unit
+    ball.
     """
 
     s_x: float
@@ -112,17 +119,11 @@ class SampleConfig:
         if self.mode not in MODES:
             raise ModelFormatError(f"mode must be one of {MODES}, "
                                    f"got {self.mode!r}")
-        try:  # a field that is no number, or angle_ranges no sequence of pairs
-            for key in ("s_x", "s_z", "a_z"):
-                object.__setattr__(self, key, finite_float(getattr(self, key)))
-            ranges = tuple((float(lo), float(hi))
-                           for lo, hi in self.angle_ranges)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ModelFormatError("s_x, s_z, a_z and angle_ranges must be "
-                                   f"numbers: {exc}") from None
-        if len(ranges) != 9:
-            raise ModelFormatError("angle_ranges: need nine finite-width "
-                                   f"intervals, got {len(ranges)}")
+        for key in ("s_x", "s_z", "a_z"):
+            value = float(read_numbers(getattr(self, key), (), key))
+            object.__setattr__(self, key, value)
+        ranges = tuple(map(tuple, read_numbers(
+            self.angle_ranges, (9, 2), "angle_ranges").tolist()))
         bad = [name for name, (lo, hi) in zip(ANGLE_NAMES, ranges)
                if not 0.0 <= hi - lo < np.inf]
         if bad:
@@ -134,6 +135,11 @@ class SampleConfig:
                     or value < low):
                 raise ModelFormatError(f"{key} must be an integer of at least "
                                        f"{low}, got {value!r}")
+        # int() compares numpy integers exactly; the message leaves n out,
+        # as str() refuses an int past 4300 digits
+        if int(self.n) > _MAX_ROWS:
+            raise ModelFormatError(f"n must be at most {_MAX_ROWS}, the most "
+                                   "rows an (n, 9) float table can have")
         # r = Tr(P rho) of rho_S and rho_A: the check of every output point
         state_bloch(np.array([[1.0, self.s_x, 0.0, self.s_z],
                               [1.0, 0.0, 0.0, self.a_z]]))

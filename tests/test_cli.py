@@ -22,7 +22,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import qindirect
 from qindirect import cli
 from qindirect.lieclosure import closure, projector
-from qindirect.model import generator_set, ising_model
+from qindirect.model import (ModelFormatError, TwoQubitModel, generator_set,
+                             ising_model)
 from qindirect.qalg import SIGMA_X, mat_exp, z_rotation
 from qindirect.sampler import SampleConfig, parse_csv, sample
 
@@ -346,6 +347,43 @@ def test_cloud_too_large_to_allocate_is_exit_1(tmp_path, capsys, mode):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not dest.exists()
+
+
+# past the most rows an (n, 9) float table can have, refused before the
+# grid loop (which would climb to m = 10^10 for 1e90) or numpy's shape
+# check (a ValueError, exit 2, for 1e300 and 1e18) can run
+@pytest.mark.parametrize("extra", [{"n": 1e90, "mode": "grid"}, {"n": 1e300},
+                                   {"n": 1e18}])
+def test_sample_count_past_the_largest_table_is_exit_1(tmp_path, capsys,
+                                                       extra):
+    cfg = _write(tmp_path, "huge.json", {**SAMPLE, **extra})
+    dest = tmp_path / "cloud.csv"
+    code, out, err = _run(capsys, "sample", cfg, "--output", str(dest))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: n must be at most ") and err.count("\n") == 1
+    assert not dest.exists()
+
+
+def test_model_config_and_cli_name_the_field_of_a_short_array(tmp_path,
+                                                               capsys):
+    short = [0.5, 0.5]
+    with pytest.raises(ModelFormatError,
+                       match=r"^C must have shape \(3,\), got \(2,\)$"):
+        TwoQubitModel(omega_S=1.0, K=np.eye(3), C=short)
+    with pytest.raises(ModelFormatError, match=r"^angle_ranges must have "
+                       r"shape \(9, 2\), got \(2,\)$"):
+        SampleConfig(s_x=0.0, s_z=0.5, a_z=0.0, angle_ranges=short)
+    for command, payload, expect in (
+            ("classify", {**ISING, "C": short}, "C must have shape (3,)"),
+            ("negat", {**NEGAT, "rho_S": short}, "rho_S must have shape (3,)"),
+            ("steer", {"x_angles": short}, "x_angles must have shape (3,)"),
+            ("sample", {**SAMPLE, "angle_ranges": short},
+             "angle_ranges must have shape (9, 2)")):
+        code, out, err = _run(capsys, command,
+                              _write(tmp_path, "short.json", payload))
+        assert (code, out) == (1, "")
+        assert err == f"error: {expect}, got (2,)\n"
 
 
 def test_config_must_be_object(tmp_path, capsys):

@@ -22,7 +22,8 @@ from numpy.testing import assert_allclose
 from qindirect.model import (MAX_MAGNITUDE, FullSU2, ModelFormatError,
                              SingleAxis, TwoQubitModel, generator_set,
                              ising_model, load_model, model_from_dict,
-                             random_model, random_single_axis_model)
+                             random_model, random_single_axis_model,
+                             read_numbers)
 from qindirect.qalg import (ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, TOL_RANK,
                             check_skew_coords, dagger, frob, from_pauli_coords,
                             pauli_coords, tensor)
@@ -156,6 +157,27 @@ def test_every_malformed_field_is_a_format_error_naming_it(name, kind):
         else:
             TwoQubitModel(**{"omega_S": 1.0, "K": np.eye(3), "C": np.zeros(3),
                              name: value})
+
+
+def test_read_numbers_returns_a_read_only_copy():
+    given = np.array([[0.0, 1.0], [-2.0, 1.7e308]])
+    out = read_numbers(given, (2, 2), "x")  # no ceiling but the float range
+    assert out.dtype == float and np.array_equal(out, given)
+    assert not out.flags.writeable and given.flags.writeable
+    assert not np.shares_memory(out, given)
+    given[0, 0] = 7.0
+    assert out[0, 0] == 0.0
+    assert np.array_equal(read_numbers([[1, 2]] * 9, (9, 2), "x"),
+                          np.tile([1.0, 2.0], (9, 1)))
+
+
+@pytest.mark.parametrize("value", [
+    [1.0, 2.0], [0.0, np.nan, 1.0], [0.0, np.inf, 1.0], None,
+    [[1.0, 2.0], [3.0]], "abc", [0, 10 ** 400, 0]],
+    ids=["shape", "nan", "inf", "None", "ragged", "str", "int-10^400"])
+def test_read_numbers_names_the_field_first(value):
+    with pytest.raises(ModelFormatError, match=r"^angle_ranges\.t1 "):
+        read_numbers(value, (3,), "angle_ranges.t1")
 
 
 def test_model_copies_the_callers_arrays():

@@ -8,6 +8,7 @@ that the figure configurations rely on.
 """
 
 import io
+import re
 
 import numpy as np
 import pytest
@@ -144,24 +145,25 @@ def test_first_factor_turns_into_zeros():
 
 def test_sample_config_validation():
     SampleConfig(s_x=0.6, s_z=0.8, a_z=1.0)  # boundary of the ball is fine
-    with pytest.raises(ValueError):
-        SampleConfig(s_x=0.8, s_z=0.8, a_z=0.0)
-    with pytest.raises(ValueError):
-        SampleConfig(s_x=0.0, s_z=0.0, a_z=1.5)
-    with pytest.raises(ValueError):
-        SampleConfig(s_x=0.0, s_z=0.5, a_z=0.0, n=0)
-    with pytest.raises(ValueError):
-        SampleConfig(s_x=0.0, s_z=0.5, a_z=0.0, mode="sobol")
-    with pytest.raises(ValueError):
-        SampleConfig(s_x=0.0, s_z=0.5, a_z=0.0,
-                     angle_ranges=((0.0, 1.0),) * 8)
-    with pytest.raises(ValueError):
-        SampleConfig(s_x=0.0, s_z=0.5, a_z=0.0,
-                     angle_ranges=((1.0, 0.0),) * 9)
+    # a state past the ball is a violated precondition (exit 2), not
+    # malformed input
+    for state in ({"s_x": 0.8, "s_z": 0.8, "a_z": 0.0},
+                  {"s_x": 0.0, "s_z": 0.0, "a_z": 1.5}):
+        with pytest.raises(ValueError, match="negative eigenvalue") as info:
+            SampleConfig(**state)
+        assert type(info.value) is ValueError
+    for field, text in (
+            ({"n": 0}, "at least 1"), ({"mode": "sobol"}, "mode"),
+            ({"angle_ranges": ((0.0, 1.0),) * 8},
+             re.escape("must have shape (9, 2), got (8, 2)")),
+            ({"angle_ranges": ((1.0, 0.0),) * 9}, "finite-width")):
+        with pytest.raises(ModelFormatError, match=text):
+            SampleConfig(s_x=0.0, s_z=0.5, a_z=0.0, **field)
     for bad in (np.nan, np.inf, -np.inf):
         for key in ("s_x", "s_z", "a_z"):
             state = {"s_x": 0.0, "s_z": 0.5, "a_z": 0.0, key: bad}
-            with pytest.raises(ValueError, match="finite"):
+            with pytest.raises(ModelFormatError,
+                               match=f"^{key} must be finite numbers"):
                 SampleConfig(**state)
     # lists are coerced to float tuples
     cfg = SampleConfig(s_x=0.0, s_z=0.5, a_z=0.0,
@@ -383,7 +385,11 @@ def test_sample_block_checks_every_point():
 def test_sample_config_rejects_range_of_non_finite_width(lo, hi):
     ranges = [DEFAULT_RANGE] * 9
     ranges[1] = (lo, hi)
-    with pytest.raises(ValueError, match="finite-width"):
+    # a non-finite end stops in model.read_numbers; a width that overflows
+    # is the width check's
+    text = ("finite-width" if np.isfinite([lo, hi]).all()
+            else "^angle_ranges must be finite numbers")
+    with pytest.raises(ModelFormatError, match=text):
         SampleConfig(s_x=0.0, s_z=0.5, a_z=0.0, angle_ranges=ranges)
 
 
@@ -396,6 +402,24 @@ def test_sample_config_rejects_a_count_that_is_no_integer(n):
 @pytest.mark.parametrize("n", [0, -3])
 def test_sample_config_rejects_a_count_below_one(n):
     with pytest.raises(ModelFormatError, match="integer of at least 1"):
+        SampleConfig(s_x=0.0, s_z=0.5, a_z=0.0, n=n)
+
+
+def test_sample_config_takes_the_rows_of_the_largest_angle_table():
+    # the most rows an (n, 9) float64 table can have; never sampled
+    bound = sampler._MAX_ROWS
+    assert bound * 9 * 8 <= np.iinfo(np.intp).max
+    assert (bound + 1) * 9 * 8 > np.iinfo(np.intp).max
+    assert SampleConfig(s_x=0.0, s_z=0.5, a_z=0.0, n=bound).n == bound
+
+
+# refused before any table is asked for: left to numpy, 1e300 is a
+# ValueError (exit 2), and grid mode would climb to m = 10^10 for 1e90
+@pytest.mark.parametrize("n", [sampler._MAX_ROWS + 1, 10 ** 300,
+                               np.uint64(2 ** 63), 10 ** 5000],
+                         ids=["bound+1", "1e300", "uint64-2^63", "1e5000"])
+def test_sample_config_refuses_a_count_past_the_largest_table(n):
+    with pytest.raises(ModelFormatError, match="^n must be at most "):
         SampleConfig(s_x=0.0, s_z=0.5, a_z=0.0, n=n)
 
 
@@ -426,7 +450,8 @@ def test_sample_config_checks_its_states_as_sample_checks_points():
     {"angle_ranges": [("a", 1.0)] * 9}, {"angle_ranges": [None] * 9},
 ])
 def test_sample_config_raises_model_format_error_for_malformed_fields(field):
-    with pytest.raises(ModelFormatError, match="angle_ranges"):
+    (name,) = field
+    with pytest.raises(ModelFormatError, match=f"^{name} "):
         SampleConfig(**{"s_x": 0.0, "s_z": 0.5, "a_z": 0.0, **field})
 
 
