@@ -2,22 +2,24 @@
 
 One subcommand per analysis, each driven by a JSON config file plus a few
 overriding flags, whose text goes through the converter of the config key
-it overrides.  ``COMMANDS`` declares every subcommand once: the function
-that runs it, whether its config is required (and, for classify,
-closure and negat, carries the model fields at the top level), the flags it
-takes besides --output, and the config keys it reads.  A config key outside
-that set is an error; for the model commands such keys are passed to
-``model_from_dict``, which rejects any that are not model fields.  steer
-and fic run either one explicit case (x_angles or target) or random
-draws, and a key or flag that the chosen mode does not read is an error
-too.  Verdicts are emitted as sorted-key JSON, with a "tolerances" block
-from the commands that make rank decisions; ``_emit`` opens the one output
-file, and sample writes its CSV there.  Exit codes: 0 success (negative
-verdicts included), 1 malformed config or flag value, 2 precondition
-violations.  Three exception types give exit 1: a ModelFormatError (so
-every file that ``model.load_json`` cannot decode), an OSError and a
-MemoryError (a cloud too large to allocate); any other ValueError exits
-2.
+it overrides.  ``_integer`` reads an integral JSON number or a flag's
+integer literal, and ``model.read_integer`` then holds draws, seed and
+sample's n to their lower bounds.  ``COMMANDS`` declares every subcommand
+once: the function that runs it, whether its config is required (and, for
+classify, closure and negat, carries the model fields at the top level),
+the flags it takes besides --output, and the config keys it reads.  A
+config key outside that set is an error; for the model commands such keys
+are passed to ``model_from_dict``, which rejects any that are not model
+fields.  steer and fic run either one explicit case (x_angles or target) or
+random draws, and a key or flag that the chosen mode does not read is an
+error too.  Verdicts are emitted as sorted-key JSON; for the model
+commands, which make rank decisions, ``_run`` reads the tolerance once and
+adds its "tolerances" block.  ``_emit`` opens the one output file, and
+sample writes its CSV there.  Exit codes: 0 success (negative verdicts
+included), 1 malformed config or flag value, 2 precondition violations.
+Three exception types give exit 1: a ModelFormatError (so every file that
+``model.load_json`` cannot decode), an OSError and a MemoryError (a cloud
+too large to allocate); any other ValueError exits 2.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ from . import indirect as _indirect
 from . import sampler as _sampler
 from .lieclosure import closure, projector
 from .model import (FullSU2, ModelFormatError, finite_float, generator_set,
-                    json_numbers, load_json, model_from_dict, read_numbers)
+                    json_numbers, load_json, model_from_dict, read_integer,
+                    read_numbers)
 from .qalg import (TOL_RANK, bloch_inverse, dagger, frob, partial_trace,
                    tensor, z_rotation)
 
@@ -51,24 +54,6 @@ def _integer(value) -> int:
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
-
-
-def _positive(kind) -> Callable:
-    """``kind`` that also rejects 0 and below (a tolerance, a count)."""
-    def convert(value):
-        x = kind(value)
-        if x <= 0:
-            raise ValueError(f"{x!r} is not above 0")
-        return x
-    return convert
-
-
-def _seed(value) -> int:
-    """A generator seed: an integer of at least 0."""
-    x = _integer(value)
-    if x < 0:
-        raise ValueError(f"{x!r} is below 0")
-    return x
 
 
 def _option(cfg: dict, args, key: str, default, kind):
@@ -96,8 +81,10 @@ def _tolerances(cfg: dict, args) -> dict:
     if not isinstance(tols, dict) or set(tols) - {"tol_rank"}:
         raise ModelFormatError("tolerances must be an object whose only key "
                                f"is tol_rank, got {tols!r}")
-    return {"tol_rank": _option(tols, args, "tol_rank", TOL_RANK,
-                                _positive(finite_float))}
+    tol = _option(tols, args, "tol_rank", TOL_RANK, finite_float)
+    if tol <= 0:
+        raise ModelFormatError(f"tol_rank: {tol!r} is not above 0")
+    return {"tol_rank": tol}
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +121,9 @@ def _su2_from_angles(angles) -> np.ndarray:
 
 def _draws(cfg: dict, args, default: int):
     """(draws, seed, generator) of a run over random draws."""
-    draws = _option(cfg, args, "draws", default, _positive(_integer))
-    seed = _option(cfg, args, "seed", 0, _seed)
+    draws = read_integer(_option(cfg, args, "draws", default, _integer),
+                         "draws", 1)
+    seed = read_integer(_option(cfg, args, "seed", 0, _integer), "seed", 0)
     return draws, seed, np.random.default_rng(seed)
 
 
@@ -155,46 +143,40 @@ def _fic_residual(rho_s, psi_a, target) -> float:
 # subcommands
 
 
-def _cmd_classify(model, cfg: dict, args) -> dict:
-    tols = _tolerances(cfg, args)
+def _cmd_classify(model, tol: float, cfg: dict) -> dict:
     if isinstance(model.control, FullSU2):
-        cv = _classify.cross_validate(model, tol=tols["tol_rank"])
-        payload = {"case": cv.predicted.tag,
-                   "predicted_dim": cv.predicted.predicted_dim,
-                   "computed_dim": cv.computed_dim,
-                   "agree": cv.agree,
-                   "marginal": cv.predicted.marginal}
-    else:
-        rep = _classify.oms0_check(model, tol_rank=tols["tol_rank"])
-        payload = {"c1": rep.c1, "c2": rep.c2, "cc": rep.cc,
-                   "det_K": rep.det_K, "c2_magnitude": rep.c2_magnitude}
-    payload["tolerances"] = tols
-    return payload
+        cv = _classify.cross_validate(model, tol=tol)
+        return {"case": cv.predicted.tag,
+                "predicted_dim": cv.predicted.predicted_dim,
+                "computed_dim": cv.computed_dim,
+                "agree": cv.agree,
+                "marginal": cv.predicted.marginal}
+    rep = _classify.oms0_check(model, tol_rank=tol)
+    return {"c1": rep.c1, "c2": rep.c2, "cc": rep.cc,
+            "det_K": rep.det_K, "c2_magnitude": rep.c2_magnitude}
 
 
-def _cmd_closure(model, cfg: dict, args) -> dict:
-    tols = _tolerances(cfg, args)
+def _cmd_closure(model, tol: float, cfg: dict) -> dict:
     show = cfg.get("basis")
     if show is not None and not isinstance(show, bool):
         raise ModelFormatError(f"basis: {show!r} is not true or false")
-    basis = closure(generator_set(model), tol=tols["tol_rank"])
-    payload = {"dim": len(basis), "tolerances": tols}
+    basis = closure(generator_set(model), tol=tol)
+    payload = {"dim": len(basis)}
     if show:
         payload["projector"] = projector(basis).tolist()
     return payload
 
 
-def _cmd_negat(model, cfg: dict, args) -> dict:
-    tols = _tolerances(cfg, args)
+def _cmd_negat(model, tol: float, cfg: dict) -> dict:
     if "rho_S" not in cfg or "rho_A" not in cfg:
         raise ModelFormatError("negat needs rho_S and rho_A Bloch vectors")
     rho_s = _density(cfg, "rho_S")
     rho_a = _density(cfg, "rho_A")
-    L = closure(generator_set(model), tol=tols["tol_rank"])
-    verdict = _indirect.gennegat_test(L, rho_s, rho_a, tol=tols["tol_rank"])
+    L = closure(generator_set(model), tol=tol)
+    verdict = _indirect.gennegat_test(L, rho_s, rho_a, tol=tol)
     return {"lie_dim": len(L), "v_dim": verdict.v_dim,
             "trace_image_dim": verdict.trace_image_dim,
-            "uic_excluded": verdict.uic_excluded, "tolerances": tols}
+            "uic_excluded": verdict.uic_excluded}
 
 
 def _unread(cfg: dict, args, keys: tuple, mode: str) -> None:
@@ -242,12 +224,11 @@ def _cmd_sample(cfg: dict, args) -> Callable:
         ranges = [full[name] for name in _sampler.ANGLE_NAMES]
     elif ranges is not None:  # SampleConfig checks the shape
         ranges = json_numbers(ranges, "angle_ranges")
-    kwargs = {"s_x": _option(cfg, args, "s_x", 0.0, finite_float),
-              "s_z": _option(cfg, args, "s_z", 0.0, finite_float),
-              "a_z": _option(cfg, args, "a_z", 0.0, finite_float),
-              "n": _option(cfg, args, "n", 729, _integer),
-              "seed": _option(cfg, args, "seed", 0, _integer),
-              "mode": cfg.get("mode", "random")}
+    kwargs = {key: json_numbers(cfg.get(key, 0.0), key)
+              for key in ("s_x", "s_z", "a_z")}
+    kwargs.update(n=_option(cfg, args, "n", 729, _integer),
+                  seed=_option(cfg, args, "seed", 0, _integer),
+                  mode=cfg.get("mode", "random"))
     if ranges is not None:
         kwargs["angle_ranges"] = ranges
     sc = _sampler.SampleConfig(**kwargs)
@@ -285,7 +266,7 @@ def _cmd_verify(cfg: dict, args) -> dict:
 
 
 class Command(NamedTuple):
-    run: Callable
+    run: Callable  # (model, tol, cfg) for "model", else (cfg, args)
     help: str
     config: str  # "optional", "required" or "model" (required, with model fields)
     flags: tuple  # besides --output, which every subcommand takes
@@ -341,7 +322,9 @@ def _run(cmd: Command, args):
     cfg = _load_config(args.config)
     rest = {k: v for k, v in cfg.items() if k not in cmd.keys}
     if cmd.config == "model":
-        return cmd.run(model_from_dict(rest), cfg, args)
+        model = model_from_dict(rest)
+        tols = _tolerances(cfg, args)
+        return {**cmd.run(model, tols["tol_rank"], cfg), "tolerances": tols}
     if rest:
         raise ModelFormatError(f"unknown config keys: {sorted(rest)}")
     return cmd.run(cfg, args)

@@ -14,7 +14,8 @@ A model is (omega_S, K, C, control):
 ``generator_set`` gives the Lie layer one real (k, 16) coordinate array.
 ``read_numbers`` reads every number that comes from outside: the model's
 fields here, under the MAX_MAGNITUDE ceiling, and the fields of
-``sampler.SampleConfig`` and the CLI's arrays.
+``sampler.SampleConfig`` and the CLI's arrays.  ``read_integer`` reads
+every integer: ``SampleConfig``'s n and seed and the CLI's draws and seed.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -44,6 +46,11 @@ def read_numbers(value, shape: tuple, name: str) -> np.ndarray:
     try:
         out = np.array(value, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
+        try:
+            np.shape(value)  # raises only for a ragged nesting
+        except ValueError:
+            raise ModelFormatError(f"{name} must have shape {shape}, "
+                                   "got a ragged nesting") from None
         # str() of an int past 4300 digits raises: leave ``value`` out
         raise ModelFormatError(f"{name} is not a finite number: {exc}") from None
     if out.shape != shape:
@@ -53,6 +60,16 @@ def read_numbers(value, shape: tuple, name: str) -> np.ndarray:
         raise ModelFormatError(f"{name} must be finite numbers")
     out.setflags(write=False)
     return out
+
+
+def read_integer(value, name: str, low: int) -> int:
+    """``value`` as a Python int if it is an int or a numpy integer, not a
+    bool, of at least ``low``; anything else is one ModelFormatError whose
+    message leaves the value out, as str() refuses an int past 4300 digits."""
+    if (isinstance(value, bool) or not isinstance(value, Integral)
+            or int(value) < low):
+        raise ModelFormatError(f"{name} must be an integer of at least {low}")
+    return int(value)
 
 
 def _numbers(value, shape: tuple, name: str) -> np.ndarray:

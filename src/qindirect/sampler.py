@@ -67,11 +67,10 @@ point does not depend on s4.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from .model import ModelFormatError, read_numbers
+from .model import ModelFormatError, read_integer, read_numbers
 from .qalg import (ID2, SIGMA_X, SIGMA_Z, STRUCTURE, bloch, bloch_inverse,
                    dagger, from_pauli_coords, mat_exp, partial_trace,
                    state_bloch, tensor, z_rotation)
@@ -99,8 +98,10 @@ class SampleConfig:
 
     A malformed field raises ModelFormatError whose message starts with the
     field's name; s_x, s_z, a_z and angle_ranges are read by
-    ``model.read_numbers``, and angle_ranges is kept as nine float pairs.
-    n is at most _MAX_ROWS, so no angle table is too large to ask for.
+    ``model.read_numbers``, and angle_ranges is kept as nine float pairs;
+    n (at least 1) and seed (at least 0) are read by ``model.read_integer``
+    and kept as Python ints.  n is at most _MAX_ROWS, so no angle table is
+    too large to ask for.
     rho_S and rho_A go through ``qalg.state_bloch``, the check of every
     point: by Ky Fan a point can fail it only if both lie past the unit
     ball.
@@ -130,14 +131,10 @@ class SampleConfig:
             raise ModelFormatError(f"angle_ranges: {bad} are not "
                                    "finite-width intervals with lo <= hi")
         for key, low in (("n", 1), ("seed", 0)):
-            value = getattr(self, key)  # an int or numpy integer, not a bool
-            if (isinstance(value, bool) or not isinstance(value, Integral)
-                    or value < low):
-                raise ModelFormatError(f"{key} must be an integer of at least "
-                                       f"{low}, got {value!r}")
-        # int() compares numpy integers exactly; the message leaves n out,
-        # as str() refuses an int past 4300 digits
-        if int(self.n) > _MAX_ROWS:
+            value = read_integer(getattr(self, key), key, low)
+            object.__setattr__(self, key, value)
+        # the message leaves n out, as str() refuses an int past 4300 digits
+        if self.n > _MAX_ROWS:
             raise ModelFormatError(f"n must be at most {_MAX_ROWS}, the most "
                                    "rows an (n, 9) float table can have")
         # r = Tr(P rho) of rho_S and rho_A: the check of every output point

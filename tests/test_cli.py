@@ -386,6 +386,33 @@ def test_model_config_and_cli_name_the_field_of_a_short_array(tmp_path,
         assert err == f"error: {expect}, got (2,)\n"
 
 
+def test_a_ragged_array_is_a_shape_error(tmp_path, capsys):
+    cfg = _write(tmp_path, "ragged.json", {**NEGAT, "rho_S": [[0], 0.5, 0]})
+    code, out, err = _run(capsys, "negat", cfg)
+    assert (code, out) == (1, "")
+    assert err == "error: rho_S must have shape (3,), got a ragged nesting\n"
+
+
+# each integer below its bound, in the config and, where the command takes
+# the flag, as the flag; sample has no --n flag
+@pytest.mark.parametrize("command, key, value, low", [
+    ("steer", "draws", 0, 1), ("steer", "seed", -1, 0),
+    ("fic", "draws", 0, 1), ("fic", "seed", -1, 0),
+    ("verify", "draws", 0, 1), ("verify", "seed", -1, 0),
+    ("sample", "n", 0, 1), ("sample", "seed", -1, 0)])
+def test_an_integer_below_its_bound_is_exit_1(tmp_path, capsys, command, key,
+                                              value, low):
+    base = SAMPLE if command == "sample" else {}
+    runs = [[_write(tmp_path, "cfg.json", {**base, key: value})]]
+    if key in cli.COMMANDS[command].flags:
+        config = [_write(tmp_path, "base.json", base)] if base else []
+        runs.append([*config, cli._FLAGS[key], str(value)])
+    for args in runs:
+        code, out, err = _run(capsys, command, *args)
+        assert (code, out) == (1, ""), args
+        assert err == f"error: {key} must be an integer of at least {low}\n"
+
+
 def test_config_must_be_object(tmp_path, capsys):
     path = tmp_path / "list.json"
     path.write_text("[1, 2, 3]")

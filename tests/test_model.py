@@ -23,7 +23,7 @@ from qindirect.model import (MAX_MAGNITUDE, FullSU2, ModelFormatError,
                              SingleAxis, TwoQubitModel, generator_set,
                              ising_model, load_model, model_from_dict,
                              random_model, random_single_axis_model,
-                             read_numbers)
+                             read_integer, read_numbers)
 from qindirect.qalg import (ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, TOL_RANK,
                             check_skew_coords, dagger, frob, from_pauli_coords,
                             pauli_coords, tensor)
@@ -178,6 +178,27 @@ def test_read_numbers_returns_a_read_only_copy():
 def test_read_numbers_names_the_field_first(value):
     with pytest.raises(ModelFormatError, match=r"^angle_ranges\.t1 "):
         read_numbers(value, (3,), "angle_ranges.t1")
+
+
+def test_read_numbers_names_a_ragged_nesting_as_a_shape():
+    with pytest.raises(ModelFormatError) as exc:
+        read_numbers([[0], 0.5, 0], (3,), "rho_S")
+    assert str(exc.value) == "rho_S must have shape (3,), got a ragged nesting"
+    with pytest.raises(ModelFormatError) as exc:
+        read_numbers([[1.0, 2.0], [3.0]], (2, 2), "x")
+    assert str(exc.value) == "x must have shape (2, 2), got a ragged nesting"
+
+
+def test_read_integer():
+    for value in (5, np.int32(5), np.uint64(5)):
+        out = read_integer(value, "n", 1)
+        assert type(out) is int and out == 5
+    assert read_integer(0, "seed", 0) == 0
+    # -10^5000 is past str()'s 4300 digits: the message leaves it out
+    for value in (True, 3.0, "4", None, 0, -10 ** 5000):
+        with pytest.raises(ModelFormatError) as exc:
+            read_integer(value, "n", 1)
+        assert str(exc.value) == "n must be an integer of at least 1"
 
 
 def test_model_copies_the_callers_arrays():

@@ -399,7 +399,8 @@ def test_sample_config_rejects_a_count_that_is_no_integer(n):
         SampleConfig(s_x=0.0, s_z=0.5, a_z=0.0, n=n)
 
 
-@pytest.mark.parametrize("n", [0, -3])
+# -10^5000: str() refuses an int past 4300 digits, so no message may hold it
+@pytest.mark.parametrize("n", [0, -3, pytest.param(-10 ** 5000, id="-1e5000")])
 def test_sample_config_rejects_a_count_below_one(n):
     with pytest.raises(ModelFormatError, match="integer of at least 1"):
         SampleConfig(s_x=0.0, s_z=0.5, a_z=0.0, n=n)
@@ -461,7 +462,8 @@ def test_sample_config_reads_its_state_numbers_as_floats():
     assert all(type(v) is float for v in (cfg.s_x, cfg.s_z, cfg.a_z))
 
 
-@pytest.mark.parametrize("seed", [1.5, -1, 2.0, True])
+@pytest.mark.parametrize("seed", [1.5, -1, 2.0, True,
+                                  pytest.param(-10 ** 5000, id="-1e5000")])
 def test_sample_config_rejects_a_bad_seed(seed):
     with pytest.raises(ModelFormatError, match="seed must be an integer"):
         SampleConfig(s_x=0.0, s_z=0.5, a_z=0.0, seed=seed)
@@ -470,6 +472,7 @@ def test_sample_config_rejects_a_bad_seed(seed):
 def test_sample_config_takes_numpy_integers():
     cfg = SampleConfig(s_x=0.0, s_z=0.5, a_z=0.0, n=np.int32(5),
                        seed=np.uint64(3))
+    assert type(cfg.n) is int and type(cfg.seed) is int
     expect = sample(SampleConfig(s_x=0.0, s_z=0.5, a_z=0.0, n=5, seed=3))
     assert np.array_equal(sample(cfg), expect)
 
