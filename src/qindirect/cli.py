@@ -1,8 +1,9 @@
 """Command-line front end.
 
 One subcommand per analysis, each driven by a JSON config file plus a few
-overriding flags, whose text goes through the converter of the config key
-it overrides.  ``_integer`` reads an integral JSON number or a flag's
+overriding flags.  A flag is named after the config key it overrides
+(``--`` plus the key, with ``_`` written ``-``), and its text goes through
+that key's converter.  ``_integer`` reads an integral JSON number or a flag's
 integer literal, and ``model.read_integer`` then holds draws, seed and
 sample's n to their lower bounds.  ``COMMANDS`` declares every subcommand
 once: the function that runs it, whether its config is required (and, for
@@ -15,11 +16,13 @@ random draws, and a key or flag that the chosen mode does not read is an
 error too.  Verdicts are emitted as sorted-key JSON; for the model
 commands, which make rank decisions, ``_run`` reads the tolerance once and
 adds its "tolerances" block.  ``_emit`` opens the one output file, and
-sample writes its CSV there.  Exit codes: 0 success (negative verdicts
-included), 1 malformed config or flag value, 2 precondition violations.
-Three exception types give exit 1: a ModelFormatError (so every file that
-``model.load_json`` cannot decode), an OSError and a MemoryError (a cloud
-too large to allocate); any other ValueError exits 2.
+sample writes its CSV there; sample's defaults are ``SampleConfig``'s.
+Exit codes: 0 success (negative verdicts included), 1 malformed config or
+flag value, 2 precondition violations.  ``main`` decides them in one place,
+for the run and the writing of its output alike: a ModelFormatError (so
+every file that ``model.load_json`` cannot decode), an OSError and a
+MemoryError (a cloud too large to allocate) give exit 1; any other
+ValueError exits 2.
 """
 
 from __future__ import annotations
@@ -226,9 +229,10 @@ def _cmd_sample(cfg: dict, args) -> Callable:
         ranges = json_numbers(ranges, "angle_ranges")
     kwargs = {key: json_numbers(cfg.get(key, 0.0), key)
               for key in ("s_x", "s_z", "a_z")}
-    kwargs.update(n=_option(cfg, args, "n", 729, _integer),
-                  seed=_option(cfg, args, "seed", 0, _integer),
-                  mode=cfg.get("mode", "random"))
+    defaults = _sampler.SampleConfig  # its field defaults, as class attributes
+    kwargs.update(n=_option(cfg, args, "n", defaults.n, _integer),
+                  seed=_option(cfg, args, "seed", defaults.seed, _integer),
+                  mode=cfg.get("mode", defaults.mode))
     if ranges is not None:
         kwargs["angle_ranges"] = ranges
     sc = _sampler.SampleConfig(**kwargs)
@@ -238,28 +242,24 @@ def _cmd_sample(cfg: dict, args) -> Callable:
 
 def _cmd_verify(cfg: dict, args) -> dict:
     draws, seed, rng = _draws(cfg, args, 1000)
-    gamma_worst: dict = {}
-    appendix_worst: dict = {}
+    worst = {"gamma_suite": {}, "appendix_suite": {}}
     for _ in range(draws):
         alpha = 0.0
         while abs(alpha) < 1e-3:
             alpha = rng.uniform(-1, 1)
-        rep = _classify.gamma_suite(alpha, rng.uniform(-1, 1),
-                                    rng.uniform(-1, 1), rng.uniform(-1, 1))
-        for k, v in rep.residuals.items():
-            gamma_worst[k] = max(gamma_worst.get(k, 0.0), v)
+        gamma = _classify.gamma_suite(alpha, rng.uniform(-1, 1),
+                                      rng.uniform(-1, 1), rng.uniform(-1, 1))
         v3 = rng.normal(size=3)
         v3 = v3 / np.linalg.norm(v3)
         alpha, omega_a = 0.0, 0.0
         while alpha ** 2 + 4 * omega_a ** 2 < 1e-6:
             alpha, omega_a = rng.uniform(-1, 1, 2)
-        rep = _classify.appendix_b_suite(*v3, alpha, omega_a)
-        for k, v in rep.residuals.items():
-            appendix_worst[k] = max(appendix_worst.get(k, 0.0), v)
-    overall = max(max(gamma_worst.values()), max(appendix_worst.values()))
-    return {"draws": draws, "seed": seed,
-            "gamma_suite": gamma_worst, "appendix_suite": appendix_worst,
-            "max_residual": overall}
+        appendix = _classify.appendix_b_suite(*v3, alpha, omega_a)
+        for suite, rep in zip(worst.values(), (gamma, appendix)):
+            for k, v in rep.residuals.items():
+                suite[k] = max(suite.get(k, 0.0), v)
+    overall = max(max(suite.values()) for suite in worst.values())
+    return {"draws": draws, "seed": seed, **worst, "max_residual": overall}
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +297,6 @@ COMMANDS = {
                       "optional", _DRAWS, frozenset(_DRAWS)),
 }
 
-_FLAGS = {"seed": "--seed", "draws": "--draws", "tol_rank": "--tol-rank"}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -313,7 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
         else:
             p.add_argument("config", help="JSON config file")
         for key in cmd.flags:
-            p.add_argument(_FLAGS[key], dest=key, default=None)
+            p.add_argument("--" + key.replace("_", "-"), default=None)
         p.add_argument("--output", default=None)
     return parser
 
@@ -349,19 +347,15 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         result = _run(COMMANDS[args.command], args)
+        # the output file is opened only now, so rejected input writes nothing
+        _emit(_json_writer(result) if isinstance(result, dict) else result,
+              args.output)
     except (ModelFormatError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return 2
-    # the output file is opened only now, so rejected input writes nothing
-    write = _json_writer(result) if isinstance(result, dict) else result
-    try:
-        _emit(write, args.output)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     return 0
 
 

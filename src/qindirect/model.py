@@ -47,10 +47,14 @@ def read_numbers(value, shape: tuple, name: str) -> np.ndarray:
         out = np.array(value, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         try:
-            np.shape(value)  # raises only for a ragged nesting
+            np.shape(value)  # raises for a ragged nesting or past 64 levels
         except ValueError:
-            raise ModelFormatError(f"{name} must have shape {shape}, "
-                                   "got a ragged nesting") from None
+            depth = 0  # counted along first elements
+            while isinstance(value, (list, tuple)) and value:
+                depth, value = depth + 1, value[0]
+            raise ModelFormatError(f"{name} must have shape {shape}, got " + (
+                f"{depth} levels of nesting" if depth > 64
+                else "a ragged nesting")) from None
         # str() of an int past 4300 digits raises: leave ``value`` out
         raise ModelFormatError(f"{name} is not a finite number: {exc}") from None
     if out.shape != shape:

@@ -97,6 +97,27 @@ def test_cross_validate_all_cases(rng):
             assert cv.agree, (case, cv.computed_dim)
 
 
+@settings(max_examples=90)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(list(CASE_DIMS)))
+def test_cross_validate_is_frame_free(seed, case):
+    # local turns K -> R_A K R_S^T, C -> R_A C, with R_S about z when
+    # omega_S != 0 (the drift omega_S sigma_z of S fixes its z axis)
+    rng = np.random.default_rng(seed)
+    m = random_model(case, rng)
+    for _ in range(3):
+        r_a = frame(*rng.normal(size=(2, 3)))
+        if m.omega_S == 0.0:
+            r_s = frame(*rng.normal(size=(2, 3)))
+        else:
+            u = np.array([*rng.normal(size=2), 0.0])
+            r_s = frame(u, [-u[1], u[0], 0.0])
+        cv = cross_validate(TwoQubitModel(
+            omega_S=m.omega_S, K=r_a @ m.K @ r_s.T, C=r_a @ m.C,
+            control=m.control))
+        assert (cv.predicted.tag, cv.computed_dim, cv.agree) == (
+            case, CASE_DIMS[case], True)
+
+
 def test_cross_validate_passes_tol_to_closure():
     # at tol 1e-3 the 1e-6 F column is negligible to the prediction and to
     # the closure alike, so both read case 1b; at 1e-9 both read 1a

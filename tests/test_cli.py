@@ -349,6 +349,16 @@ def test_cloud_too_large_to_allocate_is_exit_1(tmp_path, capsys, mode):
     assert not dest.exists()
 
 
+def test_a_failure_while_writing_takes_the_same_exit_codes(tmp_path, capsys,
+                                                           monkeypatch):
+    def emit_csv(points, fh, seed=None):
+        raise MemoryError("no room for the text")
+
+    monkeypatch.setattr(cli._sampler, "emit_csv", emit_csv)
+    code, out, err = _run(capsys, "sample", _write(tmp_path, "c.json", SAMPLE))
+    assert (code, out, err) == (1, "", "error: no room for the text\n")
+
+
 # past the most rows an (n, 9) float table can have, refused before the
 # grid loop (which would climb to m = 10^10 for 1e90) or numpy's shape
 # check (a ValueError, exit 2, for 1e300 and 1e18) can run
@@ -393,6 +403,17 @@ def test_a_ragged_array_is_a_shape_error(tmp_path, capsys):
     assert err == "error: rho_S must have shape (3,), got a ragged nesting\n"
 
 
+def test_a_nesting_past_numpys_dimensions_is_a_shape_error(tmp_path, capsys):
+    deep = 0
+    for _ in range(70):
+        deep = [deep]
+    cfg = _write(tmp_path, "deep.json",
+                 {"s_x": deep, "s_z": 0, "a_z": 1, "n": 4})
+    code, out, err = _run(capsys, "sample", cfg)
+    assert (code, out) == (1, "")
+    assert err == "error: s_x must have shape (), got 70 levels of nesting\n"
+
+
 # each integer below its bound, in the config and, where the command takes
 # the flag, as the flag; sample has no --n flag
 @pytest.mark.parametrize("command, key, value, low", [
@@ -406,7 +427,7 @@ def test_an_integer_below_its_bound_is_exit_1(tmp_path, capsys, command, key,
     runs = [[_write(tmp_path, "cfg.json", {**base, key: value})]]
     if key in cli.COMMANDS[command].flags:
         config = [_write(tmp_path, "base.json", base)] if base else []
-        runs.append([*config, cli._FLAGS[key], str(value)])
+        runs.append([*config, "--" + key, str(value)])
     for args in runs:
         code, out, err = _run(capsys, command, *args)
         assert (code, out) == (1, ""), args

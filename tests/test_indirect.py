@@ -18,8 +18,8 @@ from qindirect.indirect import (E1, GennegatVerdict, fic_mix, fic_reach,
                                 gennegat_test, pure_uic_steer, swap_op)
 from qindirect.lieclosure import (closure, contains, invariant_space,
                                   orthonormalize, trace_A_image)
-from qindirect.model import (TwoQubitModel, generator_set, random_model,
-                             random_single_axis_model)
+from qindirect.model import (SingleAxis, TwoQubitModel, generator_set,
+                             random_model, random_single_axis_model)
 from qindirect.qalg import (ID2, SIGMA_X, SIGMA_Z, bloch_inverse, dagger,
                             frame, frob, mat_exp, partial_trace, pauli_coords,
                             tensor, z_rotation)
@@ -131,20 +131,26 @@ def _about_z(t):
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-@settings(max_examples=60)
-@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["1a", "1b", "1c", "2c"]))
-def test_gennegat_verdict_is_frame_free(seed, case):
-    # local turns U_S (x) U_A conjugate the algebra and the seed together:
-    # K -> R_A K R_S^T, C -> R_A C with R_S about z when omega_S != 0, and
-    # the Bloch vectors r_S -> R_S r_S, r_A -> R_A r_A.  1a and 2c take the
-    # su(4) read-off, 1b and 1c the sweep.
+@settings(max_examples=135)
+@given(st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([*CASE_DIMS, None, "c1", "c2"]))
+def test_gennegat_verdict_is_frame_free(seed, kind):
+    # ``kind`` is a full-control case, or the ``violate`` of a single-axis
+    # draw.  Local turns U_S (x) U_A conjugate the algebra and the seed
+    # together: K -> R_A K R_S^T, C -> R_A C with R_S about z when
+    # omega_S != 0, a control axis n -> R_A n, and the Bloch vectors
+    # r_S -> R_S r_S, r_A -> R_A r_A.  1a, 2c and an unviolated single-axis
+    # draw take the su(4) read-off, every other kind the sweep.
     rng = np.random.default_rng(seed)
-    m = random_model(case, rng)
+    m = (random_model(kind, rng) if kind in CASE_DIMS
+         else random_single_axis_model(rng, kind))
     r_a = frame(*rng.normal(size=(2, 3)))
     r_s = (frame(*rng.normal(size=(2, 3))) if m.omega_S == 0.0
            else _about_z(rng.uniform(0.0, 2.0 * np.pi)))
+    control = (m.control if kind in CASE_DIMS
+               else SingleAxis(n=r_a @ m.control.n))
     turned = TwoQubitModel(omega_S=m.omega_S, K=r_a @ m.K @ r_s.T,
-                           C=r_a @ m.C, control=m.control)
+                           C=r_a @ m.C, control=control)
     L, L_turned = (closure(generator_set(x)) for x in (m, turned))
     s, a, s_pure, a_pure = (v / np.linalg.norm(v)
                             for v in rng.normal(size=(4, 3)))
@@ -159,7 +165,7 @@ def test_gennegat_verdict_is_frame_free(seed, case):
         turn = gennegat_test(L_turned, bloch_inverse(r_s @ p_s),
                              bloch_inverse(r_a @ p_a))
         assert (turn.v_dim, turn.trace_image_dim) == (
-            base.v_dim, base.trace_image_dim), case
+            base.v_dim, base.trace_image_dim), kind
 
 
 def test_gennegat_makes_one_invariant_space_call(rng, monkeypatch):

@@ -189,6 +189,17 @@ def test_read_numbers_names_a_ragged_nesting_as_a_shape():
     assert str(exc.value) == "x must have shape (2, 2), got a ragged nesting"
 
 
+def test_read_numbers_names_a_nesting_past_numpys_dimensions_by_depth():
+    # np.shape raises past 64 levels as it does for a ragged nesting
+    value = 0.0
+    for _ in range(70):
+        value = [value]
+    with pytest.raises(ModelFormatError) as exc:
+        read_numbers(value, (3,), "rho_S")
+    assert str(exc.value) == ("rho_S must have shape (3,), "
+                              "got 70 levels of nesting")
+
+
 def test_read_integer():
     for value in (5, np.int32(5), np.uint64(5)):
         out = read_integer(value, "n", 1)
