@@ -16,7 +16,8 @@ random draws, and a key or flag that the chosen mode does not read is an
 error too.  Verdicts are emitted as sorted-key JSON; for the model
 commands, which make rank decisions, ``_run`` reads the tolerance once and
 adds its "tolerances" block.  ``_emit`` opens the one output file, and
-sample writes its CSV there; sample's defaults are ``SampleConfig``'s.
+sample writes its CSV there; a failure while writing removes the file.
+sample's defaults are ``SampleConfig``'s.
 Exit codes: 0 success (negative verdicts included), 1 malformed config or
 flag value, 2 precondition violations.  ``main`` decides them in one place,
 for the run and the writing of its output alike: a ModelFormatError (so
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Callable, NamedTuple
 
@@ -130,16 +132,11 @@ def _draws(cfg: dict, args, default: int):
     return draws, seed, np.random.default_rng(seed)
 
 
-def _steer_residual(rho_s, x) -> float:
-    t = _indirect.pure_uic_steer(rho_s, x)
-    out = partial_trace(t @ tensor(rho_s, _indirect.E1) @ dagger(t))
-    return frob(out - x @ rho_s @ dagger(x))
-
-
-def _fic_residual(rho_s, psi_a, target) -> float:
-    u = _indirect.fic_reach(rho_s, psi_a, target)
-    out = partial_trace(u @ tensor(rho_s, psi_a) @ dagger(u))
-    return frob(out - target)
+def _residual(u, rho_s, rho_a, expected) -> float:
+    """frob(Tr_A[U (rho_S (x) rho_A) U^dag] - expected), the residual of a
+    steering or state-transfer contract."""
+    out = partial_trace(u @ tensor(rho_s, rho_a) @ dagger(u))
+    return frob(out - expected)
 
 
 # ---------------------------------------------------------------------------
@@ -192,26 +189,38 @@ def _unread(cfg: dict, args, keys: tuple, mode: str) -> None:
 def _cmd_steer(cfg: dict, args) -> dict:
     if "x_angles" in cfg:
         _unread(cfg, args, _DRAWS, "steer with x_angles")
-        rho_s = _density(cfg, "rho_S", [0.0, 0.0, 0.5])
-        x = _su2_from_angles(_floats(cfg["x_angles"], "x_angles", (3,)))
-        return {"residual": _steer_residual(rho_s, x)}
-    _unread(cfg, args, ("rho_S",), "steer without x_angles (random draws)")
-    draws, seed, rng = _draws(cfg, args, 500)
-    worst = max(_steer_residual(_random_density(rng), _random_su2(rng))
-                for _ in range(draws))
+        cases = [(_density(cfg, "rho_S", [0.0, 0.0, 0.5]),
+                  _su2_from_angles(_floats(cfg["x_angles"], "x_angles", (3,))))]
+    else:
+        _unread(cfg, args, ("rho_S",), "steer without x_angles (random draws)")
+        draws, seed, rng = _draws(cfg, args, 500)
+        cases = ((_random_density(rng), _random_su2(rng))
+                 for _ in range(draws))
+    worst = max(_residual(_indirect.pure_uic_steer(rho_s, x), rho_s,
+                          _indirect.E1, x @ rho_s @ dagger(x))
+                for rho_s, x in cases)
+    if "x_angles" in cfg:
+        return {"residual": worst}
     return {"draws": draws, "seed": seed, "max_residual": worst}
 
 
 def _cmd_fic(cfg: dict, args) -> dict:
     if "target" in cfg:
         _unread(cfg, args, _DRAWS, "fic with target")
-        return {"residual": _fic_residual(
-            _density(cfg, "rho_S", [0.0, 0.0, 0.5]),
-            _density(cfg, "psi_A", [0.0, 0.0, 1.0]), _density(cfg, "target"))}
-    _unread(cfg, args, ("rho_S", "psi_A"), "fic without target (random draws)")
-    draws, seed, rng = _draws(cfg, args, 100)
-    worst = max(_fic_residual(_random_density(rng), _random_pure(rng),
-                              _random_density(rng)) for _ in range(draws))
+        cases = [(_density(cfg, "rho_S", [0.0, 0.0, 0.5]),
+                  _density(cfg, "psi_A", [0.0, 0.0, 1.0]),
+                  _density(cfg, "target"))]
+    else:
+        _unread(cfg, args, ("rho_S", "psi_A"),
+                "fic without target (random draws)")
+        draws, seed, rng = _draws(cfg, args, 100)
+        cases = ((_random_density(rng), _random_pure(rng),
+                  _random_density(rng)) for _ in range(draws))
+    worst = max(_residual(_indirect.fic_reach(rho_s, psi_a, target), rho_s,
+                          psi_a, target)
+                for rho_s, psi_a, target in cases)
+    if "target" in cfg:
+        return {"residual": worst}
     return {"draws": draws, "seed": seed, "max_residual": worst}
 
 
@@ -335,12 +344,21 @@ def _json_writer(payload: dict) -> Callable:
 
 
 def _emit(write: Callable, output_path) -> None:
-    """Call write(fh) on the --output file (utf-8, LF), or on stdout."""
-    if output_path:
-        with open(output_path, "w", encoding="utf-8", newline="\n") as fh:
-            write(fh)
-    else:
+    """Call write(fh) on the --output file (utf-8, LF), or on stdout.  A
+    failure while writing removes the file, so no partial output is left."""
+    if not output_path:
         write(sys.stdout)
+        return
+    # opened outside the try: a file that cannot be opened is not removed
+    fh = open(output_path, "w", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            write(fh)
+    except BaseException:
+        # a device or a link such as /dev/stdout is left in place
+        if os.path.isfile(output_path) and not os.path.islink(output_path):
+            os.remove(output_path)
+        raise
 
 
 def main(argv=None) -> int:

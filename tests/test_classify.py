@@ -8,7 +8,7 @@ parameters and to fail loudly outside their admissible range.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from qindirect.classify import (CASE_DIMS, appendix_b_suite, c2_failure_subalgebra,
@@ -98,12 +98,24 @@ def test_cross_validate_all_cases(rng):
 
 
 @settings(max_examples=90)
-@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(list(CASE_DIMS)))
-def test_cross_validate_is_frame_free(seed, case):
-    # local turns K -> R_A K R_S^T, C -> R_A C, with R_S about z when
-    # omega_S != 0 (the drift omega_S sigma_z of S fixes its z axis)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([*CASE_DIMS, "2b-axes"]))
+@example(0, "2b-axes")
+def test_cross_validate_is_frame_free(seed, kind):
+    # the draw and three local turns of it, K -> R_A K R_S^T, C -> R_A C,
+    # with R_S about z when omega_S != 0 (the drift omega_S sigma_z of S
+    # fixes its z axis).  "2b-axes" is coordinate-aligned: K = p e_x e_x^T
+    # + q e_y e_z^T has rank 2 but one nonzero eigenvalue, in this frame
+    # alone, so a rank read off the eigenvalues fails it
     rng = np.random.default_rng(seed)
-    m = random_model(case, rng)
+    case = kind[:2]
+    if kind == "2b-axes":
+        p, q = rng.uniform(0.1, 1.0, 2)
+        m = TwoQubitModel(omega_S=0.0, K=[[p, 0.0, 0.0], [0.0, 0.0, q],
+                                          [0.0, 0.0, 0.0]],
+                          C=rng.uniform(-1.0, 1.0, 3))
+    else:
+        m = random_model(case, rng)
+    models = [m]
     for _ in range(3):
         r_a = frame(*rng.normal(size=(2, 3)))
         if m.omega_S == 0.0:
@@ -111,9 +123,10 @@ def test_cross_validate_is_frame_free(seed, case):
         else:
             u = np.array([*rng.normal(size=2), 0.0])
             r_s = frame(u, [-u[1], u[0], 0.0])
-        cv = cross_validate(TwoQubitModel(
-            omega_S=m.omega_S, K=r_a @ m.K @ r_s.T, C=r_a @ m.C,
-            control=m.control))
+        models.append(TwoQubitModel(omega_S=m.omega_S, K=r_a @ m.K @ r_s.T,
+                                    C=r_a @ m.C, control=m.control))
+    for model in models:
+        cv = cross_validate(model)
         assert (cv.predicted.tag, cv.computed_dim, cv.agree) == (
             case, CASE_DIMS[case], True)
 

@@ -25,11 +25,14 @@ from qindirect.lieclosure import closure, projector
 from qindirect.model import (ModelFormatError, TwoQubitModel, generator_set,
                              ising_model)
 from qindirect.qalg import SIGMA_X, mat_exp, z_rotation
-from qindirect.sampler import SampleConfig, parse_csv, sample
+from qindirect.sampler import (SampleConfig, parse_csv, reachable_point,
+                               sample)
 
 # the JSON form of ising_model()
 ISING = {"omega_S": 1.0, "K": [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]],
          "C": [0.0, 0.0, 0.0], "control": {"type": "full"}}
+FULL_I = {"omega_S": 0.0, "K": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+          "C": [0, 0, 0], "control": {"type": "full"}}
 AXIS_CC = {"omega_S": 0.0, "K": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
            "C": [0.0, 1.0, 0.0], "control": {"type": "axis", "n": [0, 0, 1]}}
 CASE_1C = {"omega_S": 1.0, "K": [[0, 0, 0.4], [0, 0, -0.3], [0, 0, 0.8]],
@@ -98,6 +101,22 @@ def test_classify_parallel_rows_same_json_in_both_frames(tmp_path, capsys):
     payload = json.loads(outs[0])
     assert payload["c2"] is False and payload["cc"] is False
     assert payload["c2_magnitude"] == 0.0
+
+
+def test_classify_single_axis_judges_omega_s_relative_to_the_drift(tmp_path,
+                                                                   capsys):
+    # omega_S = 0 is judged relative to the drift: the same model at two
+    # scales gives one verdict
+    verdicts = []
+    for omega, scale in ((1e-14, 1.0), (1e-8, 1e6)):
+        cfg = _write(tmp_path, "axis.json", {
+            **AXIS_CC, "omega_S": omega, "K": (scale * np.eye(3)).tolist(),
+            "C": [0.0, scale, 0.0]})
+        code, out, _ = _run(capsys, "classify", cfg)
+        assert code == 0
+        r = json.loads(out)
+        verdicts.append([r["c1"], r["c2"], r["cc"]])
+    assert verdicts == [[True] * 3] * 2
 
 
 def test_classify_single_axis_with_target_field_is_exit_2(tmp_path, capsys):
@@ -173,6 +192,23 @@ def test_closure_with_basis(tmp_path, capsys):
     assert np.abs(P - expect).max() <= 1e-12
 
 
+def test_closure_prints_one_projector_for_one_algebra(tmp_path, capsys):
+    # the Ising model at K[1][1] = 1, 1 + 2^-52 and 3 has one algebra
+    projectors = []
+    for k in (1.0, 1.0 + 2.0 ** -52, 3.0):
+        K = [[0, 0, 0], [0, k, 0], [0, 0, 0]]
+        cfg = _write(tmp_path, "ising.json", {**ISING, "K": K, "basis": True})
+        code, out, _ = _run(capsys, "closure", cfg)
+        assert code == 0
+        projectors.append(np.asarray(json.loads(out)["projector"]))
+    P = projectors[0]
+    assert P.shape == (16, 16)
+    assert np.abs(P @ P - P).max() <= 1e-12
+    assert np.abs(P - P.T).max() <= 1e-12
+    assert abs(np.trace(P) - 10) <= 1e-12
+    assert max(np.abs(q - P).max() for q in projectors) <= 1e-12
+
+
 @pytest.mark.parametrize("extra", [{}, {"basis": None}, {"basis": False}])
 def test_closure_without_basis(tmp_path, capsys, extra):
     cfg = _write(tmp_path, "ising.json", {**ISING, **extra})
@@ -191,6 +227,33 @@ def test_negat_excludes_case_1c(tmp_path, capsys):
     assert payload["lie_dim"] == 7
     assert payload["trace_image_dim"] <= 2
     assert payload["uic_excluded"] is True
+
+
+# the obstruction blocks a z-axis pair on a 1c model and not a generic pair
+# on 2c; the two closures end the two ways a sweep can: one adds nothing
+# (7), the frame is used up (15).  su(4) is read off without a sweep (16,
+# not blocked); the Ising 1b algebra sweeps from the seed's brackets in the
+# seed's complement (6, blocked).  A near-mixed target at tol 1e-6 on su(4):
+# the seed's brackets fall under the sweep's first norm test, so the space
+# is the seed's own span (1, blocked)
+@pytest.mark.parametrize("payload, flags, verdict", [
+    ({**FULL_I, "omega_S": 1.0, "K": [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
+      "rho_S": [0, 0, 0.5], "rho_A": [0, 0, 0.5]}, [], (7, 7, 1, True)),
+    ({**FULL_I, "rho_S": [0.3, 0.2, 0.4], "rho_A": [0, 0, 0.5]}, [],
+     (15, 16, 4, False)),
+    ({**AXIS_CC, "rho_S": [0.3, 0.2, 0.4], "rho_A": [0, 0, 0.5]}, [],
+     (15, 16, 4, False)),
+    ({**ISING, "rho_S": [0, 0.5, 0], "rho_A": [0, 0, 0]}, [], (10, 6, 3, True)),
+    ({**FULL_I, "rho_S": [0, 0, 1e-7], "rho_A": [0, 0, 0]},
+     ["--tol-rank", "1e-6"], (15, 1, 1, True)),
+], ids=["1c-z-pair", "2c", "axis", "ising", "near-mixed"])
+def test_negat_verdicts(tmp_path, capsys, payload, flags, verdict):
+    cfg = _write(tmp_path, "negat.json", payload)
+    code, out, _ = _run(capsys, "negat", cfg, *flags)
+    assert code == 0
+    r = json.loads(out)
+    assert (r["lie_dim"], r["v_dim"], r["trace_image_dim"],
+            r["uic_excluded"]) == verdict
 
 
 def test_negat_requires_states(tmp_path, capsys):
@@ -256,6 +319,84 @@ def test_fic_draws(capsys):
     code, out, _ = _run(capsys, "fic", "--draws", "5", "--seed", "2")
     assert code == 0
     assert json.loads(out)["max_residual"] < 1e-8
+
+
+def test_config_floats_and_flag_integers_give_one_run(tmp_path, capsys):
+    # a config's integral floats and a flag's integer literal meet one rule
+    cfg = _write(tmp_path, "fic.json", {"draws": 3.0, "seed": 5.0})
+    from_config = _run(capsys, "fic", cfg)
+    from_flags = _run(capsys, "fic", "--draws", "3", "--seed", "5")
+    assert from_config[0] == 0
+    assert from_config == from_flags
+
+
+# every contract residual at rounding: random runs over their draws (verify
+# over both identity suites, every key reported) and one explicit case each
+# of steer and fic
+@pytest.mark.parametrize("command, payload, flags", [
+    ("steer", None, ["--draws", "200"]),
+    ("fic", None, ["--draws", "200"]),
+    ("verify", None, ["--draws", "50"]),
+    ("steer", {"x_angles": [0.1, 0.2, 0.3]}, []),
+    ("fic", {"target": [0.1, -0.2, 0.3], "rho_S": [0.2, 0.1, -0.4],
+             "psi_A": [0.6, 0, 0.8]}, []),
+], ids=["steer-draws", "fic-draws", "verify-draws", "steer-x-angles",
+        "fic-target"])
+def test_contract_residuals_at_rounding(tmp_path, capsys, command, payload,
+                                        flags):
+    cfg = [] if payload is None else [_write(tmp_path, "cfg.json", payload)]
+    code, out, _ = _run(capsys, command, *cfg, *flags)
+    assert code == 0
+    r = json.loads(out)
+    assert r["residual" if payload else "max_residual"] < 1e-12, r
+    if command == "verify":
+        assert (len(r["gamma_suite"]), len(r["appendix_suite"])) == (18, 13)
+
+
+def _readme_angles(cfg, row):
+    """Row ``row`` of the angle table, rebuilt from the README's rule for
+    the mode and not read from the sampler's own table."""
+    lo, hi = np.array(cfg.angle_ranges).T
+    if cfg.mode == "random":
+        return np.random.default_rng(cfg.seed).uniform(lo, hi, (cfg.n, 9))[row]
+    m = 1
+    while m ** 9 < cfg.n:
+        m += 1
+    digits = np.array(np.unravel_index(row, (m,) * 9))
+    return lo + (hi - lo) * ((digits + 0.5) / m)
+
+
+@pytest.mark.parametrize("mode", ["random", "grid"])
+def test_a_cloud_of_10_5_points_in_each_mode(tmp_path, capsys, mode):
+    # a header plus one line per point; three rows against the matrix oracle
+    spec = {"s_x": 0.5, "s_z": 0.0, "a_z": 1.0, "n": 100000, "mode": mode}
+    dest = tmp_path / "cloud.csv"
+    code, _, _ = _run(capsys, "sample", _write(tmp_path, "big.json", spec),
+                      "--output", str(dest))
+    assert code == 0
+    text = dest.read_text(encoding="utf-8")
+    lines = [line for line in text.splitlines() if not line.startswith("#")]
+    assert len(lines) == 100001
+    points = parse_csv(io.StringIO(text))
+    cfg = SampleConfig(**spec)
+    for row in (0, 49999, 99999):
+        err = np.abs(points[row] - reachable_point(
+            cfg, _readme_angles(cfg, row))).max()
+        assert err <= 1e-12, (row, err)
+
+
+def test_a_cloud_of_10_5_points_with_a_mixed_accessor(tmp_path, capsys):
+    # in the x-y plane, of radius at most 1/2
+    spec = {"s_x": 0.5, "s_z": 0.0, "a_z": 0.0, "n": 100000}
+    dest = tmp_path / "mixed.csv"
+    code, _, _ = _run(capsys, "sample", _write(tmp_path, "mixed.json", spec),
+                      "--output", str(dest))
+    assert code == 0
+    with open(dest, encoding="utf-8") as fh:
+        points = parse_csv(fh)
+    assert len(points) == 100000
+    assert np.abs(points[:, 2]).max() <= 1e-10
+    assert np.linalg.norm(points, axis=1).max() <= 0.5 + 1e-12
 
 
 def test_sample_csv_matches_library(tmp_path, capsys):
@@ -333,7 +474,7 @@ def test_unwritable_output_path_is_exit_1(tmp_path, capsys):
     dest = tmp_path / "no_such_dir" / "cloud.csv"
     code, _, err = _run(capsys, "sample", cfg, "--output", str(dest))
     assert code == 1
-    assert "error" in err
+    assert err == f"error: [Errno 2] No such file or directory: '{dest}'\n"
 
 
 @pytest.mark.parametrize("mode", ["random", "grid"])
@@ -351,12 +492,37 @@ def test_cloud_too_large_to_allocate_is_exit_1(tmp_path, capsys, mode):
 
 def test_a_failure_while_writing_takes_the_same_exit_codes(tmp_path, capsys,
                                                            monkeypatch):
+    # the file is removed, so a partial cloud is not left behind
+    def emit_csv(points, fh, seed=None):
+        fh.write("# partial\n")
+        raise failure("no room for the text")
+
+    monkeypatch.setattr(cli._sampler, "emit_csv", emit_csv)
+    cfg = _write(tmp_path, "c.json", SAMPLE)
+    dest = tmp_path / "cloud.csv"
+    for failure, expect in ((MemoryError, "error: "),
+                            (ValueError, "precondition violated: ")):
+        code, out, err = _run(capsys, "sample", cfg, "--output", str(dest))
+        assert (code, out, err) == (1 if failure is MemoryError else 2, "",
+                                    expect + "no room for the text\n")
+        assert not dest.exists()
+
+
+def test_a_failure_while_writing_to_stdout_or_a_link_removes_nothing(
+        tmp_path, capsys, monkeypatch):
+    # only a regular file is removed: an --output of /dev/stdout, a link,
+    # must not unlink it
     def emit_csv(points, fh, seed=None):
         raise MemoryError("no room for the text")
 
     monkeypatch.setattr(cli._sampler, "emit_csv", emit_csv)
-    code, out, err = _run(capsys, "sample", _write(tmp_path, "c.json", SAMPLE))
-    assert (code, out, err) == (1, "", "error: no room for the text\n")
+    cfg = _write(tmp_path, "c.json", SAMPLE)
+    link = tmp_path / "link.csv"
+    link.symlink_to(tmp_path / "cloud.csv")
+    for output in ([], ["--output", str(link)]):
+        code, out, err = _run(capsys, "sample", cfg, *output)
+        assert (code, out, err) == (1, "", "error: no room for the text\n")
+    assert link.is_symlink()
 
 
 # past the most rows an (n, 9) float table can have, refused before the
@@ -563,6 +729,7 @@ def test_unknown_config_key_is_exit_1(tmp_path, capsys, command, payload,
     ("closure", {**ISING, "basis": "false"}, "basis"),
     ("closure", {**ISING, "basis": 1}, "basis"),
     ("closure", {**ISING, "basis": [0]}, "basis"),
+    ("steer", {"rho_S": [0, 0, 0.9]}, "rho_S"),
 ])
 def test_malformed_value_is_exit_1(tmp_path, capsys, command, payload, key):
     cfg = _write(tmp_path, "cfg.json", payload)
@@ -601,12 +768,17 @@ def test_negative_seed_flag_is_exit_1(tmp_path, capsys, command):
     ("steer", None, "--seed", "3.0"),
     ("closure", ISING, "--tol-rank", "abc"),
     ("sample", SAMPLE, "--seed", "x"),
+    ("closure", ISING, "--tol-rank", "0"),
+    ("steer", {"x_angles": [0.1, 0.2, 0.3]}, "--draws", "3"),
 ], ids=["fic-seed-abc", "verify-draws-2.5", "steer-seed-3.0",
-        "closure-tol-rank-abc", "sample-seed-x"])
+        "closure-tol-rank-abc", "sample-seed-x", "closure-tol-rank-0",
+        "steer-x-angles-draws-3"])
 def test_malformed_flag_value_is_exit_1(tmp_path, capsys, command, config,
                                         flag, value):
-    # a flag value goes through the converter of its config key, so a value
-    # of the wrong type is malformed input, not an argparse usage error
+    # a flag value goes through the converter and the bound of its config
+    # key, so a value of the wrong type or below its bound is malformed
+    # input, not an argparse usage error; so is a flag that the chosen mode
+    # does not read
     args = [] if config is None else [_write(tmp_path, "cfg.json", config)]
     code, out, err = _run(capsys, command, *args, flag, value)
     assert code == 1
@@ -681,6 +853,8 @@ def test_sample_and_negat_share_the_bloch_ball(tmp_path, capsys, excess,
         assert got == code, (command, err)
         assert (out == "") == (code == 2)
         assert ("precondition" in err) == (code == 2)
+        if command == "negat":
+            assert ("Bloch vector" in err) == (code == 2)
 
 
 # a file that is not UTF-8, an integer past int()'s 4300-digit limit and an

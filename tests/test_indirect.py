@@ -131,24 +131,45 @@ def _about_z(t):
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
+def _frame_draw(kind, rng):
+    """A full-control case, the ``violate`` of a single-axis draw, or one of
+    two draws whose structure only their base frame shows: the C2 normal
+    form with n = e_z exactly (before ``random_single_axis_model``'s Haar
+    turn), and an omega_S = 0 2a model with K = outer(x, e_z)."""
+    if kind == "c2-normal-form":
+        alpha, beta, gamma, z, c = rng.uniform(-1.0, 1.0, 5)
+        return TwoQubitModel(omega_S=0.0, K=[[alpha, gamma, 0.0],
+                                             [0.0, beta, 0.0],
+                                             [0.0, 0.0, z]],
+                             C=[0.0, 0.0, c], control=SingleAxis(n=[0, 0, 1]))
+    if kind == "2a-z":
+        return TwoQubitModel(omega_S=0.0, K=np.outer(rng.uniform(-1.0, 1.0, 3),
+                                                     [0.0, 0.0, 1.0]),
+                             C=rng.uniform(-1.0, 1.0, 3))
+    if kind in CASE_DIMS:
+        return random_model(kind, rng)
+    return random_single_axis_model(rng, kind)
+
+
 @settings(max_examples=135)
 @given(st.integers(0, 2 ** 32 - 1),
-       st.sampled_from([*CASE_DIMS, None, "c1", "c2"]))
+       st.sampled_from([*CASE_DIMS, None, "c1", "c2", "c2-normal-form",
+                        "2a-z"]))
+@example(0, "c2-normal-form")
+@example(0, "2a-z")
 def test_gennegat_verdict_is_frame_free(seed, kind):
-    # ``kind`` is a full-control case, or the ``violate`` of a single-axis
-    # draw.  Local turns U_S (x) U_A conjugate the algebra and the seed
-    # together: K -> R_A K R_S^T, C -> R_A C with R_S about z when
-    # omega_S != 0, a control axis n -> R_A n, and the Bloch vectors
-    # r_S -> R_S r_S, r_A -> R_A r_A.  1a, 2c and an unviolated single-axis
-    # draw take the su(4) read-off, every other kind the sweep.
+    # Local turns U_S (x) U_A conjugate the algebra and the seed together:
+    # K -> R_A K R_S^T, C -> R_A C with R_S about z when omega_S != 0, a
+    # control axis n -> R_A n, and the Bloch vectors r_S -> R_S r_S,
+    # r_A -> R_A r_A.  1a, 2c and an unviolated single-axis draw take the
+    # su(4) read-off, every other kind the sweep.
     rng = np.random.default_rng(seed)
-    m = (random_model(kind, rng) if kind in CASE_DIMS
-         else random_single_axis_model(rng, kind))
+    m = _frame_draw(kind, rng)
     r_a = frame(*rng.normal(size=(2, 3)))
     r_s = (frame(*rng.normal(size=(2, 3))) if m.omega_S == 0.0
            else _about_z(rng.uniform(0.0, 2.0 * np.pi)))
-    control = (m.control if kind in CASE_DIMS
-               else SingleAxis(n=r_a @ m.control.n))
+    control = (SingleAxis(n=r_a @ m.control.n)
+               if isinstance(m.control, SingleAxis) else m.control)
     turned = TwoQubitModel(omega_S=m.omega_S, K=r_a @ m.K @ r_s.T,
                            C=r_a @ m.C, control=control)
     L, L_turned = (closure(generator_set(x)) for x in (m, turned))

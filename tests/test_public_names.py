@@ -14,6 +14,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 ALLOWED = {
+    "random_model": "draws the models of acceptance criterion 1",
     "random_single_axis_model": "draws the models of acceptance criterion 2",
     "c2_failure_subalgebra": "the trap algebra of acceptance criterion 2",
     "case_1b_basis": "the 1b algebra that ROADMAP item 4 compares closures with",

@@ -1,13 +1,13 @@
 """Tests for the dense operator-algebra layer.
 
-The matrix exponential is checked against scipy.linalg.expm as an
-independent oracle; everything else is either an exact algebraic fact of
-the convention (bracket table, exp(t sigma_z) phases) or a round trip.
+Everything here is either an exact algebraic fact of the convention
+(bracket table, exp(t sigma_z) phases) or a round trip; the matrix
+exponential's independent oracle, scipy.linalg.expm, is in
+test_scipy_oracle.py, so this module runs without scipy.
 """
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
@@ -116,14 +116,6 @@ def test_partial_trace_linear(m1, m2, c):
 def test_partial_trace_errors():
     with pytest.raises(ValueError):
         partial_trace(np.eye(2))
-
-
-@given(st.one_of(st_c22, st_c44))
-def test_mat_exp_matches_scipy(h):
-    # mat_exp accepts only skew-Hermitian input, so the oracle sees the
-    # skew-Hermitian part of a general complex matrix, on one and two qubits
-    a = 0.5 * (h - dagger(h))
-    assert_allclose(mat_exp(a), scipy.linalg.expm(a), atol=1e-12)
 
 
 @given(st_c44)
